@@ -20,7 +20,6 @@ from .errors import (
 )
 from .linalg import (
     Pair,
-    SphericalCoords,
     as_pair,
     as_vector,
     block_solve,
@@ -85,7 +84,6 @@ __all__ = [
     "SingularSystem",
     # linalg
     "Pair",
-    "SphericalCoords",
     "as_pair",
     "as_vector",
     "block_solve",

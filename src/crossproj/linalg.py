@@ -9,7 +9,7 @@ float64 numpy arrays; all functions are pure and never mutate arguments.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +59,24 @@ def inner(x, y) -> float:
     return float(np.dot(x, y))
 
 
+def _pow2_scale(m: float) -> float:
+    """Power of two c with m / c in [0.5, 1); c = 1 at m = 0 and c <= 2^1023.
+
+    Division by c is exact, so for m = |v|_inf the squares of v / c keep the
+    bits of those of v where those are normal, and never overflow or underflow.
+    """
+    return math.ldexp(1.0, min(math.frexp(m)[1], 1023))
+
+
 def norm(x) -> float:
-    """Euclidean norm |x|."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
+    """Euclidean norm |x|, accurate at every float64 scale."""
+    x = np.asarray(x, dtype=float)
+    s = float(np.vdot(x, x))  # silent on overflow, unlike np.dot
+    if 2.0**-900 < s < 2.0**900:  # no square overflowed or lost relative precision
+        return math.sqrt(s)
+    c = _pow2_scale(float(np.abs(x).max(initial=0.0)))
+    x = x / c
+    return c * math.sqrt(float(np.vdot(x, x)))
 
 
 def _require_unit(u: np.ndarray, name: str = "u") -> None:
@@ -113,13 +128,6 @@ def block_solve(lam: float, rhs: Pair) -> Pair:
             f"multiplier {lam!r} is inside the singular guard band around +-1"
         )
     return Pair((rhs.x - lam * rhs.y) / den, (rhs.y - lam * rhs.x) / den)
-
-
-class SphericalCoords(NamedTuple):
-    """Radius plus n-1 angles: the first n-2 in [0, pi], the last in [0, 2*pi)."""
-
-    rho: float
-    thetas: Sequence[float]
 
 
 def sphere_point(rho: float, thetas, n: int | None = None) -> np.ndarray:

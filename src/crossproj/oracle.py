@@ -24,21 +24,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystem
-from .linalg import Pair, norm
-from .projection import (
+from .linalg import Pair, block_solve, norm
+from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
     CaseTag,
     SingletonProjection,
     Tolerances,
-    _check_input,
     _family_member,
+    _reduce,
     candidate,
     classify,
-    feasibility_scale,
     membership_residual,
     objective,
     project,
-    solve_lambda,
 )
 
 #: Objectives within this band of the minimum count as tied.
@@ -128,24 +126,23 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     close to the degenerate ray).  For generic inputs the sweep is exact:
     every nearest point is one of the multiplier candidates.
     """
-    x0, y0 = _check_input(x0, y0)
-    tag = classify(x0, y0, tols)
+    core = _reduce(x0, y0, tols)
+    x0, y0 = core.x0, core.y0
 
     cands: list[Pair] = []
-    if tag is CaseTag.ORTHOGONAL:
+    if core.tag is CaseTag.ORTHOGONAL:
         cands.append(Pair(x0, y0))
-    elif tag is CaseTag.GENERIC:
-        lams = solve_lambda(x0, y0)
-        for lam in lams:
+    elif core.tag is CaseTag.GENERIC:
+        for lam in core.lams:
             try:
-                cands.append(candidate(lam, x0, y0))
+                cands.append(block_solve(lam, Pair(x0, y0)))
             except SingularSystem:
                 pass
     zero = np.zeros_like(x0)
     cands.append(Pair(zero, y0))
     cands.append(Pair(x0, zero))
 
-    mem_tol = feasibility_scale(x0, y0, tols)
+    mem_tol = tols.membership * core.band_scale
     feasible = [p for p in cands if membership_residual(p) <= mem_tol]
     objs = [objective(p, x0, y0) for p in feasible]
     i = int(np.argmin(objs))
@@ -154,12 +151,11 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
         p for j, (p, f) in enumerate(zip(feasible, objs))
         if j != i and f <= best_obj + TIE_TOL
     ]
-    half = project(x0, y0, tols).half_dist_sq
     return OracleReport(
         mode="lagrangian",
         best_point=best,
         best_objective=best_obj,
-        gap_vs_formula=best_obj - half,
+        gap_vs_formula=best_obj - core.half,
         candidates_examined=len(cands),
         tie_count=1 + len(ties),
         ties=ties[:16],
@@ -243,7 +239,8 @@ def subspace_oracle(
     toward the lexicographically smallest direction; in the separable fast
     path tie accounting happens at row-representative granularity.
     """
-    x0, y0 = _check_input(x0, y0)
+    core = _reduce(x0, y0, tols)
+    x0, y0 = core.x0, core.y0
     resolution = int(resolution)
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
@@ -288,12 +285,11 @@ def subspace_oracle(
     else:
         best = _family_member(x0, y0, u)
     best_obj = objective(best, x0, y0)
-    half = project(x0, y0, tols).half_dist_sq
     return OracleReport(
         mode=mode_label,
         best_point=best,
         best_objective=best_obj,
-        gap_vs_formula=best_obj - half,
+        gap_vs_formula=best_obj - core.half,
         candidates_examined=tracker.examined,
         tie_count=max(tracker.tie_count, 1),
     )
@@ -355,7 +351,8 @@ def check(
     precision by construction; there the near-degenerate stability bound
     is checked instead.
     """
-    x0, y0 = _check_input(x0, y0)
+    core = _reduce(x0, y0, tols)
+    x0, y0, lams = core.x0, core.y0, core.lams
     rng = np.random.default_rng(seed)
     items: dict[str, CheckItem] = {}
 
@@ -367,7 +364,7 @@ def check(
     tag = res.tag
     nx, ny = norm(x0), norm(y0)
     scale = 1.0 + nx + ny
-    mem_tol = feasibility_scale(x0, y0, tols)
+    mem_tol = tols.membership * core.band_scale
     half = res.half_dist_sq
 
     singleton = isinstance(res, SingletonProjection)
@@ -409,7 +406,6 @@ def check(
     record("subspace_lower", -sub.gap_vs_formula, 1e-9)
 
     if tag is not CaseTag.ORTHOGONAL:
-        lams = solve_lambda(x0, y0)
         record("vieta", abs(lams.lambda_minus * lams.lambda_plus - 1.0), 1e-10)
 
         q = float(np.dot(x0, y0))
@@ -434,7 +430,6 @@ def check(
         record("objective_closed_form", closed_res, 1e-10)
 
     if safe_generic:
-        lams = solve_lambda(x0, y0)
         pt = res.point
         stat = (
             norm(pt.x + res.lam * pt.y - x0) + norm(pt.y + res.lam * pt.x - y0)
@@ -502,10 +497,6 @@ def check(
     return CheckReport(case=tag, items=items)
 
 
-def _points_for_compare(res) -> list[Pair]:
-    return res.selections()
-
-
 def _pair_diff(a: Pair, b: Pair) -> float:
     return norm(a.x - b.x) + norm(a.y - b.y)
 
@@ -521,7 +512,7 @@ def _homogeneity_residual(res, x0, y0, tols, compare_points: bool) -> float:
             abs(scaled.half_dist_sq - t * t * res.half_dist_sq) / (t * t),
         )
         if compare_points:
-            for a, b in zip(_points_for_compare(scaled), _points_for_compare(res)):
+            for a, b in zip(scaled.selections(), res.selections()):
                 worst = max(worst, _pair_diff(a, Pair(t * b.x, t * b.y)) / t)
         if isinstance(res, SingletonProjection):
             worst = max(worst, abs(scaled.lam - res.lam))
@@ -556,6 +547,6 @@ def _rotation_residual(res, x0, y0, rot, tols, compare_points: bool) -> float:
         return math.inf
     worst = abs(rotated.half_dist_sq - res.half_dist_sq)
     if compare_points:
-        for a, b in zip(_points_for_compare(rotated), _points_for_compare(res)):
+        for a, b in zip(rotated.selections(), res.selections()):
             worst = max(worst, _pair_diff(a, Pair(rot @ b.x, rot @ b.y)))
     return worst

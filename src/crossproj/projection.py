@@ -16,9 +16,10 @@ valued in general; it falls into exactly one of three cases for an input
   (0, y0); the set has the cardinality of the unit sphere and is
   represented lazily.
 
-Classification uses relative tolerance bands (exact trichotomies do not
-survive floating point); the band widths live in :class:`Tolerances` and
-every result carries its tag so callers can re-classify.
+Classification uses relative tolerance bands, evaluated at unit scale by
+the one numeric core :func:`_reduce` behind every public function (exact
+trichotomies do not survive floating point); the band widths live in
+:class:`Tolerances` and every result carries its tag so callers can re-classify.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
-from .linalg import Pair, as_vector, block_solve, inner, norm, sphere_point, _require_unit
+from .linalg import Pair, as_vector, block_solve, inner, norm, sphere_point
+from .linalg import _pow2_scale, _require_unit
 
 #: Below this width of |1 - lam^2| the direct quotient in the stationarity
 #: solve loses precision and the subspace form of the candidate is used.
@@ -60,12 +62,16 @@ class CaseTag(Enum):
 class Tolerances:
     """Relative classification bands and the feasibility certificate scale.
 
+    Every band is evaluated at unit scale, on (x0/c, y0/c) for the power of
+    two c with max(|x0|_inf, |y0|_inf)/c in [0.5, 1), so tags are invariant
+    under scaling the input from about 1e-300 to 1e300.
+
     ``orth``: |<x0,y0>| <= orth * (1 + |x0||y0|) classifies as orthogonal.
     ``deg``:  min(|x0-y0|, |x0+y0|) <= deg * (|x0|+|y0|) classifies as
     degenerate (checked after the orthogonal band; precedence resolves the
     overlap at the origin).  ``membership`` scales feasibility checks:
     a pair counts as lying in the cross when
-    |<x,y>| <= membership * (1 + |x0||y0|).
+    |<x,y>| <= membership * (1 + |x0||y0|) at unit scale, times c^2.
     """
 
     orth: float = 1e-12
@@ -139,6 +145,52 @@ def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray]:
     return x0, y0
 
 
+class _Reduction(NamedTuple):
+    """What the projection formula needs from one input, taken once."""
+
+    x0: np.ndarray  # the validated input
+    y0: np.ndarray
+    tag: CaseTag
+    lams: LambdaPair | None  # roots of the multiplier quadratic; None if orthogonal
+    half: float  # half the squared distance to the cross
+    band_scale: float  # 1 + |x0||y0| at unit scale, times c^2
+
+
+def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
+    """Validate, then classify and solve at unit scale, on (x0/c, y0/c).
+
+    The small root is 2q / (S + P) with P = |x0+y0| |x0-y0|, the factored
+    square root of S^2 - 4 q^2, so nothing cancels as q -> 0.
+    """
+    x0, y0 = _check_input(x0, y0)
+    c = _pow2_scale(max(float(np.abs(x0).max()), float(np.abs(y0).max())))
+    # For c between 2^-200 and 2^200 no sum of squares overflows and what
+    # underflows lies far below its last bit, so the arrays are not divided:
+    # their reductions are brought to unit scale by the exact f = 1/c^2.
+    k = 1.0 if 2.0**-200 < c < 2.0**200 else c
+    xs, ys = (x0, y0) if k == 1.0 else (x0 / k, y0 / k)
+    f = (k / c) ** 2
+    q = float(np.dot(xs, ys)) * f
+    xx = float(np.dot(xs, xs)) * f
+    yy = float(np.dot(ys, ys)) * f
+    nx, ny = math.sqrt(xx), math.sqrt(yy)
+    band = 1.0 + nx * ny
+    if abs(q) <= tols.orth * band:
+        return _Reduction(x0, y0, CaseTag.ORTHOGONAL, None, 0.0, band * c * c)
+    d_minus = math.sqrt(float(np.dot(d := xs - ys, d)) * f)
+    d_plus = math.sqrt(float(np.dot(d := xs + ys, d)) * f)
+    s = xx + yy
+    sp = s + d_plus * d_minus
+    lams = LambdaPair(2.0 * q / sp, sp / (2.0 * q))
+    if min(d_minus, d_plus) <= tols.deg * (nx + ny):
+        tag = CaseTag.DEGENERATE_PLUS if d_minus <= d_plus else CaseTag.DEGENERATE_MINUS
+        half = 0.25 * s
+    else:
+        tag = CaseTag.GENERIC
+        half = 0.5 * lams.lambda_minus * q
+    return _Reduction(x0, y0, tag, lams, half * c * c, band * c * c)
+
+
 def membership(p: Pair, tol: float) -> bool:
     """Whether |<p.x, p.y>| <= tol."""
     if tol < 0.0:
@@ -151,46 +203,23 @@ def membership_residual(p: Pair) -> float:
     return abs(inner(p.x, p.y))
 
 
-def feasibility_scale(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Membership tolerance used for points produced from input (x0, y0)."""
-    return tols.membership * (1.0 + norm(x0) * norm(y0))
-
-
 def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
     """Classify (x0, y0) into the projection trichotomy.
 
     Precedence: orthogonal band first (this absorbs the origin), then the
-    degenerate bands, then generic.
+    degenerate bands, then generic.  The bands are evaluated at unit scale,
+    so the tag of (t x0, t y0) is the same for t from about 1e-300 to 1e300.
     """
-    x0, y0 = _check_input(x0, y0)
-    q = inner(x0, y0)
-    nx = norm(x0)
-    ny = norm(y0)
-    if abs(q) <= tols.orth * (1.0 + nx * ny):
-        return CaseTag.ORTHOGONAL
-    d_minus = norm(x0 - y0)
-    d_plus = norm(x0 + y0)
-    if min(d_minus, d_plus) <= tols.deg * (nx + ny):
-        return CaseTag.DEGENERATE_PLUS if d_minus <= d_plus else CaseTag.DEGENERATE_MINUS
-    return CaseTag.GENERIC
+    return _reduce(x0, y0, tols).tag
 
 
 def solve_lambda(x0, y0) -> LambdaPair:
-    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> != 0.
-
-    The discriminant S^2 - 4 q^2 is evaluated in the factored form
-    (|x0+y0| |x0-y0|)^2, and the small root through the product relation
-    lambda_minus * lambda_plus = 1, i.e. lambda_minus = 2q / (S + P) with
-    P = |x0+y0| |x0-y0|.  Both choices avoid the cancellation the textbook
-    expressions suffer when q -> 0.
-    """
-    x0, y0 = _check_input(x0, y0)
-    q = inner(x0, y0)
-    if abs(q) <= DEFAULT_TOLS.orth * (1.0 + norm(x0) * norm(y0)):
+    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> != 0, taken
+    without cancellation at unit scale (see :func:`_reduce`)."""
+    lams = _reduce(x0, y0, DEFAULT_TOLS).lams
+    if lams is None:
         raise CaseError("multiplier quadratic undefined: <x0, y0> is (numerically) zero")
-    s = float(np.dot(x0, x0) + np.dot(y0, y0))
-    p = norm(x0 + y0) * norm(x0 - y0)
-    return LambdaPair(2.0 * q / (s + p), (s + p) / (2.0 * q))
+    return lams
 
 
 def candidate(lam: float, x0, y0) -> Pair:
@@ -232,41 +261,31 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     the subspace pair (P_U x0, P_{U-perp} y0) with U spanned by
     x0 - lam*y0, which is where the solution direction lives.
     """
-    x0, y0 = _check_input(x0, y0)
-    tag = classify(x0, y0, tols)
-
-    if tag is CaseTag.ORTHOGONAL:
-        return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0)
-
-    if tag is CaseTag.GENERIC:
-        q = inner(x0, y0)
-        s = float(np.dot(x0, x0) + np.dot(y0, y0))
-        p = norm(x0 + y0) * norm(x0 - y0)
-        lam = 2.0 * q / (s + p)
-        half = 0.5 * lam * q
-        den = 1.0 - lam * lam
-        if abs(den) >= FALLBACK_BAND:
-            point = block_solve(lam, Pair(x0, y0))
+    core = _reduce(x0, y0, tols)
+    x0, y0 = core.x0, core.y0
+    if core.tag is CaseTag.ORTHOGONAL:
+        return SingletonProjection(core.tag, Pair(x0, y0), 0.0, 0.0)
+    if core.tag.is_degenerate:
+        zero = np.zeros_like(x0)
+        base = Pair(zero, y0)
+        return FamilyProjection(core.tag, x0, y0, base, (base, Pair(x0, zero)), core.half)
+    lam = core.lams.lambda_minus
+    if abs(1.0 - lam * lam) >= FALLBACK_BAND:
+        point = block_solve(lam, Pair(x0, y0))
+    else:
+        w = x0 - lam * y0
+        nw = norm(w)
+        if nw <= 1e-12 * (norm(x0) + norm(y0)):
+            # collinear with |x0| < |y0|: the solution has x = 0
+            point = Pair(np.zeros_like(x0), y0)
         else:
-            w = x0 - lam * y0
-            nw = norm(w)
-            if nw <= 1e-12 * (norm(x0) + norm(y0)):
-                # collinear with |x0| < |y0|: the solution has x = 0
-                point = Pair(np.zeros_like(x0), y0)
-            else:
-                u = w / nw
-                point = _family_member(x0, y0, u)
-        return SingletonProjection(tag, point, lam, half)
-
-    half = 0.25 * float(np.dot(x0, x0) + np.dot(y0, y0))
-    zero = np.zeros_like(x0)
-    base = Pair(zero, y0)
-    return FamilyProjection(tag, x0, y0, base, (base, Pair(x0, zero)), half)
+            point = _family_member(x0, y0, w / nw)
+    return SingletonProjection(core.tag, point, lam, core.half)
 
 
 def distance_sq(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Squared distance from (x0, y0) to the cross."""
-    return 2.0 * project(x0, y0, tols).half_dist_sq
+    """Squared distance from (x0, y0) to the cross, without assembling a point."""
+    return 2.0 * _reduce(x0, y0, tols).half
 
 
 def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
@@ -275,8 +294,7 @@ def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
     For a unit direction u the member is (<u,x0> u, y0 - <u,y0> u); its
     displacement half-cost equals (|x0|^2 + |y0|^2)/4 for every u.
     """
-    x0, y0 = _check_input(x0, y0)
-    tag = classify(x0, y0, tols)
+    x0, y0, tag = _reduce(x0, y0, tols)[:3]
     if not tag.is_degenerate:
         raise CaseError(f"input is not degenerate (classified {tag.value})")
     u = as_vector(u, "u")
@@ -305,12 +323,11 @@ def family_samples(
     exact duplicate points are dropped, so fewer than ``count`` samples
     may come back when the family is finite (n = 1).
     """
-    x0, y0 = _check_input(x0, y0)
+    x0, y0, tag = _reduce(x0, y0, tols)[:3]
     if mode not in ("grid", "injective"):
         raise DomainError(f"unknown sampling mode {mode!r}")
     if count < 1:
         raise DomainError("count must be >= 1")
-    tag = classify(x0, y0, tols)
     if not tag.is_degenerate:
         raise CaseError(f"input is not degenerate (classified {tag.value})")
 
@@ -356,34 +373,18 @@ def family_enumerate(
 
 
 def project_1d(x0: float, y0: float, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
-    """Scalar fast path for n = 1, where the cross is the two coordinate axes.
+    """Scalar form of :func:`project` for n = 1, where the cross is the two axes.
 
     The nearest point is (0, y0) when |x0| < |y0| and (x0, 0) when
     |x0| > |y0|; for |x0| = |y0| != 0 both axes are equally close and the
-    result is the two-point family {(x0, 0), (0, y0)}.  Agrees with
-    :func:`project` applied to one-dimensional vectors, including the
-    classification bands.
+    result is the two-point family {(x0, 0), (0, y0)}.  Tag, multiplier and
+    distance are those of :func:`project`; a generic point is assembled
+    exactly on its axis.
     """
-    x0 = float(x0)
-    y0 = float(y0)
-    if not (math.isfinite(x0) and math.isfinite(y0)):
-        raise DomainError("project_1d requires finite scalars")
-    xv = np.array([x0])
-    yv = np.array([y0])
-    tag = classify(xv, yv, tols)
-    if tag is CaseTag.ORTHOGONAL:
-        return SingletonProjection(tag, Pair(xv, yv), 0.0, 0.0)
-    if tag is CaseTag.GENERIC:
-        if abs(x0) < abs(y0):
-            point = Pair(np.array([0.0]), yv)
-            lam = x0 / y0
-            half = 0.5 * x0 * x0
-        else:
-            point = Pair(xv, np.array([0.0]))
-            lam = y0 / x0
-            half = 0.5 * y0 * y0
-        return SingletonProjection(tag, point, lam, half)
-    half = 0.25 * (x0 * x0 + y0 * y0)
-    zero = np.array([0.0])
-    base = Pair(zero, yv)
-    return FamilyProjection(tag, xv, yv, base, (base, Pair(xv, zero)), half)
+    xv, yv = np.array([float(x0)]), np.array([float(y0)])
+    res = project(xv, yv, tols)
+    if res.tag is not CaseTag.GENERIC:
+        return res
+    zero = np.zeros(1)
+    axis = Pair(zero, yv) if abs(xv[0]) < abs(yv[0]) else Pair(xv, zero)
+    return SingletonProjection(res.tag, axis, res.lam, res.half_dist_sq)

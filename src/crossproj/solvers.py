@@ -23,6 +23,7 @@ from .projection import (
     DEFAULT_TOLS,
     SingletonProjection,
     Tolerances,
+    distance_sq,
     project,
 )
 
@@ -269,7 +270,7 @@ def douglas_rachford(
         trace.iterations = k + 1
         pc = project(z.x, z.y, tols)
         shadow = _select(pc, selection, k)
-        d_c = math.sqrt(max(2.0 * project(shadow.x, shadow.y, tols).half_dist_sq, 0.0))
+        d_c = math.sqrt(max(distance_sq(shadow.x, shadow.y, tols), 0.0))
         d_b = problem.constraint.distance(shadow)
         trace.iterates.append(shadow)
         trace.residuals_c.append(d_c)

@@ -1,0 +1,35 @@
+"""The benchmark's traced run (``bench/run.py --trace 1``) swaps wrappers onto
+module attributes of the library; each name it patches must stay bound."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import crossproj.oracle as oracle_mod
+import crossproj.projection as projection_mod
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from tracing import Tracer  # noqa: E402
+
+PATCHED = [
+    (projection_mod, name)
+    for name in ("as_vector", "norm", "inner", "block_solve", "classify", "project")
+] + [(oracle_mod, name) for name in ("norm", "classify", "project", "check")]
+
+
+def test_tracer_installs_and_removes():
+    originals = {key: getattr(*key) for key in PATCHED}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(*key) is not fn for key, fn in originals.items())
+        projection_mod.project(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
+        snap = tracer.snapshot()
+    finally:
+        tracer.remove()
+    assert all(getattr(*key) is fn for key, fn in originals.items())
+    assert snap["calls", "projection.project"] == 1
+    # the input is validated once: one as_vector call per component
+    assert snap["calls", "linalg.as_vector"] == 2
+    assert snap["count", "branch.generic_direct"] == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,6 +45,10 @@ class TestInner:
             x = rng.standard_normal(5)
             assert inner(x, x) >= 0.0
             assert inner(x, x) == pytest.approx(norm(x) ** 2, rel=1e-14)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1e160, 1e300])
+    def test_norm_at_every_scale(self, t):
+        assert norm([3.0 * t, 4.0 * t]) == pytest.approx(5.0 * t, rel=1e-15, abs=0.0)
 
     def test_symmetry_and_dim_check(self):
         x, y = np.array([1.0, 2.0]), np.array([0.5, -3.0])
@@ -96,6 +100,7 @@ class TestRankOneOperators:
         np.testing.assert_allclose(rank1_project(u, p), p, atol=scale)
 
     @given(u=vectors(3), z=vectors(3))
+    @example(u=np.array([1.0, 2.0, 2.0]), z=np.full(3, 7.72318328e-159))
     @settings(max_examples=100)
     def test_reflection_is_isometry(self, u, z):
         nu = np.linalg.norm(u)

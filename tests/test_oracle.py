@@ -5,6 +5,7 @@ import crossproj.oracle as oracle_mod
 from crossproj import (
     CaseTag,
     DomainError,
+    Tolerances,
     check,
     classify,
     lagrangian_oracle,
@@ -186,6 +187,15 @@ class TestCheck:
         assert rep.ok, rep.failures()
         assert "stability" in rep.items
         assert "stationarity" not in rep.items  # not applicable this close to the ray
+
+    def test_narrowed_orth_band(self):
+        # generic under orth = 1e-13 but orthogonal under the default band:
+        # the multiplier roots must come from the caller's bands
+        tols = Tolerances(orth=1e-13)
+        rep = check([1.0, 0.0], [1e-12, 1.0], tols=tols)
+        assert rep.case is CaseTag.GENERIC
+        assert rep.ok, rep.failures()
+        assert lagrangian_oracle([1.0, 0.0], [1e-12, 1.0], tols).candidates_examined == 4
 
     def test_detects_wrong_branch(self, monkeypatch):
         """A corrupted projection (large root chosen) must be flagged."""

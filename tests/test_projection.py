@@ -368,6 +368,15 @@ class TestProject1d:
         with pytest.raises(DomainError):
             project_1d(math.nan, 1.0)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e300])
+    def test_extreme_scale(self, t):
+        res = project_1d(-3.0 * t, t)
+        assert res.tag is CaseTag.GENERIC
+        assert res.lam == pytest.approx(-1.0 / 3.0, rel=1e-15)
+        np.testing.assert_array_equal(res.point.x, [-3.0 * t])
+        np.testing.assert_array_equal(res.point.y, [0.0])
+        assert res.half_dist_sq == pytest.approx(0.5 * t * t, abs=1e-300)
+
     def test_agrees_with_project(self):
         rng = np.random.default_rng(16)
         for _ in range(500):
@@ -465,7 +474,7 @@ class TestInvariants:
             x0 = rng.uniform(-1.0, 1.0, n)
             y0 = rng.uniform(-1.0, 1.0, n)
             res = project(x0, y0)
-            for t in (0.5, 2.0, 10.0):
+            for t in (0.5, 2.0, 10.0, 1e-300, 1e-150, 1e-8, 1e8, 1e150, 1e300):
                 scaled = project(t * x0, t * y0)
                 assert scaled.tag is res.tag
                 assert scaled.half_dist_sq == pytest.approx(
