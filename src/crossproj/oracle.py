@@ -31,11 +31,10 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     SingletonProjection,
     Tolerances,
     _family_member,
+    _objective,
     _reduce,
-    candidate,
     classify,
     membership_residual,
-    objective,
     project,
 )
 
@@ -144,7 +143,7 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
 
     mem_tol = tols.membership * core.band_scale
     feasible = [p for p in cands if membership_residual(p) <= mem_tol]
-    objs = [objective(p, x0, y0) for p in feasible]
+    objs = [_objective(p, x0, y0) for p in feasible]
     i = int(np.argmin(objs))
     best, best_obj = feasible[i], objs[i]
     ties = [
@@ -284,7 +283,7 @@ def subspace_oracle(
         best = Pair(np.zeros_like(x0), y0)
     else:
         best = _family_member(x0, y0, u)
-    best_obj = objective(best, x0, y0)
+    best_obj = _objective(best, x0, y0)
     return OracleReport(
         mode=mode_label,
         best_point=best,
@@ -324,13 +323,14 @@ def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _sample_multipliers(rng: np.random.Generator, count: int) -> list[float]:
-    out: list[float] = []
-    while len(out) < count:
-        lam = float(rng.uniform(-3.0, 3.0))
-        if abs(1.0 - lam * lam) >= 0.15:
-            out.append(lam)
-    return out
+def _sample_multipliers(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws uniform on [-3, 3] with |1 - lam^2| >= 0.15, taking from
+    ``rng`` exactly what a loop drawing and rejecting one at a time takes."""
+    lams = np.empty(0)
+    while lams.size < count:
+        draw = rng.uniform(-3.0, 3.0, count - lams.size)
+        lams = np.concatenate((lams, draw[np.abs(1.0 - draw * draw) >= 0.15]))
+    return lams
 
 
 def check(
@@ -349,7 +349,9 @@ def check(
     when the input is safely generic -- |1 - lam^2| >= SAFE_GENERIC_BAND --
     since closer to the degenerate ray the raw multiplier candidates lose
     precision by construction; there the near-degenerate stability bound
-    is checked instead.
+    is checked instead.  The identity items ``orthogonality_quadratic`` and
+    ``objective_closed_form`` sweep all ``n_lambda`` sampled multipliers in
+    one array pass and match the one-at-a-time scalar loop up to rounding.
     """
     core = _reduce(x0, y0, tols)
     x0, y0, lams = core.x0, core.y0, core.lams
@@ -389,10 +391,10 @@ def check(
     record("lagrangian_lower", -lag.gap_vs_formula, 1e-9)
     if tag is CaseTag.GENERIC and not safe_generic:
         canon_best = min(
-            objective(Pair(np.zeros_like(x0), y0), x0, y0),
-            objective(Pair(x0, np.zeros_like(y0)), x0, y0),
+            _objective(Pair(np.zeros_like(x0), y0), x0, y0),
+            _objective(Pair(x0, np.zeros_like(y0)), x0, y0),
         )
-        record("stability", objective(res.point, x0, y0) - canon_best, 1e-7)
+        record("stability", _objective(res.point, x0, y0) - canon_best, 1e-7)
     else:
         record("lagrangian_match", abs(lag.gap_vs_formula), 1e-10 * (1.0 + abs(half)))
     if safe_generic:
@@ -415,19 +417,19 @@ def check(
         root_res = max(
             abs((1.0 + lam * lam) * q - lam * s) for lam in lams
         ) if tag is CaseTag.GENERIC else 0.0
-        ident_res = root_res / (1.0 + s)
-        closed_res = 0.0
-        for lam in _sample_multipliers(rng, n_lambda):
-            cand = candidate(lam, x0, y0)
-            den2 = (1.0 - lam * lam) ** 2
-            lhs = float(np.dot(cand.x, cand.y)) * den2
-            rhs = (1.0 + lam * lam) * q - lam * s
-            ident_res = max(ident_res, abs(lhs - rhs) / (1.0 + s))
-            f_formula = lam * lam / (2.0 * den2) * ((1.0 + lam * lam) * s - 4.0 * lam * q)
-            f_direct = objective(cand, x0, y0)
-            closed_res = max(closed_res, abs(f_direct - f_formula) / (1.0 + abs(f_formula)))
-        record("orthogonality_quadratic", ident_res, 1e-10)
-        record("objective_closed_form", closed_res, 1e-10)
+        # block_solve at every sampled multiplier in one (n_lambda, n) array
+        # pass; |1 - lam^2| >= 0.15 keeps each row clear of its guard band
+        lam = _sample_multipliers(rng, n_lambda)
+        den = 1.0 - lam * lam
+        cx = (x0 - lam[:, None] * y0) / den[:, None]
+        cy = (y0 - lam[:, None] * x0) / den[:, None]
+        lhs = np.sum(cx * cy, axis=1) * den**2
+        ident = np.abs(lhs - ((1.0 + lam * lam) * q - lam * s)) / (1.0 + s)
+        f_formula = lam * lam / (2.0 * den**2) * ((1.0 + lam * lam) * s - 4.0 * lam * q)
+        f_direct = 0.5 * np.sum((cx - x0) ** 2, axis=1) + 0.5 * np.sum((cy - y0) ** 2, axis=1)
+        closed = np.abs(f_direct - f_formula) / (1.0 + np.abs(f_formula))
+        record("orthogonality_quadratic", ident.max(initial=root_res / (1.0 + s)), 1e-10)
+        record("objective_closed_form", closed.max(initial=0.0), 1e-10)
 
     if safe_generic:
         pt = res.point
@@ -435,14 +437,14 @@ def check(
             norm(pt.x + res.lam * pt.y - x0) + norm(pt.y + res.lam * pt.x - y0)
         ) / scale
         record("stationarity", stat, 1e-10)
-        f_plus = objective(candidate(lams.lambda_plus, x0, y0), x0, y0)
+        f_plus = _objective(block_solve(lams.lambda_plus, Pair(x0, y0)), x0, y0)
         record("plus_branch_larger", half - f_plus, 1e-12 * (1.0 + abs(half)))
 
     if singleton:
         if tag is CaseTag.ORTHOGONAL or safe_generic:
             record(
                 "objective_identity",
-                abs(objective(res.point, x0, y0) - half) / (1.0 + abs(half)),
+                abs(_objective(res.point, x0, y0) - half) / (1.0 + abs(half)),
                 1e-10,
             )
             # every singleton is a subspace pair for U = span of its x part
@@ -457,7 +459,7 @@ def check(
                 1e-9,
             )
     else:
-        spread = [objective(p, x0, y0) for p in emitted]
+        spread = [_objective(p, x0, y0) for p in emitted]
         record(
             "objective_identity",
             max(abs(f - half) for f in spread) / (1.0 + abs(half)),

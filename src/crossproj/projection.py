@@ -213,10 +213,10 @@ def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
     return _reduce(x0, y0, tols).tag
 
 
-def solve_lambda(x0, y0) -> LambdaPair:
-    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> != 0, taken
-    without cancellation at unit scale (see :func:`_reduce`)."""
-    lams = _reduce(x0, y0, DEFAULT_TOLS).lams
+def solve_lambda(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> LambdaPair:
+    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> outside the
+    orthogonal band, taken without cancellation at unit scale (see :func:`_reduce`)."""
+    lams = _reduce(x0, y0, tols).lams
     if lams is None:
         raise CaseError("multiplier quadratic undefined: <x0, y0> is (numerically) zero")
     return lams
@@ -234,7 +234,10 @@ def candidate(lam: float, x0, y0) -> Pair:
 
 def objective(p: Pair, x0, y0) -> float:
     """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2."""
-    x0, y0 = _check_input(x0, y0)
+    return _objective(p, *_check_input(x0, y0))
+
+
+def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float:
     dx = p.x - x0
     dy = p.y - y0
     return 0.5 * float(np.dot(dx, dx)) + 0.5 * float(np.dot(dy, dy))

@@ -33,3 +33,17 @@ def test_tracer_installs_and_removes():
     # the input is validated once: one as_vector call per component
     assert snap["calls", "linalg.as_vector"] == 2
     assert snap["count", "branch.generic_direct"] == 1
+
+
+def test_check_validates_each_input_once():
+    tracer = Tracer()
+    tracer.install()
+    try:
+        oracle_mod.check(np.array([1.0, 2.0, -0.5]), np.array([0.7, -0.2, 1.5]))
+        snap = tracer.snapshot()
+    finally:
+        tracer.remove()
+    # two as_vector calls per core reduction: check itself, its six project
+    # calls and the two oracles; the multiplier sweep validates nothing
+    assert snap["calls", "oracle.project"] == 6
+    assert snap["calls", "linalg.as_vector"] == 18

@@ -6,15 +6,33 @@ from crossproj import (
     CaseTag,
     DomainError,
     Tolerances,
+    candidate,
     check,
     classify,
     lagrangian_oracle,
     membership_residual,
     norm,
+    objective,
     project,
+    solve_lambda,
     subspace_oracle,
 )
-from crossproj.oracle import _grid3_row_candidates, _grid_blocks, _subspace_objectives
+from crossproj.oracle import (
+    _grid3_row_candidates,
+    _grid_blocks,
+    _sample_multipliers,
+    _subspace_objectives,
+)
+
+
+def reference_multipliers(rng, count):
+    """The multiplier sampler of ``check``, one draw at a time."""
+    out = []
+    while len(out) < count:
+        lam = float(rng.uniform(-3.0, 3.0))
+        if abs(1.0 - lam * lam) >= 0.15:
+            out.append(lam)
+    return out
 
 
 def random_generic(rng, n):
@@ -199,7 +217,7 @@ class TestCheck:
 
     def test_detects_wrong_branch(self, monkeypatch):
         """A corrupted projection (large root chosen) must be flagged."""
-        from crossproj.projection import SingletonProjection, candidate, solve_lambda
+        from crossproj.projection import SingletonProjection
 
         real_project = oracle_mod.project
 
@@ -218,3 +236,86 @@ class TestCheck:
         rep = check([1.0, 2.0], [3.0, 1.0])
         assert not rep.ok
         assert "lagrangian_match" in rep.failures() or "point_match" in rep.failures()
+
+
+class TestMultiplierSweep:
+    """``check`` samples its multipliers in one draw and sweeps them in one
+    array pass; both must match the one-at-a-time scalar loop."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_sampler_stream(self, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            _sample_multipliers(rng, 20), reference_multipliers(ref, 20)
+        )
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @staticmethod
+    def scalar_residuals(x0, y0, seed):
+        # the sweep of check, one multiplier at a time through the public API
+        rng = np.random.default_rng(seed)
+        res = project(x0, y0)
+        if res.is_set_valued:
+            rng.standard_normal(x0.size)  # check's two sampled family members
+            rng.standard_normal(x0.size)
+        q = float(np.dot(x0, y0))
+        s = float(np.dot(x0, x0) + np.dot(y0, y0))
+        ident = closed = 0.0
+        if res.tag is CaseTag.GENERIC:
+            roots = solve_lambda(x0, y0)
+            ident = max(abs((1.0 + lam * lam) * q - lam * s) for lam in roots) / (1.0 + s)
+        for lam in reference_multipliers(rng, 20):
+            cand = candidate(lam, x0, y0)
+            den2 = (1.0 - lam * lam) ** 2
+            lhs = float(np.dot(cand.x, cand.y)) * den2
+            ident = max(ident, abs(lhs - ((1.0 + lam * lam) * q - lam * s)) / (1.0 + s))
+            f_formula = lam * lam / (2.0 * den2) * ((1.0 + lam * lam) * s - 4.0 * lam * q)
+            f_direct = objective(cand, x0, y0)
+            closed = max(closed, abs(f_direct - f_formula) / (1.0 + abs(f_formula)))
+        return ident, closed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["generic", "near_degenerate", "degenerate"])
+    def test_matches_scalar_loop(self, n, kind):
+        rng = np.random.default_rng([n, len(kind)])
+        for trial in range(5):
+            y0 = rng.uniform(-1.0, 1.0, n)
+            if kind == "generic":
+                x0, y0 = random_generic(rng, n)
+            elif kind == "near_degenerate":
+                w = rng.standard_normal(n)
+                x0 = y0 + 1e-8 * w / np.linalg.norm(w)
+            else:
+                x0 = y0.copy() if trial % 2 else -y0
+            seed = int(rng.integers(0, 2**63))
+            rep = check(x0, y0, seed=seed)
+            ident, closed = self.scalar_residuals(x0, y0, seed)
+            assert abs(rep.items["orthogonality_quadratic"].residual - ident) <= 1e-14
+            assert abs(rep.items["objective_closed_form"].residual - closed) <= 1e-14
+
+
+SCALE_X = np.array([1.0, 2.0, -0.5])
+SCALE_Y = np.array([0.7, -0.2, 1.5])
+
+
+class TestCheckAtScale:
+    @pytest.mark.parametrize("t", [1e8, 1e150])
+    def test_projection_is_right(self, t):
+        ref, res = project(SCALE_X, SCALE_Y), project(t * SCALE_X, t * SCALE_Y)
+        assert res.tag is ref.tag is CaseTag.GENERIC
+        assert res.lam == pytest.approx(ref.lam, rel=1e-14)
+        assert res.half_dist_sq == pytest.approx(t * t * ref.half_dist_sq, rel=1e-14)
+        np.testing.assert_allclose(res.point.x, t * ref.point.x, rtol=1e-13)
+        np.testing.assert_allclose(res.point.y, t * ref.point.y, rtol=1e-13)
+        assert check(SCALE_X, SCALE_Y).ok
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="check's tolerances are absolute (lagrangian_lower fails from about "
+        "t = 2e4 on); flip this test once check is scale-safe",
+    )
+    @pytest.mark.parametrize("t", [1e8, 1e150])
+    def test_check_passes(self, t):
+        rep = check(t * SCALE_X, t * SCALE_Y)
+        assert rep.ok, rep.failures()
