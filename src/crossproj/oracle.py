@@ -145,7 +145,7 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     feasible = [p for p in cands if membership_residual(p) <= mem_tol]
     objs = [_objective(p, x0, y0) for p in feasible]
     i = int(np.argmin(objs))
-    best, best_obj = feasible[i], objs[i]
+    best, best_obj = feasible[i], float(objs[i])
     ties = [
         p for j, (p, f) in enumerate(zip(feasible, objs))
         if j != i and f <= best_obj + TIE_TOL
@@ -283,7 +283,7 @@ def subspace_oracle(
         best = Pair(np.zeros_like(x0), y0)
     else:
         best = _family_member(x0, y0, u)
-    best_obj = _objective(best, x0, y0)
+    best_obj = float(_objective(best, x0, y0))
     return OracleReport(
         mode=mode_label,
         best_point=best,
@@ -417,17 +417,14 @@ def check(
         root_res = max(
             abs((1.0 + lam * lam) * q - lam * s) for lam in lams
         ) if tag is CaseTag.GENERIC else 0.0
-        # block_solve at every sampled multiplier in one (n_lambda, n) array
-        # pass; |1 - lam^2| >= 0.15 keeps each row clear of its guard band
+        # all sampled multipliers in one (n_lambda, n) array pass
         lam = _sample_multipliers(rng, n_lambda)
-        den = 1.0 - lam * lam
-        cx = (x0 - lam[:, None] * y0) / den[:, None]
-        cy = (y0 - lam[:, None] * x0) / den[:, None]
-        lhs = np.sum(cx * cy, axis=1) * den**2
+        cand = block_solve(lam[:, None], Pair(x0, y0))
+        den2 = (1.0 - lam * lam) ** 2
+        lhs = np.vecdot(cand.x, cand.y) * den2
         ident = np.abs(lhs - ((1.0 + lam * lam) * q - lam * s)) / (1.0 + s)
-        f_formula = lam * lam / (2.0 * den**2) * ((1.0 + lam * lam) * s - 4.0 * lam * q)
-        f_direct = 0.5 * np.sum((cx - x0) ** 2, axis=1) + 0.5 * np.sum((cy - y0) ** 2, axis=1)
-        closed = np.abs(f_direct - f_formula) / (1.0 + np.abs(f_formula))
+        f_formula = lam * lam / (2.0 * den2) * ((1.0 + lam * lam) * s - 4.0 * lam * q)
+        closed = np.abs(_objective(cand, x0, y0) - f_formula) / (1.0 + np.abs(f_formula))
         record("orthogonality_quadratic", ident.max(initial=root_res / (1.0 + s)), 1e-10)
         record("objective_closed_form", closed.max(initial=0.0), 1e-10)
 

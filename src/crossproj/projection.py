@@ -213,10 +213,10 @@ def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
     return _reduce(x0, y0, tols).tag
 
 
-def solve_lambda(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> LambdaPair:
-    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> outside the
-    orthogonal band, taken without cancellation at unit scale (see :func:`_reduce`)."""
-    lams = _reduce(x0, y0, tols).lams
+def solve_lambda(x0, y0) -> LambdaPair:
+    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> != 0, taken
+    without cancellation at unit scale (see :func:`_reduce`)."""
+    lams = _reduce(x0, y0, DEFAULT_TOLS).lams
     if lams is None:
         raise CaseError("multiplier quadratic undefined: <x0, y0> is (numerically) zero")
     return lams
@@ -234,13 +234,14 @@ def candidate(lam: float, x0, y0) -> Pair:
 
 def objective(p: Pair, x0, y0) -> float:
     """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2."""
-    return _objective(p, *_check_input(x0, y0))
+    return float(_objective(p, *_check_input(x0, y0)))
 
 
-def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float:
+def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float | np.ndarray:
+    # summed over the last axis: (k, n) parts give the k objectives
     dx = p.x - x0
     dy = p.y - y0
-    return 0.5 * float(np.dot(dx, dx)) + 0.5 * float(np.dot(dy, dy))
+    return 0.5 * np.vecdot(dx, dx) + 0.5 * np.vecdot(dy, dy)
 
 
 def _family_member(x0: np.ndarray, y0: np.ndarray, u: np.ndarray) -> Pair:

@@ -299,14 +299,9 @@ SCALE_Y = np.array([0.7, -0.2, 1.5])
 
 
 class TestCheckAtScale:
-    @pytest.mark.parametrize("t", [1e8, 1e150])
-    def test_projection_is_right(self, t):
-        ref, res = project(SCALE_X, SCALE_Y), project(t * SCALE_X, t * SCALE_Y)
-        assert res.tag is ref.tag is CaseTag.GENERIC
-        assert res.lam == pytest.approx(ref.lam, rel=1e-14)
-        assert res.half_dist_sq == pytest.approx(t * t * ref.half_dist_sq, rel=1e-14)
-        np.testing.assert_allclose(res.point.x, t * ref.point.x, rtol=1e-13)
-        np.testing.assert_allclose(res.point.y, t * ref.point.y, rtol=1e-13)
+    def test_passes_at_unit_scale(self):
+        # project is right at every t (TestInvariants::test_cone_homogeneity),
+        # so the xfail below is check's own
         assert check(SCALE_X, SCALE_Y).ok
 
     @pytest.mark.xfail(

@@ -32,7 +32,6 @@ from crossproj import (
     project_1d,
     solve_lambda,
 )
-from crossproj.projection import _reduce
 
 # frozen by an independent root-find of q*lam^2 - S*lam + q = 0 and a
 # 2e6-point subspace grid search (gap 1e-11); see also the oracle tests
@@ -133,16 +132,6 @@ class TestSolveLambda:
     def test_orthogonal_rejected(self):
         with pytest.raises(CaseError):
             solve_lambda([1.0, 0.0], [0.0, 1.0])
-
-    def test_caller_tolerances(self):
-        # orthogonal under the default band, generic under a narrowed one
-        x0, y0 = [1.0, 0.0], [1e-12, 1.0]
-        with pytest.raises(CaseError):
-            solve_lambda(x0, y0)
-        tols = Tolerances(orth=1e-13)
-        lams = solve_lambda(x0, y0, tols)
-        assert lams.lambda_minus * lams.lambda_plus == pytest.approx(1.0, rel=1e-15)
-        assert lams == _reduce(x0, y0, tols).lams
 
     def test_vieta_and_ordering(self):
         rng = np.random.default_rng(11)
