@@ -23,12 +23,8 @@ from .linalg import (
     as_pair,
     as_vector,
     block_solve,
-    complement_project,
     inner,
     norm,
-    rank1_project,
-    reflect,
-    sphere_point,
 )
 from .projection import (
     DEFAULT_TOLS,
@@ -87,12 +83,8 @@ __all__ = [
     "as_pair",
     "as_vector",
     "block_solve",
-    "complement_project",
     "inner",
     "norm",
-    "rank1_project",
-    "reflect",
-    "sphere_point",
     # projection
     "DEFAULT_TOLS",
     "CaseTag",

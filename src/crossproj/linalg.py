@@ -1,13 +1,15 @@
 """Dense real vector primitives.
 
-Inner products, rank-one orthogonal projectors and reflectors, the
+Validation, inner products and a norm accurate at every float64 scale, the
 two-by-two block solve behind the multiplier stationarity system, and the
-spherical parametrization of the unit sphere.  Everything operates on 1-D
-float64 numpy arrays; all functions are pure and never mutate arguments.
+angle lattice on the unit sphere that every sphere sweep uses.  Everything
+operates on float64 numpy arrays; all functions are pure and never mutate
+arguments.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -85,33 +87,6 @@ def _require_unit(u: np.ndarray, name: str = "u") -> None:
         raise NotUnitNorm(f"{name} must have unit norm, got |{name}| = {nu!r}")
 
 
-def _check_direction(u, z, name: str = "u"):
-    u = as_vector(u, name)
-    z = as_vector(z, "z")
-    if u.size != z.size:
-        raise DimensionMismatch(f"{name} and z differ in dimension: {u.size} != {z.size}")
-    _require_unit(u, name)
-    return u, z
-
-
-def rank1_project(u, z) -> np.ndarray:
-    """Orthogonal projection of z onto span{u} for unit u: <u, z> u."""
-    u, z = _check_direction(u, z)
-    return float(np.dot(u, z)) * u
-
-
-def complement_project(u, z) -> np.ndarray:
-    """Projection onto the orthogonal complement of span{u}: z - <u, z> u."""
-    u, z = _check_direction(u, z)
-    return z - float(np.dot(u, z)) * u
-
-
-def reflect(u, z) -> np.ndarray:
-    """Reflection through span{u}: 2 <u, z> u - z.  Preserves the norm."""
-    u, z = _check_direction(u, z)
-    return 2.0 * float(np.dot(u, z)) * u - z
-
-
 def block_solve(lam: float | np.ndarray, rhs: Pair) -> Pair:
     """Solve the coupled system x + lam*y = rhs.x, y + lam*x = rhs.y.
 
@@ -137,44 +112,29 @@ def block_solve(lam: float | np.ndarray, rhs: Pair) -> Pair:
     return Pair((rhs.x - lam * rhs.y) / den, (rhs.y - lam * rhs.x) / den)
 
 
-def sphere_point(rho: float, thetas, n: int | None = None) -> np.ndarray:
-    """Cartesian point of radius rho at the given spherical angles.
+def _sphere_lattice(n: int, r: int):
+    """Uniform angle-lattice directions on the unit sphere of R^n, n >= 2.
 
-    A point of R^n (n >= 2) takes n-1 angles: theta_1 .. theta_{n-2} in
-    [0, pi] and theta_{n-1} in [0, 2*pi).  Coordinates follow the usual
-    prefix-of-sines construction (1-based index i)::
-
-        x_i     = rho * cos(theta_i) * prod_{j<i} sin(theta_j)     i <= n-2
-        x_{n-1} = rho * cos(theta_{n-1}) * prod_{j<=n-2} sin(theta_j)
-        x_n     = rho * sin(theta_{n-1}) * prod_{j<=n-2} sin(theta_j)
-
-    The result always lies on the radius-rho sphere.  At the poles
-    (some sin(theta_j) = 0) several angle tuples map to the same point;
-    the formula is evaluated as written, with no canonicalization.  ``n``
-    is inferred from the angle count; pass it explicitly to cross-check.
+    Polar angles take r points over [0, pi] inclusive, the azimuth r points
+    over [0, 2*pi); a direction is the usual prefix-of-sines point
+    (cos t1, sin t1 cos t2, ..., sin t1 ... sin t_{n-2} cos a,
+    sin t1 ... sin t_{n-2} sin a).  The r^(n-1) directions come in
+    lexicographic order, in (r, n) blocks that fix the polar angles and sweep
+    the azimuth.  At the poles several angle tuples give the same direction.
     """
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise DomainError(f"radius must be positive and finite, got {rho!r}")
-    th = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if th.ndim != 1 or th.size < 1:
-        raise DomainError("thetas must be a non-empty 1-D sequence of angles")
-    if not np.all(np.isfinite(th)):
-        raise DomainError("thetas has non-finite entries")
-    m = th.size
-    if n is None:
-        n = m + 1
-    if n < 2 or m != n - 1:
-        raise DomainError(f"need n - 1 = {n - 1} angles for a point in R^{n}, got {m}")
-    if m >= 2 and (np.any(th[:-1] < 0.0) or np.any(th[:-1] > np.pi)):
-        raise DomainError("polar angles theta_1..theta_{n-2} must lie in [0, pi]")
-    if th[-1] < 0.0 or th[-1] >= 2.0 * np.pi:
-        raise DomainError("azimuthal angle theta_{n-1} must lie in [0, 2*pi)")
-
-    # pre[k] = product of the first k sines (empty product = 1)
-    pre = np.concatenate(([1.0], np.cumprod(np.sin(th))))
-    out = np.empty(n)
-    out[: n - 2] = rho * np.cos(th[: n - 2]) * pre[: n - 2]
-    out[n - 2] = rho * np.cos(th[-1]) * pre[n - 2]
-    out[n - 1] = rho * np.sin(th[-1]) * pre[n - 2]
-    return out
+    azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
+    ca, sa = np.cos(azimuth), np.sin(azimuth)
+    if n == 2:
+        yield np.stack([ca, sa], axis=1)
+        return
+    polar = np.linspace(0.0, np.pi, r)
+    cp, sp = np.cos(polar), np.sin(polar)
+    for combo in itertools.product(range(r), repeat=n - 2):
+        us = np.empty((r, n))
+        pre = 1.0
+        for i, j in enumerate(combo):
+            us[:, i] = cp[j] * pre
+            pre *= sp[j]
+        us[:, n - 2] = pre * ca
+        us[:, n - 1] = pre * sa
+        yield us

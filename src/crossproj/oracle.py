@@ -16,7 +16,6 @@ pass/fail battery for one input; failures are data, not exceptions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,9 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystem
-from .linalg import Pair, block_solve, norm
+from .linalg import Pair, _sphere_lattice, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
+    FALLBACK_BAND,
     CaseTag,
     SingletonProjection,
     Tolerances,
@@ -45,9 +45,8 @@ TIE_TOL = 1e-12
 #: n = 3 beyond it the separable row reduction kicks in.
 _DIRECT_GRID_LIMIT = 2_000_000
 
-#: |1 - lam^2| at or above this makes a generic input "safe": the direct
-#: quotient carries full precision and the exact-match invariants apply.
-SAFE_GENERIC_BAND = 1e-6
+#: Multipliers sampled by :func:`check` for its two identity items.
+_N_LAMBDA = 20
 
 
 @dataclass(eq=False)
@@ -168,31 +167,6 @@ def _subspace_objectives(x0, y0, us: np.ndarray) -> np.ndarray:
     return 0.5 * float(np.dot(x0, x0)) - 0.5 * sx * sx + 0.5 * sy * sy
 
 
-def _grid_blocks(n: int, r: int):
-    """Uniform angle-lattice directions in lexicographic blocks.
-
-    Polar angles take r points over [0, pi] inclusive, the azimuth r points
-    over [0, 2*pi); each yielded block fixes the polar angles and sweeps
-    the azimuth.
-    """
-    azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
-    ca, sa = np.cos(azimuth), np.sin(azimuth)
-    if n == 2:
-        yield np.stack([ca, sa], axis=1)
-        return
-    polar = np.linspace(0.0, np.pi, r)
-    cp, sp = np.cos(polar), np.sin(polar)
-    for combo in itertools.product(range(r), repeat=n - 2):
-        us = np.empty((r, n))
-        pre = 1.0
-        for i, j in enumerate(combo):
-            us[:, i] = cp[j] * pre
-            pre *= sp[j]
-        us[:, n - 2] = pre * ca
-        us[:, n - 1] = pre * sa
-        yield us
-
-
 def _grid3_row_candidates(x0, y0, r: int) -> np.ndarray:
     """Per-azimuth-row minimizers of the lattice sweep in R^3.
 
@@ -262,7 +236,7 @@ def subspace_oracle(
             us = _grid3_row_candidates(x0, y0, resolution)
             tracker.offer(_subspace_objectives(x0, y0, us), us, examined=total)
         else:
-            for us in _grid_blocks(n, resolution):
+            for us in _sphere_lattice(n, resolution):
                 tracker.offer(_subspace_objectives(x0, y0, us), us)
         mode_label = "subspace_grid"
     else:
@@ -337,7 +311,6 @@ def check(
     x0,
     y0,
     seed: int = 0,
-    n_lambda: int = 20,
     resolution: int = 64,
     tols: Tolerances = DEFAULT_TOLS,
 ) -> CheckReport:
@@ -346,12 +319,13 @@ def check(
     Every verdict is a (passed, residual, tol) triple; nothing raises on a
     failed invariant.  The exact-equality invariants (oracle match,
     stationarity, strict ordering of the multiplier branches) apply only
-    when the input is safely generic -- |1 - lam^2| >= SAFE_GENERIC_BAND --
-    since closer to the degenerate ray the raw multiplier candidates lose
-    precision by construction; there the near-degenerate stability bound
-    is checked instead.  The identity items ``orthogonality_quadratic`` and
-    ``objective_closed_form`` sweep all ``n_lambda`` sampled multipliers in
-    one array pass and match the one-at-a-time scalar loop up to rounding.
+    when the input is safely generic -- |1 - lam^2| >= FALLBACK_BAND, where
+    :func:`project` takes the direct quotient -- since closer to the
+    degenerate ray the raw multiplier candidates lose precision by
+    construction; there the near-degenerate stability bound is checked
+    instead.  The identity items ``orthogonality_quadratic`` and
+    ``objective_closed_form`` sweep all sampled multipliers in one array
+    pass and match the one-at-a-time scalar loop up to rounding.
     """
     core = _reduce(x0, y0, tols)
     x0, y0, lams = core.x0, core.y0, core.lams
@@ -364,7 +338,8 @@ def check(
 
     res = project(x0, y0, tols)
     tag = res.tag
-    nx, ny = norm(x0), norm(y0)
+    c = core.c
+    nx, ny = core.nx * c, core.ny * c
     scale = 1.0 + nx + ny
     mem_tol = tols.membership * core.band_scale
     half = res.half_dist_sq
@@ -373,7 +348,7 @@ def check(
     safe_generic = (
         tag is CaseTag.GENERIC
         and singleton
-        and abs(1.0 - res.lam * res.lam) >= SAFE_GENERIC_BAND
+        and abs(1.0 - res.lam * res.lam) >= FALLBACK_BAND
     )
 
     # emitted points: the singleton, or base + canonical + sampled members
@@ -410,15 +385,14 @@ def check(
     if tag is not CaseTag.ORTHOGONAL:
         record("vieta", abs(lams.lambda_minus * lams.lambda_plus - 1.0), 1e-10)
 
-        q = float(np.dot(x0, y0))
-        s = float(np.dot(x0, x0) + np.dot(y0, y0))
+        q, s = core.q * c * c, core.s * c * c
         # quadratic root residual plus the orthogonality identity at random
         # multipliers: <x,y>*(1-lam^2)^2 == (1+lam^2) q - lam s
         root_res = max(
             abs((1.0 + lam * lam) * q - lam * s) for lam in lams
         ) if tag is CaseTag.GENERIC else 0.0
-        # all sampled multipliers in one (n_lambda, n) array pass
-        lam = _sample_multipliers(rng, n_lambda)
+        # all sampled multipliers in one (_N_LAMBDA, n) array pass
+        lam = _sample_multipliers(rng, _N_LAMBDA)
         cand = block_solve(lam[:, None], Pair(x0, y0))
         den2 = (1.0 - lam * lam) ** 2
         lhs = np.vecdot(cand.x, cand.y) * den2

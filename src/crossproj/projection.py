@@ -24,7 +24,6 @@ trichotomies do not survive floating point); the band widths live in
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,8 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
-from .linalg import Pair, as_vector, block_solve, inner, norm, sphere_point
-from .linalg import _pow2_scale, _require_unit
+from .linalg import Pair, as_vector, block_solve, inner, norm
+from .linalg import _pow2_scale, _require_unit, _sphere_lattice
 
 #: Below this width of |1 - lam^2| the direct quotient in the stationarity
 #: solve loses precision and the subspace form of the candidate is used.
@@ -154,6 +153,11 @@ class _Reduction(NamedTuple):
     lams: LambdaPair | None  # roots of the multiplier quadratic; None if orthogonal
     half: float  # half the squared distance to the cross
     band_scale: float  # 1 + |x0||y0| at unit scale, times c^2
+    c: float  # the power-of-two scale of the input
+    q: float  # <x0, y0> / c^2
+    s: float  # (|x0|^2 + |y0|^2) / c^2
+    nx: float  # |x0| / c
+    ny: float  # |y0| / c
 
 
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
@@ -174,12 +178,12 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     xx = float(np.dot(xs, xs)) * f
     yy = float(np.dot(ys, ys)) * f
     nx, ny = math.sqrt(xx), math.sqrt(yy)
+    s = xx + yy
     band = 1.0 + nx * ny
     if abs(q) <= tols.orth * band:
-        return _Reduction(x0, y0, CaseTag.ORTHOGONAL, None, 0.0, band * c * c)
+        return _Reduction(x0, y0, CaseTag.ORTHOGONAL, None, 0.0, band * c * c, c, q, s, nx, ny)
     d_minus = math.sqrt(float(np.dot(d := xs - ys, d)) * f)
     d_plus = math.sqrt(float(np.dot(d := xs + ys, d)) * f)
-    s = xx + yy
     sp = s + d_plus * d_minus
     lams = LambdaPair(2.0 * q / sp, sp / (2.0 * q))
     if min(d_minus, d_plus) <= tols.deg * (nx + ny):
@@ -188,7 +192,7 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     else:
         tag = CaseTag.GENERIC
         half = 0.5 * lams.lambda_minus * q
-    return _Reduction(x0, y0, tag, lams, half * c * c, band * c * c)
+    return _Reduction(x0, y0, tag, lams, half * c * c, band * c * c, c, q, s, nx, ny)
 
 
 def membership(p: Pair, tol: float) -> bool:
@@ -308,13 +312,6 @@ def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
     return _family_member(x0, y0, u)
 
 
-def _angle_lattice(n: int, per_angle: int):
-    """Lexicographic angle lattice for the sphere in R^n, n >= 2."""
-    axes = [np.linspace(0.0, np.pi, per_angle)] * (n - 2)
-    azimuth = np.linspace(0.0, 2.0 * np.pi, per_angle, endpoint=False)
-    return itertools.product(*axes, azimuth)
-
-
 def family_samples(
     x0, y0, count: int, mode: str = "grid", tols: Tolerances = DEFAULT_TOLS
 ) -> list[tuple[np.ndarray, Pair]]:
@@ -362,7 +359,7 @@ def family_samples(
     per_angle = max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
     for _ in range(8):
         del out[1:]
-        try_fill(sphere_point(1.0, th) for th in _angle_lattice(n, per_angle))
+        try_fill(u for us in _sphere_lattice(n, per_angle) for u in us)
         if len(out) == count:
             break
         per_angle *= 2

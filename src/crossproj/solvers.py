@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .linalg import Pair, as_pair
-from .projection import (
-    DEFAULT_TOLS,
-    SingletonProjection,
-    Tolerances,
-    distance_sq,
-    project,
-)
+from .projection import SingletonProjection, distance_sq, project
 
 _SELECTIONS = ("first", "second", "alternate")
 
@@ -201,7 +195,6 @@ def alternating_projections(
     max_iter: int = 1000,
     tol: float = 1e-8,
     selection: str = "first",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> SolverTrace:
     """Alternate the cross projection with the constraint projection.
 
@@ -224,7 +217,7 @@ def alternating_projections(
     )
     for k in range(max_iter):
         trace.iterations = k + 1
-        pc = project(z.x, z.y, tols)
+        pc = project(z.x, z.y)
         d_c = math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
         d_b = problem.constraint.distance(z)
         trace.iterates.append(z)
@@ -245,7 +238,6 @@ def douglas_rachford(
     max_iter: int = 2000,
     tol: float = 1e-8,
     selection: str = "first",
-    tols: Tolerances = DEFAULT_TOLS,
 ) -> SolverTrace:
     """Douglas-Rachford splitting z <- z + P_B(2*s - z) - s, s = select(P_C(z)).
 
@@ -268,9 +260,9 @@ def douglas_rachford(
     )
     for k in range(max_iter):
         trace.iterations = k + 1
-        pc = project(z.x, z.y, tols)
+        pc = project(z.x, z.y)
         shadow = _select(pc, selection, k)
-        d_c = math.sqrt(max(distance_sq(shadow.x, shadow.y, tols), 0.0))
+        d_c = math.sqrt(max(distance_sq(shadow.x, shadow.y), 0.0))
         d_b = problem.constraint.distance(shadow)
         trace.iterates.append(shadow)
         trace.residuals_c.append(d_c)

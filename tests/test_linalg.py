@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,18 +9,15 @@ from hypothesis.extra.numpy import arrays
 from crossproj import (
     DimensionMismatch,
     DomainError,
-    NotUnitNorm,
     Pair,
     SingularSystem,
     as_pair,
     block_solve,
-    complement_project,
     inner,
     norm,
-    rank1_project,
-    reflect,
-    sphere_point,
 )
+from crossproj.linalg import _sphere_lattice
+from crossproj.projection import _family_member
 
 finite_coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -57,32 +56,28 @@ class TestInner:
             inner([1.0, 2.0], [1.0])
 
 
+def split(u, z):
+    """The rank-one split (P_U z, P_{U-perp} z) for U = span{u}, unit u."""
+    z = np.asarray(z, dtype=float)
+    return _family_member(z, z, np.asarray(u, dtype=float))
+
+
 class TestRankOneOperators:
+    """The rank-one projectors, as the subspace pair of (z, z)."""
+
     def test_axis_projection(self):
-        np.testing.assert_allclose(rank1_project([1.0, 0.0], [3.0, 4.0]), [3.0, 0.0])
+        np.testing.assert_allclose(split([1.0, 0.0], [3.0, 4.0]).x, [3.0, 0.0])
 
     def test_diagonal_projection(self):
         u = unit([1.0, 1.0])
-        np.testing.assert_allclose(rank1_project(u, [1.0, 0.0]), [0.5, 0.5])
+        np.testing.assert_allclose(split(u, [1.0, 0.0]).x, [0.5, 0.5])
 
     def test_axis_complement(self):
-        np.testing.assert_allclose(complement_project([1.0, 0.0], [3.0, 4.0]), [0.0, 4.0])
+        np.testing.assert_allclose(split([1.0, 0.0], [3.0, 4.0]).y, [0.0, 4.0])
 
     def test_annihilates_own_span(self):
         u = unit([2.0, -1.0, 0.5])
-        np.testing.assert_allclose(complement_project(u, 3.0 * u), 0.0, atol=1e-12)
-
-    def test_axis_reflection(self):
-        np.testing.assert_allclose(reflect([1.0, 0.0], [3.0, 4.0]), [3.0, -4.0])
-
-    def test_reflect_fixes_axis(self):
-        u = unit([1.0, 2.0, 2.0])
-        np.testing.assert_allclose(reflect(u, u), u, atol=1e-15)
-
-    def test_non_unit_direction_rejected(self):
-        for op in (rank1_project, complement_project, reflect):
-            with pytest.raises(NotUnitNorm):
-                op([1.0, 1.0], [1.0, 0.0])
+        np.testing.assert_allclose(split(u, 3.0 * u).y, 0.0, atol=1e-12)
 
     @given(u=vectors(4), z=vectors(4))
     @settings(max_examples=100)
@@ -91,23 +86,23 @@ class TestRankOneOperators:
         if not 1e-3 < nu < 1e6:
             return
         u = u / nu
-        p = rank1_project(u, z)
-        c = complement_project(u, z)
+        p, c = split(u, z)
         scale = 1e-12 * max(1.0, norm(z))
         np.testing.assert_allclose(p + c, z, atol=scale)
         assert abs(inner(c, u)) <= scale
         # idempotence of the projector
-        np.testing.assert_allclose(rank1_project(u, p), p, atol=scale)
+        np.testing.assert_allclose(split(u, p).x, p, atol=scale)
 
     @given(u=vectors(3), z=vectors(3))
     @example(u=np.array([1.0, 2.0, 2.0]), z=np.full(3, 7.72318328e-159))
     @settings(max_examples=100)
     def test_reflection_is_isometry(self, u, z):
+        # P_U z - P_{U-perp} z is the reflection of z through span{u}
         nu = np.linalg.norm(u)
         if not 1e-3 < nu < 1e6:
             return
-        u = u / nu
-        assert norm(reflect(u, z)) == pytest.approx(norm(z), rel=1e-12, abs=1e-300)
+        p, c = split(u / nu, z)
+        assert norm(p - c) == pytest.approx(norm(z), rel=1e-12, abs=1e-300)
 
 
 class TestBlockSolve:
@@ -157,45 +152,47 @@ class TestBlockSolve:
             block_solve(np.array([[0.5], [np.inf]]), rhs)
 
 
+def lattice(n, r):
+    return np.concatenate(list(_sphere_lattice(n, r)))
+
+
 class TestSpherePoint:
+    """Rows of the angle lattice behind every sphere sweep."""
+
     def test_zero_angle(self):
-        np.testing.assert_allclose(sphere_point(1.0, [0.0]), [1.0, 0.0])
+        np.testing.assert_array_equal(lattice(2, 4)[0], [1.0, 0.0])
 
     def test_quarter_turn(self):
-        np.testing.assert_allclose(sphere_point(1.0, [np.pi / 2]), [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(lattice(2, 4)[1], [0.0, 1.0], atol=1e-15)
 
     def test_three_dim_pole(self):
-        # both angles at pi/2 point along the last axis
-        np.testing.assert_allclose(
-            sphere_point(2.0, [np.pi / 2, np.pi / 2]), [0.0, 0.0, 2.0], atol=1e-15
-        )
+        # every azimuth at polar angle 0 (pi) gives the pole e1 (-e1)
+        us = lattice(3, 5)
+        np.testing.assert_allclose(us[:5], np.tile([1.0, 0.0, 0.0], (5, 1)), atol=1e-15)
+        np.testing.assert_allclose(us[-5:], np.tile([-1.0, 0.0, 0.0], (5, 1)), atol=1e-15)
 
     def test_lands_on_sphere(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            rho = float(rng.uniform(0.1, 10.0))
-            th = np.concatenate(
-                [rng.uniform(0.0, np.pi, n - 2), rng.uniform(0.0, 2.0 * np.pi, 1)]
-            )
-            p = sphere_point(rho, th, n=n)
-            assert norm(p) == pytest.approx(rho, rel=1e-12)
+        for n in range(2, 7):
+            for r in (1, 2, 5, 8):
+                us = lattice(n, r)
+                assert us.shape == (r ** (n - 1), n)
+                np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0, rtol=1e-14)
 
-    def test_angle_range_validation(self):
-        with pytest.raises(DomainError):
-            sphere_point(1.0, [-0.1, 0.0])  # polar angle below range
-        with pytest.raises(DomainError):
-            sphere_point(1.0, [3.5, 0.0])  # polar angle above pi
-        with pytest.raises(DomainError):
-            sphere_point(1.0, [2.0 * np.pi])  # azimuth not in [0, 2*pi)
-
-    def test_radius_and_count_validation(self):
-        with pytest.raises(DomainError):
-            sphere_point(0.0, [0.0])
-        with pytest.raises(DomainError):
-            sphere_point(-1.0, [0.0])
-        with pytest.raises(DomainError):
-            sphere_point(1.0, [0.0], n=3)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_spherical_coordinates(self, n):
+        # polar angles t_i over [0, pi], azimuth a over [0, 2*pi), lexicographic:
+        # u = (cos t_1, sin t_1 cos t_2, ..., P cos a, P sin a), P = prod sin t_i
+        for r in (1, 2, 3, 6, 9):
+            polar = np.linspace(0.0, np.pi, r)
+            azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
+            ref = []
+            for *ts, a in itertools.product(*[polar] * (n - 2), azimuth):
+                u, pre = [], 1.0
+                for t in ts:
+                    u.append(np.cos(t) * pre)
+                    pre *= np.sin(t)
+                ref.append(u + [pre * np.cos(a), pre * np.sin(a)])
+            np.testing.assert_array_equal(lattice(n, r), ref)
 
 
 class TestValidation:

@@ -17,9 +17,9 @@ from crossproj import (
     solve_lambda,
     subspace_oracle,
 )
+from crossproj.linalg import _sphere_lattice
 from crossproj.oracle import (
     _grid3_row_candidates,
-    _grid_blocks,
     _sample_multipliers,
     _subspace_objectives,
 )
@@ -160,7 +160,7 @@ class TestSeparableGridReduction:
             x0 = rng.uniform(-1.0, 1.0, 3)
             y0 = rng.uniform(-1.0, 1.0, 3)
             best_direct = np.inf
-            for us in _grid_blocks(3, r):
+            for us in _sphere_lattice(3, r):
                 best_direct = min(best_direct, _subspace_objectives(x0, y0, us).min())
             reps = _grid3_row_candidates(x0, y0, r)
             best_reduced = _subspace_objectives(x0, y0, reps).min()
