@@ -24,14 +24,31 @@ UNIT_NORM_TOL = 1e-12
 BLOCK_GUARD = 1e-14
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Coerce ``v`` to a finite 1-D float64 array of dimension >= 1."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+def _inf_norm(arr: np.ndarray) -> float:
+    """max_i |arr_i| of a nonempty array; NaN and +-inf propagate to the result."""
+    return float(np.maximum.reduce(np.abs(arr)))
+
+
+def _vector_inf(v, name: str) -> tuple[np.ndarray, float]:
+    """``v`` as a finite 1-D float64 array of dimension >= 1, and its inf-norm.
+
+    One pass validates and measures: the inf-norm is finite exactly when
+    every coordinate is.  A 0-d input counts as a vector of dimension 1.
+    """
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1:
         raise DomainError(f"{name} must be a 1-D vector with at least one coordinate")
-    if not np.all(np.isfinite(arr)):
+    m = _inf_norm(arr)
+    if not math.isfinite(m):
         raise DomainError(f"{name} has non-finite coordinates")
-    return arr
+    return arr, m
+
+
+def as_vector(v, name: str = "vector") -> np.ndarray:
+    """Coerce ``v`` to a finite 1-D float64 array of dimension >= 1."""
+    return _vector_inf(v, name)[0]
 
 
 class Pair(NamedTuple):

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_vector, block_solve, inner, norm
-from .linalg import _pow2_scale, _require_unit, _sphere_lattice
+from .linalg import _pow2_scale, _require_unit, _sphere_lattice, _vector_inf
 
 #: Below this width of |1 - lam^2| the direct quotient in the stationarity
 #: solve loses precision and the subspace form of the candidate is used.
@@ -136,12 +136,13 @@ class FamilyProjection:
 ProjectionResult = SingletonProjection | FamilyProjection
 
 
-def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray]:
-    x0 = as_vector(x0, "x0")
-    y0 = as_vector(y0, "y0")
+def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray, float]:
+    # the validated arrays and max(|x0|_inf, |y0|_inf), both norms finite
+    x0, mx = _vector_inf(x0, "x0")
+    y0, my = _vector_inf(y0, "y0")
     if x0.size != y0.size:
         raise DimensionMismatch(f"x0 and y0 differ in dimension: {x0.size} != {y0.size}")
-    return x0, y0
+    return x0, y0, max(mx, my)
 
 
 class _Reduction(NamedTuple):
@@ -166,8 +167,8 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     The small root is 2q / (S + P) with P = |x0+y0| |x0-y0|, the factored
     square root of S^2 - 4 q^2, so nothing cancels as q -> 0.
     """
-    x0, y0 = _check_input(x0, y0)
-    c = _pow2_scale(max(float(np.abs(x0).max()), float(np.abs(y0).max())))
+    x0, y0, m = _check_input(x0, y0)
+    c = _pow2_scale(m)
     # For c between 2^-200 and 2^200 no sum of squares overflows and what
     # underflows lies far below its last bit, so the arrays are not divided:
     # their reductions are brought to unit scale by the exact f = 1/c^2.
@@ -232,13 +233,13 @@ def candidate(lam: float, x0, y0) -> Pair:
     Solves x + lam*y = x0 and y + lam*x = y0; for |lam| != 1 this has the
     unique solution ((x0 - lam*y0)/(1 - lam^2), (y0 - lam*x0)/(1 - lam^2)).
     """
-    x0, y0 = _check_input(x0, y0)
+    x0, y0, _ = _check_input(x0, y0)
     return block_solve(lam, Pair(x0, y0))
 
 
 def objective(p: Pair, x0, y0) -> float:
     """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2."""
-    return float(_objective(p, *_check_input(x0, y0)))
+    return float(_objective(p, *_check_input(x0, y0)[:2]))
 
 
 def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float | np.ndarray:
@@ -333,34 +334,25 @@ def family_samples(
         raise CaseError(f"input is not degenerate (classified {tag.value})")
 
     n = x0.size
-    out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), y0))]
-    if count == 1:
-        return out
-
-    def try_fill(directions) -> None:
-        for u in directions:
+    per_angle = 2 if n == 1 else max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
+    for _ in range(8):  # double the lattice resolution until count is reached
+        out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), y0))]
+        seen: set[bytes] = set()  # the members kept after the base, as exact keys
+        lattice = [np.array([[1.0], [-1.0]])] if n == 1 else _sphere_lattice(n, per_angle)
+        for u in (u for us in lattice for u in us):
             if len(out) == count:
-                return
+                break
+            if mode == "injective" and float(np.dot(u, x0)) <= 0.0:
+                continue
             point = _family_member(x0, y0, u)
             if mode == "injective":
-                if float(np.dot(u, x0)) <= 0.0:
+                # + 0.0 turns -0.0 into 0.0, so equal keys mean equal points
+                key = (point.x + 0.0).tobytes() + (point.y + 0.0).tobytes()
+                if key in seen:
                     continue
-                if any(
-                    np.array_equal(point.x, q.x) and np.array_equal(point.y, q.y)
-                    for _, q in out[1:]
-                ):
-                    continue
+                seen.add(key)
             out.append((u, point))
-
-    if n == 1:
-        try_fill([np.array([1.0]), np.array([-1.0])])
-        return out
-
-    per_angle = max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
-    for _ in range(8):
-        del out[1:]
-        try_fill(u for us in _sphere_lattice(n, per_angle) for u in us)
-        if len(out) == count:
+        if len(out) == count or n == 1:
             break
         per_angle *= 2
     return out

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .linalg import Pair, as_pair
+from .linalg import Pair, _inf_norm, as_pair
 from .projection import SingletonProjection, distance_sq, project
 
 _SELECTIONS = ("first", "second", "alternate")
@@ -176,17 +176,28 @@ def _select(result, selection: str, k: int) -> Pair:
 
 
 def _check_finite(p: Pair, method: str, trace: SolverTrace) -> None:
-    if not (np.all(np.isfinite(p.x)) and np.all(np.isfinite(p.y))):
+    # the inf-norm is finite exactly when every coordinate is
+    if not (math.isfinite(_inf_norm(p.x)) and math.isfinite(_inf_norm(p.y))):
         raise DivergenceError(f"{method}: iterate became non-finite", trace=trace)
 
 
-def _validate_run_args(max_iter: int, tol: float, selection: str) -> None:
+def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
+    """The validated start pair and the run's empty trace."""
     if max_iter < 1:
         raise DomainError("max_iter must be >= 1")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if selection not in _SELECTIONS:
         raise DomainError(f"selection must be one of {_SELECTIONS}")
+    z = as_pair(*start)
+    config = {
+        "max_iter": max_iter,
+        "tol": tol,
+        "selection": selection,
+        "kind": problem.kind,
+        "dim": problem.dim,
+    }
+    return z, SolverTrace(method=method, config=config)
 
 
 def alternating_projections(
@@ -203,18 +214,7 @@ def alternating_projections(
     z <- P_B(select(P_C(z))).  Stopping on the combined residual makes both
     set distances individually meet ``tol`` at convergence.
     """
-    _validate_run_args(max_iter, tol, selection)
-    z = as_pair(*start)
-    trace = SolverTrace(
-        method="ap",
-        config={
-            "max_iter": max_iter,
-            "tol": tol,
-            "selection": selection,
-            "kind": problem.kind,
-            "dim": problem.dim,
-        },
-    )
+    z, trace = _start_run("ap", problem, start, max_iter, tol, selection)
     for k in range(max_iter):
         trace.iterations = k + 1
         pc = project(z.x, z.y)
@@ -246,18 +246,7 @@ def douglas_rachford(
     shadow's combined distance d_C(s) + d_B(s), the same merit as
     :func:`alternating_projections`.
     """
-    _validate_run_args(max_iter, tol, selection)
-    z = as_pair(*start)
-    trace = SolverTrace(
-        method="dr",
-        config={
-            "max_iter": max_iter,
-            "tol": tol,
-            "selection": selection,
-            "kind": problem.kind,
-            "dim": problem.dim,
-        },
-    )
+    z, trace = _start_run("dr", problem, start, max_iter, tol, selection)
     for k in range(max_iter):
         trace.iterations = k + 1
         pc = project(z.x, z.y)

@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,9 @@ from crossproj import (
     project_1d,
     solve_lambda,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import reference  # noqa: E402
 
 # frozen by an independent root-find of q*lam^2 - S*lam + q = 0 and a
 # 2e6-point subspace grid search (gap 1e-11); see also the oracle tests
@@ -573,3 +578,26 @@ class TestNearDegenerateStability:
                 objective(pair(x0, np.zeros(n)), x0, y0),
             )
             assert objective(pt, x0, y0) <= canon + 1e-7
+
+
+class TestOverflowOrder:
+    """Half the squared distance is rescaled as (half * c) * c: for
+    x = t (1, 1e-6), y = t (0, 1) at t = 2^520 the power-of-two scale c is
+    2^521, so c^2 overflows although the distance itself is finite."""
+
+    X, Y = np.array([1.0, 1e-6]), np.array([0.0, 1.0])
+
+    @pytest.mark.parametrize("t", [2.0**520, 2.0**-530])
+    def test_half_matches_reference(self, t):
+        x0, y0 = t * self.X, t * self.Y
+        res = project(x0, y0)
+        assert res.tag is CaseTag.GENERIC
+        assert reference.wrong_reason(x0, y0, res.half_dist_sq, res.selections()) is None
+        c, half_u, _ = reference.unit_scale(x0, y0)
+        assert res.half_dist_sq == pytest.approx((c * half_u) * c, rel=1e-9, abs=0.0)
+        assert distance_sq(x0, y0) == 2.0 * res.half_dist_sq
+
+    def test_finite_where_c_squared_overflows(self):
+        res = project(2.0**520 * self.X, 2.0**520 * self.Y)
+        assert math.isfinite(res.half_dist_sq)
+        assert res.half_dist_sq == pytest.approx(2.945340432157681e300, rel=1e-12)

@@ -1,0 +1,130 @@
+"""Input validation at every public entry point that takes a pair.
+
+Each input vector is validated in one pass that also measures its
+inf-norm; a NaN or an infinity anywhere in it must still be caught, and
+the error must name the vector that carries it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from crossproj import (
+    DimensionMismatch,
+    DomainError,
+    alternating_projections,
+    as_pair,
+    as_vector,
+    check,
+    classify,
+    distance_sq,
+    douglas_rachford,
+    generate_instance,
+    project,
+)
+
+N = 5
+BAD = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
+POSITIONS = {"first": 0, "middle": N // 2, "last": N - 1}
+_PROBLEM, _ = generate_instance("orthant", N, 0)
+
+
+def _ap(x, y):
+    return alternating_projections(_PROBLEM, (x, y), max_iter=3)
+
+
+def _dr(x, y):
+    return douglas_rachford(_PROBLEM, (x, y), max_iter=3)
+
+
+# entry point -> the names its errors give the two components
+PAIR_ENTRIES = {
+    "project": (project, ("x0", "y0")),
+    "distance_sq": (distance_sq, ("x0", "y0")),
+    "classify": (classify, ("x0", "y0")),
+    "check": (check, ("x0", "y0")),
+    "as_pair": (as_pair, ("x", "y")),
+    "alternating_projections": (_ap, ("x", "y")),
+    "douglas_rachford": (_dr, ("x", "y")),
+}
+
+
+def _finite_pair():
+    rng = np.random.default_rng(7)
+    return rng.uniform(-1.0, 1.0, N), rng.uniform(-1.0, 1.0, N)
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+@pytest.mark.parametrize("where", ["x0", "y0", "both"])
+@pytest.mark.parametrize("pos", POSITIONS)
+@pytest.mark.parametrize("bad", BAD)
+def test_non_finite_coordinate_names_its_vector(entry, where, pos, bad):
+    fn, names = PAIR_ENTRIES[entry]
+    x, y = _finite_pair()
+    if where in ("x0", "both"):
+        x[POSITIONS[pos]] = BAD[bad]
+    if where in ("y0", "both"):
+        y[POSITIONS[pos]] = BAD[bad]
+    # with both bad, the first component is validated first
+    named = names[1] if where == "y0" else names[0]
+    with pytest.raises(DomainError, match=f"^{named} has non-finite coordinates$"):
+        fn(x, y)
+
+
+@pytest.mark.parametrize("pos", POSITIONS)
+@pytest.mark.parametrize("bad", BAD)
+def test_as_vector_non_finite(pos, bad):
+    v = np.ones(N)
+    v[POSITIONS[pos]] = BAD[bad]
+    with pytest.raises(DomainError, match="^v has non-finite coordinates$"):
+        as_vector(v, "v")
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_nan_in_second_vector_below_first_norm(bad):
+    # |x0|_inf = 1e300 must not hide y0's bad coordinate when the two
+    # inf-norms are combined into one scale
+    x = np.full(N, 1e300)
+    y = np.full(N, 1e-300)
+    y[-1] = BAD[bad]
+    with pytest.raises(DomainError, match="^y0 has non-finite"):
+        project(x, y)
+    with pytest.raises(DomainError, match="^y has non-finite"):
+        as_pair(x, y)
+
+
+SHAPE_ERRORS = {
+    "2-D": (np.ones((2, 2)), np.ones(2)),
+    "empty": (np.ones(0), np.ones(0)),
+    "2-D y": (np.ones(4), np.ones((2, 2))),
+}
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+@pytest.mark.parametrize("shape", SHAPE_ERRORS)
+def test_structural_errors(entry, shape):
+    fn, names = PAIR_ENTRIES[entry]
+    x, y = SHAPE_ERRORS[shape]
+    named = names[1] if shape == "2-D y" else names[0]
+    with pytest.raises(DomainError, match=f"^{named} must be a 1-D vector"):
+        fn(x, y)
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+def test_mismatched_sizes(entry):
+    fn, _ = PAIR_ENTRIES[entry]
+    with pytest.raises(DimensionMismatch):
+        fn(np.ones(N), np.ones(N - 1))
+
+
+def test_scalar_input_is_a_vector_of_dimension_one():
+    assert as_vector(np.float64(2.5)).shape == (1,)
+    assert as_vector(-3.0).tolist() == [-3.0]
+    p = as_pair(1.0, 2.0)
+    assert p.x.shape == p.y.shape == (1,)
+    res = project(2.0, 1.0)
+    assert res.point.x.shape == (1,)
+    assert distance_sq(2.0, 1.0) == pytest.approx(1.0)
+    with pytest.raises(DomainError, match="^x0 has non-finite"):
+        project(math.nan, 1.0)
