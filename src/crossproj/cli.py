@@ -2,9 +2,8 @@
 
 Subcommands: ``project`` (one projection, JSON/CSV/plain output),
 ``family`` (enumerate the set-valued degenerate family as CSV), ``check``
-(invariant battery over seeded random inputs), ``solve`` (feasibility
-solver runs with CSV traces), and ``bench`` (latency and oracle-gap
-statistics).
+(invariant battery over seeded random inputs), and ``solve``
+(feasibility solver runs with CSV traces).
 
 Exit codes are stable contracts:
 
@@ -12,7 +11,8 @@ Exit codes are stable contracts:
 * 1 -- an invariant failed in ``check``
 * 2 -- parse error: bad flags or a malformed input file
 * 3 -- numeric-domain error raised while computing (non-finite inline
-  coordinates, mismatched inline dimensions, ...)
+  coordinates, mismatched inline dimensions, invalid instance data, a
+  solver iterate that became non-finite, ...)
 * 4 -- ``family`` invoked on an input that is not degenerate
 * 5 -- solver exhausted max_iter without converging
 
@@ -28,14 +28,14 @@ import json
 import math
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import __version__
-from .errors import CaseError, DimensionMismatch, DomainError, NotUnitNorm, SingularSystem
+from .errors import CaseError, DimensionMismatch, DivergenceError, DomainError
+from .errors import NotUnitNorm, SingularSystem
 from .linalg import Pair
-from .oracle import check, lagrangian_oracle
+from .oracle import check
 from .projection import (
     SingletonProjection,
     Tolerances,
@@ -411,41 +411,6 @@ def cmd_solve(args) -> int:
     return 0 if trace.converged else 5
 
 
-def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    lines = [
-        "dim,trials,project_median_us,project_p99_us,gap_min,gap_max,gap_mean"
-    ]
-    for dim in args.dims:
-        rng = np.random.default_rng([seed, dim])
-        inputs = [
-            (rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim))
-            for _ in range(args.trials)
-        ]
-        times = []
-        gaps = []
-        for x0, y0 in inputs:
-            t0 = time.perf_counter()
-            project(x0, y0)
-            times.append((time.perf_counter() - t0) * 1e6)
-            gaps.append(lagrangian_oracle(x0, y0).gap_vs_formula)
-        lines.append(
-            ",".join(
-                [
-                    str(dim),
-                    str(args.trials),
-                    _fmt(float(np.median(times))),
-                    _fmt(float(np.percentile(times, 99))),
-                    _fmt(float(np.min(gaps))),
-                    _fmt(float(np.max(gaps))),
-                    _fmt(float(np.mean(gaps))),
-                ]
-            )
-        )
-    _emit("\n".join(lines), args.output)
-    return 0
-
-
 def _add_point_arguments(sub) -> None:
     sub.add_argument("--input", metavar="FILE", help="point document {dim, x0, y0}")
     sub.add_argument("--x0", type=_parse_coords, metavar="A,B,...", help="inline x0")
@@ -494,13 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", metavar="FILE", help="also write the JSON summary here")
     p.set_defaults(func=cmd_solve)
 
-    p = subs.add_parser("bench", help="latency and oracle-gap statistics")
-    p.add_argument("--dims", type=_parse_dims, default=[1, 2, 3, 4, 5, 6, 7, 8])
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--output", metavar="FILE")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -512,7 +470,7 @@ def main(argv=None) -> int:
     except PointFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (DomainError, DimensionMismatch, NotUnitNorm, SingularSystem) as exc:
+    except (DomainError, DimensionMismatch, NotUnitNorm, SingularSystem, DivergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -89,13 +89,20 @@ def _pow2_scale(m: float) -> float:
 
 def norm(x) -> float:
     """Euclidean norm |x|, accurate at every float64 scale."""
-    x = np.asarray(x, dtype=float)
-    s = float(np.vdot(x, x))  # silent on overflow, unlike np.dot
-    if 2.0**-900 < s < 2.0**900:  # no square overflowed or lost relative precision
+    return _joint_norm(np.asarray(x, dtype=float))
+
+
+def _joint_norm(*parts: np.ndarray) -> float:
+    """sqrt(|p_1|^2 + ... + |p_k|^2), accurate at every float64 scale."""
+    s = 0.0
+    for p in parts:
+        s += float(np.vdot(p, p))  # silent on overflow, unlike np.dot
+    # no square overflowed or lost relative precision, or every entry is 0
+    if 2.0**-900 < s < 2.0**900 or s == 0.0 and not any(map(np.count_nonzero, parts)):
         return math.sqrt(s)
-    c = _pow2_scale(float(np.abs(x).max(initial=0.0)))
-    x = x / c
-    return c * math.sqrt(float(np.vdot(x, x)))
+    c = _pow2_scale(max(float(np.abs(p).max(initial=0.0)) for p in parts))
+    scaled = [p / c for p in parts]
+    return c * math.sqrt(sum(float(np.vdot(p, p)) for p in scaled))
 
 
 def _require_unit(u: np.ndarray, name: str = "u") -> None:

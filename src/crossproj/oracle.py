@@ -33,6 +33,7 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     _family_member,
     _objective,
     _reduce,
+    _Reduction,
     classify,
     membership_residual,
     project,
@@ -124,7 +125,11 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     close to the degenerate ray).  For generic inputs the sweep is exact:
     every nearest point is one of the multiplier candidates.
     """
-    core = _reduce(x0, y0, tols)
+    return _lagrangian(_reduce(x0, y0, tols), tols)
+
+
+def _lagrangian(core: _Reduction, tols: Tolerances) -> OracleReport:
+    # the sweep of lagrangian_oracle on an input already reduced at tols
     x0, y0 = core.x0, core.y0
 
     cands: list[Pair] = []
@@ -212,7 +217,11 @@ def subspace_oracle(
     toward the lexicographically smallest direction; in the separable fast
     path tie accounting happens at row-representative granularity.
     """
-    core = _reduce(x0, y0, tols)
+    return _subspace(_reduce(x0, y0, tols), resolution, mode, seed)
+
+
+def _subspace(core: _Reduction, resolution: int, mode: str, seed: int) -> OracleReport:
+    # the search of subspace_oracle on an already reduced input
     x0, y0 = core.x0, core.y0
     resolution = int(resolution)
     if resolution < 1:
@@ -362,7 +371,7 @@ def check(
             emitted.append(res.member(u))
     record("feasible", max(membership_residual(p) for p in emitted), mem_tol)
 
-    lag = lagrangian_oracle(x0, y0, tols)
+    lag = _lagrangian(core, tols)
     record("lagrangian_lower", -lag.gap_vs_formula, 1e-9)
     if tag is CaseTag.GENERIC and not safe_generic:
         canon_best = min(
@@ -377,9 +386,7 @@ def check(
         dy = lag.best_point.y - res.point.y
         record("point_match", norm(dx) + norm(dy), 1e-8 * scale)
 
-    sub = subspace_oracle(
-        x0, y0, resolution, mode="grid" if x0.size == 1 else "random", seed=seed, tols=tols
-    )
+    sub = _subspace(core, resolution, "grid" if x0.size == 1 else "random", seed)
     record("subspace_lower", -sub.gap_vs_formula, 1e-9)
 
     if tag is not CaseTag.ORTHOGONAL:

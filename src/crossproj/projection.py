@@ -127,7 +127,8 @@ class FamilyProjection:
         return True
 
     def member(self, u) -> Pair:
-        return degenerate_family(self.x0, self.y0, u)
+        """The member for unit direction u; only u is checked."""
+        return _family_member(self.x0, self.y0, _check_direction(u, self.x0.size))
 
     def selections(self) -> list[Pair]:
         return list(self.canonical)
@@ -143,6 +144,15 @@ def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray, float]:
     if x0.size != y0.size:
         raise DimensionMismatch(f"x0 and y0 differ in dimension: {x0.size} != {y0.size}")
     return x0, y0, max(mx, my)
+
+
+def _check_direction(u, n: int) -> np.ndarray:
+    # a finite unit vector of dimension n
+    u = as_vector(u, "u")
+    if u.size != n:
+        raise DimensionMismatch(f"u has dimension {u.size}, expected {n}")
+    _require_unit(u)
+    return u
 
 
 class _Reduction(NamedTuple):
@@ -284,7 +294,8 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     else:
         w = x0 - lam * y0
         nw = norm(w)
-        if nw <= 1e-12 * (norm(x0) + norm(y0)):
+        # at unit scale, since |x0| + |y0| itself may overflow
+        if nw / core.c <= 1e-12 * (core.nx + core.ny):
             # collinear with |x0| < |y0|: the solution has x = 0
             point = Pair(np.zeros_like(x0), y0)
         else:
@@ -306,11 +317,7 @@ def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
     x0, y0, tag = _reduce(x0, y0, tols)[:3]
     if not tag.is_degenerate:
         raise CaseError(f"input is not degenerate (classified {tag.value})")
-    u = as_vector(u, "u")
-    if u.size != x0.size:
-        raise DimensionMismatch(f"u has dimension {u.size}, expected {x0.size}")
-    _require_unit(u)
-    return _family_member(x0, y0, u)
+    return _family_member(x0, y0, _check_direction(u, x0.size))
 
 
 def family_samples(

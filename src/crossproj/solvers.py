@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DivergenceError, DomainError
-from .linalg import Pair, _inf_norm, as_pair
+from .linalg import Pair, _inf_norm, _joint_norm, as_pair
 from .projection import SingletonProjection, distance_sq, project
 
 _SELECTIONS = ("first", "second", "alternate")
@@ -39,9 +39,13 @@ class OrthantPairConstraint:
         return project_orthant_pair(p)
 
     def distance(self, p: Pair) -> float:
-        nx = np.minimum(p.x, 0.0)
-        ny = np.minimum(p.y, 0.0)
-        return math.sqrt(float(np.dot(nx, nx) + np.dot(ny, ny)))
+        return _joint_norm(np.minimum(p.x, 0.0), np.minimum(p.y, 0.0))
+
+
+def _distance_via_project(self, p: Pair) -> float:
+    """Distance from p to the constraint set, through the set's own projection."""
+    q = self.project(p)
+    return _joint_norm(p.x - q.x, p.y - q.y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +75,7 @@ class AffinePairConstraint:
             self._proj_component(p.y, self.anchor_y, self.basis_y),
         )
 
-    def distance(self, p: Pair) -> float:
-        q = self.project(p)
-        dx = p.x - q.x
-        dy = p.y - q.y
-        return math.sqrt(float(np.dot(dx, dx) + np.dot(dy, dy)))
+    distance = _distance_via_project
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +92,7 @@ class BoxPairConstraint:
     def project(self, p: Pair) -> Pair:
         return Pair(np.clip(p.x, self.lo_x, self.hi_x), np.clip(p.y, self.lo_y, self.hi_y))
 
-    def distance(self, p: Pair) -> float:
-        q = self.project(p)
-        dx = p.x - q.x
-        dy = p.y - q.y
-        return math.sqrt(float(np.dot(dx, dx) + np.dot(dy, dy)))
+    distance = _distance_via_project
 
 
 Constraint = OrthantPairConstraint | AffinePairConstraint | BoxPairConstraint
@@ -379,8 +375,37 @@ def _field_vector(data: dict, name: str, dim: int) -> np.ndarray:
     return arr
 
 
+#: Largest |B B^T - I| entry accepted for an instance file's affine basis B.
+_ORTHONORMAL_TOL = 1e-9
+
+
+def _field_basis(data: dict, name: str, dim: int) -> np.ndarray:
+    try:
+        basis = np.asarray(data.get(name, []), dtype=float).reshape(-1, dim)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"instance field {name!r} rows must have length {dim}: {exc}") from exc
+    if not np.all(np.isfinite(basis)):
+        raise DomainError(f"instance field {name!r} has non-finite entries")
+    gap = np.abs(basis @ basis.T - np.eye(basis.shape[0])).max(initial=0.0)
+    if not gap <= _ORTHONORMAL_TOL:
+        raise DomainError(
+            f"instance field {name!r} must have orthonormal rows (max |B B^T - I| = {gap:.3g})"
+        )
+    return basis
+
+
+def _field_bounds(data: dict, axis: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    lo = _field_vector(data, f"lo_{axis}", dim)
+    hi = _field_vector(data, f"hi_{axis}", dim)
+    bad = np.flatnonzero(lo > hi)
+    if bad.size:
+        raise DomainError(f"instance field 'lo_{axis}' exceeds 'hi_{axis}' at coordinate {bad[0]}")
+    return lo, hi
+
+
 def instance_from_dict(doc: dict):
-    """Inverse of :func:`instance_to_dict`; validates shapes and finiteness."""
+    """Inverse of :func:`instance_to_dict`; validates shapes, finiteness,
+    orthonormal affine bases and ordered box bounds."""
     try:
         kind = doc["kind"]
         dim = int(doc["dim"])
@@ -397,22 +422,13 @@ def instance_from_dict(doc: dict):
     if kind == "orthant":
         constraint: Constraint = OrthantPairConstraint()
     elif kind == "affine":
-        try:
-            bx = np.asarray(data.get("basis_x", []), dtype=float).reshape(-1, dim)
-            by = np.asarray(data.get("basis_y", []), dtype=float).reshape(-1, dim)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"instance basis rows must have length {dim}: {exc}") from exc
         constraint = AffinePairConstraint(
             anchor_x=_field_vector(data, "anchor_x", dim),
-            basis_x=bx,
+            basis_x=_field_basis(data, "basis_x", dim),
             anchor_y=_field_vector(data, "anchor_y", dim),
-            basis_y=by,
+            basis_y=_field_basis(data, "basis_y", dim),
         )
     else:
-        constraint = BoxPairConstraint(
-            lo_x=_field_vector(data, "lo_x", dim),
-            hi_x=_field_vector(data, "hi_x", dim),
-            lo_y=_field_vector(data, "lo_y", dim),
-            hi_y=_field_vector(data, "hi_y", dim),
-        )
+        (lo_x, hi_x), (lo_y, hi_y) = _field_bounds(data, "x", dim), _field_bounds(data, "y", dim)
+        constraint = BoxPairConstraint(lo_x=lo_x, hi_x=hi_x, lo_y=lo_y, hi_y=hi_y)
     return FeasibilityProblem(dim, constraint), witness

@@ -52,16 +52,36 @@ def test_tracer_installs_and_removes(monkeypatch):
     assert snap["count", "branch.generic_direct"] == 1
 
 
-def test_check_validates_each_input_once(monkeypatch):
+def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
+    """The core's validator calls and the ``oracle.project`` calls of one check."""
     validations = _count_validations(monkeypatch)
     tracer = Tracer()
     tracer.install()
     try:
-        oracle_mod.check(np.array([1.0, 2.0, -0.5]), np.array([0.7, -0.2, 1.5]))
+        oracle_mod.check(np.array(x0), np.array(y0))
         snap = tracer.snapshot()
     finally:
         tracer.remove()
-    # two validator calls per core reduction: check itself, its six project
-    # calls and the two oracles; the multiplier sweep validates nothing
-    assert snap["calls", "oracle.project"] == 6
-    assert len(validations) == 18
+    return validations, snap["calls", "oracle.project"]
+
+
+def test_check_validates_each_input_once(monkeypatch):
+    validations, projects = _check_validations(monkeypatch, [1.0, 2.0, -0.5], [0.7, -0.2, 1.5])
+    # two validator calls per core reduction: check itself and its six project
+    # calls; the oracles take check's reduction, the multiplier sweep none
+    assert projects == 6
+    assert len(validations) == 14
+
+
+def test_check_validates_degenerate_input_once(monkeypatch):
+    validations, projects = _check_validations(monkeypatch, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    # as above: the sampled family members reduce nothing
+    assert projects == 6
+    assert len(validations) == 14
+
+
+def test_member_reduces_nothing(monkeypatch):
+    res = projection_mod.project(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0]))
+    validations = _count_validations(monkeypatch)
+    res.member(np.array([0.0, 0.6, 0.8]))
+    assert validations == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
-from crossproj import CaseTag, classify, project
+from crossproj import CaseTag, classify, generate_instance, instance_to_dict, project
 from crossproj.cli import main
 
 
@@ -225,8 +225,6 @@ class TestSolveCommand:
         assert t1.read_bytes() == t2.read_bytes()
 
     def test_instance_file_roundtrip(self, capsys, tmp_path):
-        from crossproj import generate_instance, instance_to_dict
-
         problem, witness = generate_instance("affine", 2, seed=11)
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(instance_to_dict(problem, witness, seed=11)))
@@ -257,6 +255,30 @@ class TestSolveCommand:
         assert summary["converged"] is False
         assert summary["final_residual"] > 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_iterate_exits_3(self, capsys):
+        # the reflection 2*shadow - z overflows from this start
+        code, out, err = run(
+            capsys, "solve", "--generate", "affine,2,0", "--method", "dr",
+            "--start", "1e308,1e308;1e308,-1e308", "--max-iter", "20",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: douglas_rachford: iterate became non-finite")
+        assert err.count("\n") == 1
+
+    def test_invalid_instance_data_exits_3(self, capsys, tmp_path):
+        problem, witness = generate_instance("box", 2, seed=0)
+        doc = instance_to_dict(problem, witness, seed=0)
+        doc["constraint"]["lo_x"], doc["constraint"]["hi_x"] = (
+            doc["constraint"]["hi_x"], doc["constraint"]["lo_x"],
+        )
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "solve", "--instance", str(path))
+        assert code == 3
+        assert "'lo_x'" in err and "'hi_x'" in err
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "solve")
         assert code == 2
@@ -264,26 +286,3 @@ class TestSolveCommand:
             capsys, "solve", "--generate", "orthant,1,0", "--instance", "x.json"
         )
         assert code == 2
-
-
-class TestBenchCommand:
-    def test_shape_and_gap_bound(self, capsys):
-        code, out, _ = run(capsys, "bench", "--dims", "1,2", "--trials", "40", "--seed", "0")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3
-        head = lines[0].split(",")
-        gap_min_idx = head.index("gap_min")
-        for line in lines[1:]:
-            assert float(line.split(",")[gap_min_idx]) >= -1e-9
-
-    def test_gap_columns_deterministic(self, capsys):
-        outs = []
-        for _ in range(2):
-            code, out, _ = run(
-                capsys, "bench", "--dims", "2", "--trials", "25", "--seed", "3"
-            )
-            assert code == 0
-            row = out.strip().splitlines()[1].split(",")
-            outs.append(row[4:])  # gap columns; timing columns excluded
-        assert outs[0] == outs[1]

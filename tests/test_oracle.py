@@ -215,6 +215,15 @@ class TestCheck:
         assert rep.ok, rep.failures()
         assert lagrangian_oracle([1.0, 0.0], [1e-12, 1.0], tols).candidates_examined == 4
 
+    def test_wide_degenerate_band(self):
+        # degenerate only under deg = 1e-6: check reports on it, nothing raises
+        x0 = np.array([1.0, 2.0, 3.0])
+        y0 = x0 + 1e-8 * np.array([1.0, -1.0, 0.5])
+        rep = check(x0, y0, tols=Tolerances(deg=1e-6))
+        assert rep.case is CaseTag.DEGENERATE_PLUS
+        assert rep.items["feasible"].passed
+        assert "degenerate_spread" in rep.items
+
     def test_detects_wrong_branch(self, monkeypatch):
         """A corrupted projection (large root chosen) must be flagged."""
         from crossproj.projection import SingletonProjection

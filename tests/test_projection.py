@@ -34,6 +34,7 @@ from crossproj import (
     project_1d,
     solve_lambda,
 )
+from crossproj.projection import FALLBACK_BAND
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402
@@ -298,6 +299,28 @@ class TestDegenerateFamily:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(NotUnitNorm):
             degenerate_family([1.0], [1.0], [2.0])
+
+    def test_member_under_wide_band(self):
+        # degenerate only under deg = 1e-6: the member comes from the stored
+        # x0 and y0, which are not classified again at the default bands
+        x0 = np.array([1.0, 2.0, 3.0])
+        y0 = x0 + 1e-8 * np.array([1.0, -1.0, 0.5])
+        res = project(x0, y0, Tolerances(deg=1e-6))
+        assert res.tag is CaseTag.DEGENERATE_PLUS
+        e1 = np.array([1.0, 0.0, 0.0])
+        out = res.member(e1)
+        np.testing.assert_array_equal(out.x, x0[0] * e1)
+        np.testing.assert_array_equal(out.y, y0 - y0[0] * e1)
+        assert membership_residual(out) == 0.0
+
+    def test_member_checks_direction(self):
+        res = project([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(NotUnitNorm):
+            res.member([2.0, 0.0])
+        with pytest.raises(DimensionMismatch):
+            res.member([1.0, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            res.member([np.nan, 1.0])
 
 
 class TestFamilyEnumerate:
@@ -601,3 +624,15 @@ class TestOverflowOrder:
         res = project(2.0**520 * self.X, 2.0**520 * self.Y)
         assert math.isfinite(res.half_dist_sq)
         assert res.half_dist_sq == pytest.approx(2.945340432157681e300, rel=1e-12)
+
+    def test_fallback_where_norm_sum_overflows(self):
+        # near-degenerate, so the point comes from the subspace fallback; at
+        # t = 2^1023, |x0| + |y0| exceeds the float64 range but the point does
+        # not, and scaling by a power of two keeps every bit
+        x, y = np.array([0.91, 0.65]), np.array([0.91, 0.65 + 1.3e-8])
+        unit, t = project(x, y), 2.0**1023
+        assert abs(1.0 - unit.lam**2) < FALLBACK_BAND
+        res = project(t * x, t * y)
+        assert res.lam == unit.lam
+        np.testing.assert_array_equal(res.point.x, t * unit.point.x)
+        np.testing.assert_array_equal(res.point.y, t * unit.point.y)

@@ -67,6 +67,33 @@ class TestConstraints:
         np.testing.assert_array_equal(out.y, [-1.0])
         assert c.distance(pair([2.0], [-3.0])) == pytest.approx(np.hypot(1.0, 2.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
+    def test_distance_at_every_scale(self, kind, t):
+        # the distance is positively homogeneous in the displacement, so scale
+        # the start and (for affine and box sets) the set's anchors or bounds
+        problem, _ = generate_instance(kind, 3, seed=6)
+        c = problem.constraint
+        p = pair([-1.0, 3.0, -2.0], [0.5, -4.0, 2.5])
+        if kind == "affine":
+            scaled = type(c)(t * c.anchor_x, c.basis_x, t * c.anchor_y, c.basis_y)
+        elif kind == "box":
+            scaled = type(c)(t * c.lo_x, t * c.hi_x, t * c.lo_y, t * c.hi_y)
+        else:
+            scaled = c
+        d = scaled.distance(pair(t * p.x, t * p.y))
+        assert d == pytest.approx(t * c.distance(p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_iterates_have_finite_residuals(self):
+        problem, _ = generate_instance("affine", 2, seed=0)
+        start = pair([1e308, 1e308], [1e308, -1e308])
+        tr = alternating_projections(problem, start, max_iter=20)
+        assert tr.iterations == 20
+        assert all(np.isfinite(tr.residuals_b)) and all(np.isfinite(tr.residuals_c))
+        assert tr.residuals_b[0] > 1e292
+
 
 class TestGenerateInstance:
     @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
@@ -103,6 +130,46 @@ class TestGenerateInstance:
             generate_instance("orthant", 0, seed=0)
         with pytest.raises(DomainError):
             instance_from_dict({"kind": "orthant", "dim": 2, "witness": {"x": [1.0], "y": [0.0, 0.0]}})
+
+
+class TestInstanceValidation:
+    def test_every_generated_instance_roundtrips(self):
+        for kind in ("orthant", "affine", "box"):
+            for dim in range(1, 6):
+                for seed in range(10):
+                    problem, witness = generate_instance(kind, dim, seed=seed)
+                    doc = instance_to_dict(problem, witness, seed=seed)
+                    problem2, witness2 = instance_from_dict(json.loads(json.dumps(doc)))
+                    assert instance_to_dict(problem2, witness2, seed=seed) == doc
+
+    def _affine_doc(self):
+        return instance_to_dict(*generate_instance("affine", 3, seed=2), seed=2)
+
+    def test_non_finite_basis_entry(self):
+        doc = self._affine_doc()
+        doc["constraint"]["basis_y"][0][1] = float("nan")
+        with pytest.raises(DomainError, match="'basis_y' has non-finite"):
+            instance_from_dict(doc)
+
+    def test_scaled_basis_row(self):
+        doc = self._affine_doc()
+        doc["constraint"]["basis_x"][0] = [2.0 * v for v in doc["constraint"]["basis_x"][0]]
+        with pytest.raises(DomainError, match="'basis_x' must have orthonormal rows"):
+            instance_from_dict(doc)
+
+    def test_non_orthogonal_basis_rows(self):
+        doc = instance_to_dict(*generate_instance("affine", 2, seed=0), seed=0)
+        doc["constraint"]["basis_x"] = [[1.0, 0.0], [0.6, 0.8]]
+        with pytest.raises(DomainError, match="'basis_x' must have orthonormal rows"):
+            instance_from_dict(doc)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_swapped_box_bounds(self, axis):
+        doc = instance_to_dict(*generate_instance("box", 3, seed=4), seed=4)
+        data = doc["constraint"]
+        data[f"lo_{axis}"][2], data[f"hi_{axis}"][2] = data[f"hi_{axis}"][2], data[f"lo_{axis}"][2]
+        with pytest.raises(DomainError, match=f"'lo_{axis}' exceeds 'hi_{axis}' at coordinate 2"):
+            instance_from_dict(doc)
 
 
 class TestAlternatingProjections:
