@@ -17,8 +17,10 @@ Exit codes are stable contracts:
 * 5 -- solver exhausted max_iter without converging
 
 All numbers in JSON and CSV output render with 17 significant digits, so
-parsing them back reproduces the exact binary values.  ``CROSSPROJ_SEED``
-provides the default seed wherever ``--seed`` is accepted.
+parsing them back reproduces the exact binary values; JSON writes a
+non-finite number (an overflowed squared distance, say) as ``null``.
+``CROSSPROJ_SEED`` provides the default seed wherever ``--seed`` is
+accepted.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def _fmt(v: float) -> str:
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (lossless round-trip)."""
+    """JSON text with floats at 17 significant digits (lossless round-trip);
+    a non-finite float, which JSON cannot hold, is written as ``null``."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -88,7 +91,7 @@ def _json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+        return _fmt(obj) if math.isfinite(obj) else "null"
     return json.dumps(str(obj))
 
 
@@ -193,7 +196,7 @@ def result_document(res, x0, y0, tols: Tolerances) -> dict:
         "lambda": res.lam if singleton else None,
         "half_dist_sq": res.half_dist_sq,
         "dist_sq": 2.0 * res.half_dist_sq,
-        "dist": math.sqrt(max(2.0 * res.half_dist_sq, 0.0)),
+        "dist": res.dist,
         "tolerances": {"orth": tols.orth, "deg": tols.deg, "membership": tols.membership},
         "input": {"dim": int(len(x0)), "x0": list(x0), "y0": list(y0)},
         "points": points,

@@ -26,7 +26,8 @@ BLOCK_GUARD = 1e-14
 
 def _inf_norm(arr: np.ndarray) -> float:
     """max_i |arr_i| of a nonempty array; NaN and +-inf propagate to the result."""
-    return float(np.maximum.reduce(np.abs(arr)))
+    a = np.abs(arr)
+    return float(a[a.argmax()])  # argmax picks the first NaN, if any
 
 
 def _vector_inf(v, name: str) -> tuple[np.ndarray, float]:
@@ -75,7 +76,7 @@ def inner(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise DimensionMismatch(f"inner: shapes {x.shape} and {y.shape} differ")
-    return float(np.dot(x, y))
+    return float(x.dot(y))
 
 
 def _pow2_scale(m: float) -> float:

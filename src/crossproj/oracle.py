@@ -158,7 +158,7 @@ def _lagrangian(core: _Reduction, tols: Tolerances) -> OracleReport:
         mode="lagrangian",
         best_point=best,
         best_objective=best_obj,
-        gap_vs_formula=best_obj - core.half,
+        gap_vs_formula=best_obj - core.half_dist_sq,
         candidates_examined=len(cands),
         tie_count=1 + len(ties),
         ties=ties[:16],
@@ -271,7 +271,7 @@ def _subspace(core: _Reduction, resolution: int, mode: str, seed: int) -> Oracle
         mode=mode_label,
         best_point=best,
         best_objective=best_obj,
-        gap_vs_formula=best_obj - core.half,
+        gap_vs_formula=best_obj - core.half_dist_sq,
         candidates_examined=tracker.examined,
         tie_count=max(tracker.tie_count, 1),
     )

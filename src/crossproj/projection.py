@@ -88,14 +88,25 @@ class LambdaPair(NamedTuple):
     lambda_plus: float
 
 
+def _fill_dist(self) -> None:
+    # a result built without its distance takes it from half_dist_sq
+    if self.dist is None:
+        object.__setattr__(self, "dist", math.sqrt(max(2.0 * self.half_dist_sq, 0.0)))
+
+
 @dataclass(frozen=True, eq=False)
 class SingletonProjection:
-    """Unique nearest point, its multiplier, and half the squared distance."""
+    """Unique nearest point, its multiplier, half the squared distance, and
+    the distance (finite for every finite input, even where its square
+    overflows)."""
 
     tag: CaseTag
     point: Pair
     lam: float
     half_dist_sq: float
+    dist: float | None = None
+
+    __post_init__ = _fill_dist
 
     @property
     def is_set_valued(self) -> bool:
@@ -121,6 +132,9 @@ class FamilyProjection:
     base: Pair
     canonical: tuple[Pair, Pair]
     half_dist_sq: float
+    dist: float | None = None
+
+    __post_init__ = _fill_dist
 
     @property
     def is_set_valued(self) -> bool:
@@ -162,13 +176,22 @@ class _Reduction(NamedTuple):
     y0: np.ndarray
     tag: CaseTag
     lams: LambdaPair | None  # roots of the multiplier quadratic; None if orthogonal
-    half: float  # half the squared distance to the cross
+    half: float  # half the squared distance to the cross, at unit scale
     band_scale: float  # 1 + |x0||y0| at unit scale, times c^2
     c: float  # the power-of-two scale of the input
     q: float  # <x0, y0> / c^2
     s: float  # (|x0|^2 + |y0|^2) / c^2
     nx: float  # |x0| / c
     ny: float  # |y0| / c
+
+    @property
+    def half_dist_sq(self) -> float:
+        return self.half * self.c * self.c
+
+    @property
+    def dist(self) -> float:
+        # finite for every finite input: only the square may overflow
+        return self.c * math.sqrt(2.0 * self.half)
 
 
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
@@ -185,16 +208,16 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     k = 1.0 if 2.0**-200 < c < 2.0**200 else c
     xs, ys = (x0, y0) if k == 1.0 else (x0 / k, y0 / k)
     f = (k / c) ** 2
-    q = float(np.dot(xs, ys)) * f
-    xx = float(np.dot(xs, xs)) * f
-    yy = float(np.dot(ys, ys)) * f
+    q = float(xs.dot(ys)) * f
+    xx = float(xs.dot(xs)) * f
+    yy = float(ys.dot(ys)) * f
     nx, ny = math.sqrt(xx), math.sqrt(yy)
     s = xx + yy
     band = 1.0 + nx * ny
     if abs(q) <= tols.orth * band:
         return _Reduction(x0, y0, CaseTag.ORTHOGONAL, None, 0.0, band * c * c, c, q, s, nx, ny)
-    d_minus = math.sqrt(float(np.dot(d := xs - ys, d)) * f)
-    d_plus = math.sqrt(float(np.dot(d := xs + ys, d)) * f)
+    d_minus = math.sqrt(float((d := xs - ys).dot(d)) * f)
+    d_plus = math.sqrt(float((d := xs + ys).dot(d)) * f)
     sp = s + d_plus * d_minus
     lams = LambdaPair(2.0 * q / sp, sp / (2.0 * q))
     if min(d_minus, d_plus) <= tols.deg * (nx + ny):
@@ -203,7 +226,7 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     else:
         tag = CaseTag.GENERIC
         half = 0.5 * lams.lambda_minus * q
-    return _Reduction(x0, y0, tag, lams, half * c * c, band * c * c, c, q, s, nx, ny)
+    return _Reduction(x0, y0, tag, lams, half, band * c * c, c, q, s, nx, ny)
 
 
 def membership(p: Pair, tol: float) -> bool:
@@ -261,7 +284,7 @@ def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float | np.ndarray:
 
 def _family_member(x0: np.ndarray, y0: np.ndarray, u: np.ndarray) -> Pair:
     # (<u,x0> u, y0 - <u,y0> u); orthogonal by construction for unit u
-    return Pair(float(np.dot(u, x0)) * u, y0 - float(np.dot(u, y0)) * u)
+    return Pair(float(u.dot(x0)) * u, y0 - float(u.dot(y0)) * u)
 
 
 def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
@@ -283,11 +306,12 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     core = _reduce(x0, y0, tols)
     x0, y0 = core.x0, core.y0
     if core.tag is CaseTag.ORTHOGONAL:
-        return SingletonProjection(core.tag, Pair(x0, y0), 0.0, 0.0)
+        return SingletonProjection(core.tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     if core.tag.is_degenerate:
         zero = np.zeros_like(x0)
         base = Pair(zero, y0)
-        return FamilyProjection(core.tag, x0, y0, base, (base, Pair(x0, zero)), core.half)
+        canonical = (base, Pair(x0, zero))
+        return FamilyProjection(core.tag, x0, y0, base, canonical, core.half_dist_sq, core.dist)
     lam = core.lams.lambda_minus
     if abs(1.0 - lam * lam) >= FALLBACK_BAND:
         point = block_solve(lam, Pair(x0, y0))
@@ -300,12 +324,17 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
             point = Pair(np.zeros_like(x0), y0)
         else:
             point = _family_member(x0, y0, w / nw)
-    return SingletonProjection(core.tag, point, lam, core.half)
+    return SingletonProjection(core.tag, point, lam, core.half_dist_sq, core.dist)
 
 
 def distance_sq(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
     """Squared distance from (x0, y0) to the cross, without assembling a point."""
-    return 2.0 * _reduce(x0, y0, tols).half
+    return 2.0 * _reduce(x0, y0, tols).half_dist_sq
+
+
+def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
+    # the distance itself, finite where its square overflows
+    return _reduce(x0, y0, tols).dist
 
 
 def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
@@ -349,7 +378,7 @@ def family_samples(
         for u in (u for us in lattice for u in us):
             if len(out) == count:
                 break
-            if mode == "injective" and float(np.dot(u, x0)) <= 0.0:
+            if mode == "injective" and float(u.dot(x0)) <= 0.0:
                 continue
             point = _family_member(x0, y0, u)
             if mode == "injective":
@@ -387,4 +416,4 @@ def project_1d(x0: float, y0: float, tols: Tolerances = DEFAULT_TOLS) -> Project
         return res
     zero = np.zeros(1)
     axis = Pair(zero, yv) if abs(xv[0]) < abs(yv[0]) else Pair(xv, zero)
-    return SingletonProjection(res.tag, axis, res.lam, res.half_dist_sq)
+    return SingletonProjection(res.tag, axis, res.lam, res.half_dist_sq, res.dist)

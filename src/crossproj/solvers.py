@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError
 from .linalg import Pair, _inf_norm, _joint_norm, as_pair
-from .projection import SingletonProjection, distance_sq, project
+from .projection import SingletonProjection, _distance, project
 
 _SELECTIONS = ("first", "second", "alternate")
 
@@ -171,10 +171,14 @@ def _select(result, selection: str, k: int) -> Pair:
     return result.canonical[k % 2]
 
 
+def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
+    return DivergenceError(f"{method}: iterate became non-finite", trace=trace)
+
+
 def _check_finite(p: Pair, method: str, trace: SolverTrace) -> None:
     # the inf-norm is finite exactly when every coordinate is
     if not (math.isfinite(_inf_norm(p.x)) and math.isfinite(_inf_norm(p.y))):
-        raise DivergenceError(f"{method}: iterate became non-finite", trace=trace)
+        raise _diverged(method, trace)
 
 
 def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
@@ -208,13 +212,18 @@ def alternating_projections(
     Each iteration checks the current iterate's combined residual
     d_C(z) + d_B(z) (recording it) and, if above ``tol``, updates
     z <- P_B(select(P_C(z))).  Stopping on the combined residual makes both
-    set distances individually meet ``tol`` at convergence.
+    set distances individually meet ``tol`` at convergence.  The projection
+    of the next step validates each update, so it is checked for
+    finiteness once; only the last update is checked on its own.
     """
     z, trace = _start_run("ap", problem, start, max_iter, tol, selection)
     for k in range(max_iter):
+        try:
+            pc = project(z.x, z.y)
+        except DomainError:
+            raise _diverged("alternating_projections", trace) from None
         trace.iterations = k + 1
-        pc = project(z.x, z.y)
-        d_c = math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
+        d_c = pc.dist
         d_b = problem.constraint.distance(z)
         trace.iterates.append(z)
         trace.residuals_c.append(d_c)
@@ -224,6 +233,7 @@ def alternating_projections(
             trace.converged = True
             break
         z = problem.constraint.project(_select(pc, selection, k))
+    else:
         _check_finite(z, "alternating_projections", trace)
     return trace
 
@@ -240,14 +250,19 @@ def douglas_rachford(
     The governing sequence z is monitored through its shadow s (the
     selected cross projection); residuals and the stopping rule use the
     shadow's combined distance d_C(s) + d_B(s), the same merit as
-    :func:`alternating_projections`.
+    :func:`alternating_projections`, and like it checks each update for
+    finiteness once, through the next step's projection.  A shadow that
+    overflows from a finite iterate also ends the run as divergent.
     """
     z, trace = _start_run("dr", problem, start, max_iter, tol, selection)
     for k in range(max_iter):
+        try:
+            pc = project(z.x, z.y)
+            shadow = _select(pc, selection, k)
+            d_c = _distance(shadow.x, shadow.y)
+        except DomainError:
+            raise _diverged("douglas_rachford", trace) from None
         trace.iterations = k + 1
-        pc = project(z.x, z.y)
-        shadow = _select(pc, selection, k)
-        d_c = math.sqrt(max(distance_sq(shadow.x, shadow.y), 0.0))
         d_b = problem.constraint.distance(shadow)
         trace.iterates.append(shadow)
         trace.residuals_c.append(d_c)
@@ -259,6 +274,7 @@ def douglas_rachford(
         reflected = Pair(2.0 * shadow.x - z.x, 2.0 * shadow.y - z.y)
         pb = problem.constraint.project(reflected)
         z = Pair(z.x + pb.x - shadow.x, z.y + pb.y - shadow.y)
+    else:
         _check_finite(z, "douglas_rachford", trace)
     return trace
 

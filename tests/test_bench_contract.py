@@ -11,6 +11,7 @@ import numpy as np
 
 import crossproj.oracle as oracle_mod
 import crossproj.projection as projection_mod
+import crossproj.solvers as solvers_mod
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracing import Tracer  # noqa: E402
@@ -85,3 +86,24 @@ def test_member_reduces_nothing(monkeypatch):
     validations = _count_validations(monkeypatch)
     res.member(np.array([0.0, 0.6, 0.8]))
     assert validations == []
+
+
+def test_solver_step_validates_iterate_once(monkeypatch):
+    validations = _count_validations(monkeypatch)
+    norms = []
+    inf_norm = solvers_mod._inf_norm
+
+    def counted(arr):
+        norms.append(arr.size)
+        return inf_norm(arr)
+
+    monkeypatch.setattr(solvers_mod, "_inf_norm", counted)
+    problem, _ = solvers_mod.generate_instance("orthant", 50, 0)
+    start = solvers_mod.default_start("orthant", 50, 0)
+    k = 5
+    trace = solvers_mod.alternating_projections(problem, start, max_iter=k, tol=1e-8)
+    assert (trace.iterations, trace.converged) == (k, False)
+    # each step's projection validates the iterate (two validator calls);
+    # only the last update, which no projection follows, is measured apart
+    assert len(validations) == 2 * k
+    assert norms == [50, 50]

@@ -34,6 +34,18 @@ class TestProjectCommand:
         assert doc["case"] == "orthogonal"
         assert doc["dist"] == 0.0
 
+    def test_overflowing_square_is_null(self, capsys):
+        code, out, _ = run(capsys, "project", "--x0", "1e308,1e308", "--y0", "1e308,-5e307")
+        assert code == 0
+
+        def reject(name):
+            raise AssertionError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["half_dist_sq"] is None and doc["dist_sq"] is None
+        # dist = sqrt((S - |x0+y0||x0-y0|) / 2), about 2.8e307
+        assert doc["dist"] == pytest.approx(2.8077640640441517e307, rel=1e-14)
+
     def test_degenerate_lists_canonical(self, capsys):
         code, out, _ = run(capsys, "project", "--x0", "1,1", "--y0", "1,1")
         assert code == 0
@@ -266,6 +278,17 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error: douglas_rachford: iterate became non-finite")
         assert err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_shadow_exits_3(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "--generate", "orthant,3,0", "--method", "dr", "--start",
+            "1.57482676e+308,-1.04542625e+308,-1.61249486e+308;"
+            "1.34454056e+308,-1.29428747e+308,-2.89663192e+307",
+            "--max-iter", "5",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: douglas_rachford: iterate became non-finite\n"
 
     def test_invalid_instance_data_exits_3(self, capsys, tmp_path):
         problem, witness = generate_instance("box", 2, seed=0)

@@ -625,6 +625,24 @@ class TestOverflowOrder:
         assert math.isfinite(res.half_dist_sq)
         assert res.half_dist_sq == pytest.approx(2.945340432157681e300, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_distance_where_its_square_overflows(self):
+        x0, y0 = np.array([1e308, 1e308]), np.array([1e308, -5e307])
+        res = project(x0, y0)
+        assert res.half_dist_sq == math.inf
+        c, half_u, _ = reference.unit_scale(x0, y0)
+        assert res.dist == pytest.approx(c * math.sqrt(2.0 * half_u), rel=1e-14)
+        # n = 1: the nearest point is (x0, 0), at distance |y0|
+        assert project_1d(1e308, 5e307).dist == pytest.approx(5e307, rel=1e-15)
+
+    def test_distance_is_root_of_twice_half(self):
+        for x0, y0 in [([2.0], [1.0]), ([1.0, 1.0], [1.0, 1.0]), ([1.0, 0.0], [0.0, 2.0])]:
+            res = project(x0, y0)
+            assert res.dist == math.sqrt(2.0 * res.half_dist_sq)
+        # a result built without its distance takes it from half_dist_sq
+        built = SingletonProjection(CaseTag.GENERIC, pair([2.0], [0.0]), 0.5, 0.5)
+        assert built.dist == 1.0
+
     def test_fallback_where_norm_sum_overflows(self):
         # near-degenerate, so the point comes from the subspace fallback; at
         # t = 2^1023, |x0| + |y0| exceeds the float64 range but the point does

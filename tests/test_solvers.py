@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from crossproj import (
     DomainError,
     FeasibilityProblem,
     Pair,
+    SingletonProjection,
     alternating_projections,
     default_start,
+    distance_sq,
     douglas_rachford,
     generate_instance,
     inner,
     instance_from_dict,
     instance_to_dict,
     membership,
+    project,
     project_orthant_pair,
 )
 
@@ -93,6 +97,14 @@ class TestConstraints:
         assert tr.iterations == 20
         assert all(np.isfinite(tr.residuals_b)) and all(np.isfinite(tr.residuals_c))
         assert tr.residuals_b[0] > 1e292
+
+    @pytest.mark.filterwarnings("error")
+    def test_distance_to_cross_finite_where_its_square_overflows(self):
+        problem, _ = generate_instance("orthant", 2, seed=0)
+        tr = alternating_projections(problem, pair([1e308, 1e308], [1e308, 1e308]), max_iter=1)
+        # |x0 - y0| = 0, so the distance is sqrt(S / 2) = sqrt(2) * 1e308
+        assert tr.residuals_c == [math.sqrt(2.0) * 1e308]
+        assert tr.summary()["final_residual_C"] == tr.residuals_c[0]
 
 
 class TestGenerateInstance:
@@ -285,6 +297,94 @@ class TestDivergenceHandling:
         with pytest.raises(DivergenceError) as exc:
             douglas_rachford(problem, pair([2.0], [1.0]), max_iter=10, tol=1e-12)
         assert exc.value.trace is not None
+
+    @pytest.mark.parametrize("max_iter", [1, 10])
+    @pytest.mark.parametrize(
+        "solver, method",
+        [
+            (alternating_projections, "alternating_projections"),
+            (douglas_rachford, "douglas_rachford"),
+        ],
+    )
+    def test_first_update_non_finite(self, solver, method, max_iter):
+        # the update of step 1 is the run's last at max_iter = 1, checked after
+        # the loop; at max_iter = 10 the next step's projection rejects it
+        problem = FeasibilityProblem(1, self._BrokenConstraint())
+        with pytest.raises(DivergenceError) as exc:
+            solver(problem, pair([2.0], [1.0]), max_iter=max_iter, tol=1e-12)
+        assert str(exc.value) == f"{method}: iterate became non-finite"
+        trace = exc.value.trace
+        assert trace.iterations == 1
+        assert len(trace.iterates) == len(trace.residuals_c) == len(trace.case_tags) == 1
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_douglas_rachford_shadow_overflows(self):
+        # the start is finite, but its cross projection overflows
+        problem, _ = generate_instance("orthant", 3, seed=0)
+        start = pair(
+            [1.57482676e308, -1.04542625e308, -1.61249486e308],
+            [1.34454056e308, -1.29428747e308, -2.89663192e307],
+        )
+        message = "^douglas_rachford: iterate became non-finite$"
+        with pytest.raises(DivergenceError, match=message) as exc:
+            douglas_rachford(problem, start, max_iter=5)
+        assert exc.value.trace.iterations == 0
+        assert exc.value.trace.residuals_c == []
+
+
+def _reference_run(method, problem, start, max_iter, tol):
+    """AP or DR written over the public API, checking each update for finiteness.
+
+    Returns (iterates, residuals_c, residuals_b, case_tags, converged), with
+    the "first" selection."""
+    iterates, res_c, res_b, tags = [], [], [], []
+    z = start
+    for _ in range(max_iter):
+        pc = project(z.x, z.y)
+        sel = pc.point if isinstance(pc, SingletonProjection) else pc.canonical[0]
+        if method == "ap":
+            monitored, d_c = z, math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
+        else:
+            monitored, d_c = sel, math.sqrt(max(distance_sq(sel.x, sel.y), 0.0))
+        d_b = problem.constraint.distance(monitored)
+        iterates.append(monitored)
+        res_c.append(d_c)
+        res_b.append(d_b)
+        tags.append(pc.tag.value)
+        if d_c + d_b <= tol:
+            return iterates, res_c, res_b, tags, True
+        if method == "ap":
+            z = problem.constraint.project(sel)
+        else:
+            pb = problem.constraint.project(Pair(2.0 * sel.x - z.x, 2.0 * sel.y - z.y))
+            z = Pair(z.x + pb.x - sel.x, z.y + pb.y - sel.y)
+        assert np.all(np.isfinite(z.x)) and np.all(np.isfinite(z.y))
+    return iterates, res_c, res_b, tags, False
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestReferenceLoop:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("dim", [1, 3, 50])
+    @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
+    @pytest.mark.parametrize("method", ["ap", "dr"])
+    def test_bit_identical_to_library(self, method, kind, dim, seed):
+        problem, _ = generate_instance(kind, dim, seed)
+        start = default_start(kind, dim, seed)
+        solver = alternating_projections if method == "ap" else douglas_rachford
+        tr = solver(problem, start, max_iter=300, tol=1e-8)
+        iterates, res_c, res_b, tags, converged = _reference_run(
+            method, problem, start, 300, 1e-8
+        )
+        assert (tr.converged, tr.iterations) == (converged, len(iterates))
+        assert tr.case_tags == tags
+        assert _bits(tr.residuals_c) == _bits(res_c)
+        assert _bits(tr.residuals_b) == _bits(res_b)
+        for got, want in zip(tr.iterates, iterates):
+            assert _bits([got.x, got.y]) == _bits([want.x, want.y])
 
 
 class TestSelectionPolicies:
