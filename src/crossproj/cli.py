@@ -308,12 +308,7 @@ def cmd_check(args) -> int:
         ]
         for trial, (x0, y0) in enumerate(inputs):
             total_inputs += 1
-            rep = check(
-                x0,
-                y0,
-                seed=int(rng.integers(0, 2**63)),
-                resolution=args.resolution,
-            )
+            rep = check(x0, y0, seed=int(rng.integers(0, 2**63)))
             for name, item in rep.items.items():
                 entry = stats.setdefault(name, [0, 0, 0.0, item.tol])
                 entry[1] += 1
@@ -390,9 +385,11 @@ def cmd_solve(args) -> int:
         raise PointFileError(f"--start must have dimension {problem.dim}")
 
     runner = alternating_projections if args.method == "ap" else douglas_rachford
-    trace = runner(
-        problem, start, max_iter=args.max_iter, tol=args.tol, selection=args.selection
-    )
+    # a non-finite iterate raises DivergenceError, so its overflow is not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = runner(
+            problem, start, max_iter=args.max_iter, tol=args.tol, selection=args.selection
+        )
 
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -446,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=[1, 2, 3, 4])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--resolution", type=int, default=64)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("solve", help="run a feasibility solver on an instance")

@@ -5,13 +5,18 @@ Two oracles cross-check :func:`crossproj.projection.project`:
 * :func:`lagrangian_oracle` sweeps the complete finite candidate set (the
   two multiplier candidates plus the axis selections) and picks the
   objective minimizer; away from the degenerate ray this is exact.
-* :func:`subspace_oracle` searches pairs (P_U x0, P_{U-perp} y0) over
-  U = {0} and lines U = span{u} sampled from the unit sphere.  Every such
-  pair lies in the cross, so the best value found is an upper bound on
-  half the squared distance that tightens with the sample.
+* :func:`subspace_oracle` sweeps pairs (P_U x0, P_{U-perp} y0) over
+  U = {0} and lines U = span{u} on a uniform angle lattice of the unit
+  sphere.  Every such pair lies in the cross, so the best value found is
+  an upper bound on half the squared distance that tightens with the
+  lattice.
 
-:func:`check` bundles the oracles with the module invariants into a
-pass/fail battery for one input; failures are data, not exceptions.
+The cross is the union of those products U x U-perp, so their exact
+minimum is half the squared distance: |x0|^2/2 - lambda_max(M)^+/2 for the
+rank-2 M = x0 x0^T - y0 y0^T.  :func:`check` takes it by QR and a 2x2
+``eigvalsh`` on span{x0, y0} and bundles it with the Lagrangian oracle and
+the module invariants into a pass/fail battery for one input; failures are
+data, not exceptions.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     CaseTag,
     SingletonProjection,
     Tolerances,
+    _assemble,
     _family_member,
     _objective,
     _reduce,
@@ -198,36 +204,23 @@ def _grid3_row_candidates(x0, y0, r: int) -> np.ndarray:
 
 
 def subspace_oracle(
-    x0,
-    y0,
-    resolution: int,
-    mode: str = "grid",
-    seed: int = 0,
-    tols: Tolerances = DEFAULT_TOLS,
+    x0, y0, resolution: int, tols: Tolerances = DEFAULT_TOLS
 ) -> OracleReport:
-    """Best subspace pair (P_U x0, P_{U-perp} y0) over a sphere sample.
+    """Best subspace pair (P_U x0, P_{U-perp} y0) over an angle lattice.
 
-    ``grid`` mode sweeps a uniform angle lattice with ``resolution`` points
-    per angle (lattice size resolution^(n-1): exact in R^1, cheap through
-    R^3 thanks to a separable per-row reduction, combinatorial beyond --
-    prefer ``random`` mode for n >= 4).  ``random`` mode draws
-    ``resolution`` normalized gaussian directions from the given seed and
-    is deterministic per seed.  The trivial subspace U = {0} (candidate
-    (0, y0)) is always included.  Ties within ``TIE_TOL`` are resolved
-    toward the lexicographically smallest direction; in the separable fast
-    path tie accounting happens at row-representative granularity.
+    The lattice has ``resolution`` points per angle, so resolution^(n-1)
+    directions: exact in R^1, cheap through R^3 thanks to a separable
+    per-row reduction, combinatorial beyond.  The trivial subspace U = {0}
+    (candidate (0, y0)) is always included.  Ties within ``TIE_TOL`` are
+    resolved toward the lexicographically smallest direction; in the
+    separable fast path tie accounting happens at row-representative
+    granularity.
     """
-    return _subspace(_reduce(x0, y0, tols), resolution, mode, seed)
-
-
-def _subspace(core: _Reduction, resolution: int, mode: str, seed: int) -> OracleReport:
-    # the search of subspace_oracle on an already reduced input
+    core = _reduce(x0, y0, tols)
     x0, y0 = core.x0, core.y0
     resolution = int(resolution)
     if resolution < 1:
         raise DomainError("resolution must be >= 1")
-    if mode not in ("grid", "random"):
-        raise DomainError(f"unknown subspace oracle mode {mode!r}")
     n = x0.size
 
     tracker = _Tracker()
@@ -238,28 +231,12 @@ def _subspace(core: _Reduction, resolution: int, mode: str, seed: int) -> Oracle
         # the only line in R^1; u and -u span the same subspace
         us = np.array([[1.0]])
         tracker.offer(_subspace_objectives(x0, y0, us), us)
-        mode_label = f"subspace_{mode}"
-    elif mode == "grid":
-        total = resolution ** (n - 1)
-        if n == 3 and total > _DIRECT_GRID_LIMIT:
-            us = _grid3_row_candidates(x0, y0, resolution)
-            tracker.offer(_subspace_objectives(x0, y0, us), us, examined=total)
-        else:
-            for us in _sphere_lattice(n, resolution):
-                tracker.offer(_subspace_objectives(x0, y0, us), us)
-        mode_label = "subspace_grid"
+    elif n == 3 and resolution**2 > _DIRECT_GRID_LIMIT:
+        us = _grid3_row_candidates(x0, y0, resolution)
+        tracker.offer(_subspace_objectives(x0, y0, us), us, examined=resolution**2)
     else:
-        rng = np.random.default_rng(seed)
-        remaining = resolution
-        while remaining > 0:
-            m = min(remaining, 1 << 20)
-            us = rng.standard_normal((m, n))
-            norms = np.linalg.norm(us, axis=1)
-            norms[norms < 1e-300] = 1.0
-            us /= norms[:, None]
+        for us in _sphere_lattice(n, resolution):
             tracker.offer(_subspace_objectives(x0, y0, us), us)
-            remaining -= m
-        mode_label = "subspace_random"
 
     u = tracker.best_u
     if u is None or not np.any(u):
@@ -268,13 +245,31 @@ def _subspace(core: _Reduction, resolution: int, mode: str, seed: int) -> Oracle
         best = _family_member(x0, y0, u)
     best_obj = float(_objective(best, x0, y0))
     return OracleReport(
-        mode=mode_label,
+        mode="subspace_grid",
         best_point=best,
         best_objective=best_obj,
         gap_vs_formula=best_obj - core.half_dist_sq,
         candidates_examined=tracker.examined,
         tie_count=max(tracker.tie_count, 1),
     )
+
+
+def _spectral(core: _Reduction) -> float:
+    """Exact minimum of the subspace objective over U = {0} and all lines,
+    at unit scale.
+
+    Over lines the objective is |x0|^2/2 - (u^T M u)/2 with
+    M = x0 x0^T - y0 y0^T, so its minimum is |x0|^2/2 - lambda_max(M)^+/2
+    (Courant-Fischer).  M has rank at most 2 and its range lies in
+    span{x0, y0}, so lambda_max is that of the 2x2 B^T M B for a QR basis B
+    of [x0 y0].  Kept as LAPACK QR and eigvalsh: the 2x2 root written out by
+    hand is the formula that :func:`check` tests.
+    """
+    x0, y0 = core.x0 / core.c, core.y0 / core.c
+    b = np.linalg.qr(np.stack((x0, y0), axis=1))[0]
+    bx, by = x0 @ b, y0 @ b
+    top = np.linalg.eigvalsh(np.outer(bx, bx) - np.outer(by, by))[-1]
+    return 0.5 * float(x0.dot(x0)) - 0.5 * max(float(top), 0.0)
 
 
 class CheckItem(NamedTuple):
@@ -316,23 +311,18 @@ def _sample_multipliers(rng: np.random.Generator, count: int) -> np.ndarray:
     return lams
 
 
-def check(
-    x0,
-    y0,
-    seed: int = 0,
-    resolution: int = 64,
-    tols: Tolerances = DEFAULT_TOLS,
-) -> CheckReport:
-    """Run projection, both oracles, and the module invariants on one input.
+def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
+    """Run projection, the oracles, and the module invariants on one input.
 
     Every verdict is a (passed, residual, tol) triple; nothing raises on a
-    failed invariant.  The exact-equality invariants (oracle match,
-    stationarity, strict ordering of the multiplier branches) apply only
-    when the input is safely generic -- |1 - lam^2| >= FALLBACK_BAND, where
-    :func:`project` takes the direct quotient -- since closer to the
-    degenerate ray the raw multiplier candidates lose precision by
-    construction; there the near-degenerate stability bound is checked
-    instead.  The identity items ``orthogonality_quadratic`` and
+    failed invariant.  ``subspace_lower`` compares the formula with the
+    exact subspace minimum of :func:`_spectral`, in every dimension.  The
+    exact-equality invariants (oracle match, stationarity, strict ordering
+    of the multiplier branches) apply only when the input is safely
+    generic -- |1 - lam^2| >= FALLBACK_BAND, where :func:`project` takes
+    the direct quotient -- since closer to the degenerate ray the raw
+    multiplier candidates lose precision by construction; there the
+    near-degenerate stability bound is checked instead.  The identity items ``orthogonality_quadratic`` and
     ``objective_closed_form`` sweep all sampled multipliers in one array
     pass and match the one-at-a-time scalar loop up to rounding.
     """
@@ -345,7 +335,7 @@ def check(
         residual = float(residual)
         items[name] = CheckItem(bool(residual <= tol), residual, tol)
 
-    res = project(x0, y0, tols)
+    res = _assemble(core)
     tag = res.tag
     c = core.c
     nx, ny = core.nx * c, core.ny * c
@@ -386,8 +376,7 @@ def check(
         dy = lag.best_point.y - res.point.y
         record("point_match", norm(dx) + norm(dy), 1e-8 * scale)
 
-    sub = _subspace(core, resolution, "grid" if x0.size == 1 else "random", seed)
-    record("subspace_lower", -sub.gap_vs_formula, 1e-9)
+    record("subspace_lower", (core.half - _spectral(core)) * c * c, 1e-9)
 
     if tag is not CaseTag.ORTHOGONAL:
         record("vieta", abs(lams.lambda_minus * lams.lambda_plus - 1.0), 1e-10)

@@ -303,7 +303,11 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     the subspace pair (P_U x0, P_{U-perp} y0) with U spanned by
     x0 - lam*y0, which is where the solution direction lives.
     """
-    core = _reduce(x0, y0, tols)
+    return _assemble(_reduce(x0, y0, tols))
+
+
+def _assemble(core: _Reduction) -> ProjectionResult:
+    # the result of project on an input already reduced
     x0, y0 = core.x0, core.y0
     if core.tag is CaseTag.ORTHOGONAL:
         return SingletonProjection(core.tag, Pair(x0, y0), 0.0, 0.0, 0.0)

@@ -126,7 +126,7 @@ def test_criterion_3_subspace_grid_upper_bound():
         for _ in range(50):
             x0 = rng.uniform(-1.0, 1.0, n)
             y0 = rng.uniform(-1.0, 1.0, n)
-            rep = subspace_oracle(x0, y0, resolution=10_000, mode="grid")
+            rep = subspace_oracle(x0, y0, resolution=10_000)
             if not (-1e-9 <= rep.gap_vs_formula <= 1e-6):
                 failures.append((n, list(x0), list(y0), rep.gap_vs_formula))
     _finish(3, "subspace-grid upper bound", t0, 60.0, failures)

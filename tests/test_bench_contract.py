@@ -68,17 +68,18 @@ def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
 
 def test_check_validates_each_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, -0.5], [0.7, -0.2, 1.5])
-    # two validator calls per core reduction: check itself and its six project
-    # calls; the oracles take check's reduction, the multiplier sweep none
-    assert projects == 6
-    assert len(validations) == 14
+    # two validator calls per core reduction: check itself and its five project
+    # calls; check's own result, the oracles and the multiplier sweep take
+    # check's reduction
+    assert projects == 5
+    assert len(validations) == 12
 
 
 def test_check_validates_degenerate_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     # as above: the sampled family members reduce nothing
-    assert projects == 6
-    assert len(validations) == 14
+    assert projects == 5
+    assert len(validations) == 12
 
 
 def test_member_reduces_nothing(monkeypatch):

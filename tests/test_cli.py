@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
+import crossproj.projection as projection_mod
 from crossproj import CaseTag, classify, generate_instance, instance_to_dict, project
 from crossproj.cli import main
 
@@ -175,8 +176,7 @@ class TestFamilyCommand:
 class TestCheckCommand:
     def test_small_clean_run(self, capsys):
         code, out, _ = run(
-            capsys, "check", "--dims", "1,2", "--trials", "3", "--seed", "0",
-            "--resolution", "32",
+            capsys, "check", "--dims", "1,2", "--trials", "3", "--seed", "0"
         )
         assert code == 0
         assert "pass" in out
@@ -191,11 +191,12 @@ class TestCheckCommand:
     def test_corrupted_build_detected(self, capsys, monkeypatch):
         from crossproj.projection import SingletonProjection, candidate, solve_lambda
 
-        real_project = oracle_mod.project
+        real_assemble = projection_mod._assemble
 
-        def corrupted(x0, y0, tols=None):
-            res = real_project(x0, y0)
+        def corrupted(core):
+            res = real_assemble(core)
             if res.tag is CaseTag.GENERIC:
+                x0, y0 = core.x0, core.y0
                 lams = solve_lambda(x0, y0)
                 bad = candidate(lams.lambda_plus, x0, y0)
                 q = float(np.dot(x0, y0))
@@ -204,7 +205,8 @@ class TestCheckCommand:
                 )
             return res
 
-        monkeypatch.setattr(oracle_mod, "project", corrupted)
+        monkeypatch.setattr(projection_mod, "_assemble", corrupted)
+        monkeypatch.setattr(oracle_mod, "_assemble", corrupted)
         code, out, _ = run(capsys, "check", "--dims", "2", "--trials", "3", "--seed", "0")
         assert code == 1
         assert "FAIL" in out
@@ -267,7 +269,6 @@ class TestSolveCommand:
         assert summary["converged"] is False
         assert summary["final_residual"] > 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_iterate_exits_3(self, capsys):
         # the reflection 2*shadow - z overflows from this start
         code, out, err = run(
@@ -279,7 +280,6 @@ class TestSolveCommand:
         assert err.startswith("error: douglas_rachford: iterate became non-finite")
         assert err.count("\n") == 1
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_shadow_exits_3(self, capsys):
         code, out, err = run(
             capsys, "solve", "--generate", "orthant,3,0", "--method", "dr", "--start",

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
+import crossproj.projection as projection_mod
 from crossproj import (
+    DEFAULT_TOLS,
     CaseTag,
     DomainError,
     Tolerances,
@@ -21,8 +23,10 @@ from crossproj.linalg import _sphere_lattice
 from crossproj.oracle import (
     _grid3_row_candidates,
     _sample_multipliers,
+    _spectral,
     _subspace_objectives,
 )
+from crossproj.projection import _reduce
 
 
 def reference_multipliers(rng, count):
@@ -118,36 +122,15 @@ class TestSubspaceOracle:
             for _ in range(25):
                 x0 = rng.uniform(-1.0, 1.0, n)
                 y0 = rng.uniform(-1.0, 1.0, n)
-                rep = subspace_oracle(x0, y0, resolution=20, mode="grid")
+                rep = subspace_oracle(x0, y0, resolution=20)
                 assert rep.gap_vs_formula >= -1e-9
                 assert membership_residual(rep.best_point) <= 1e-9 * (
                     1.0 + norm(x0) * norm(y0)
                 )
 
-    def test_random_mode_deterministic_per_seed(self):
-        x0 = np.array([0.3, -1.2, 0.7])
-        y0 = np.array([1.1, 0.4, -0.5])
-        a = subspace_oracle(x0, y0, resolution=500, mode="random", seed=5)
-        b = subspace_oracle(x0, y0, resolution=500, mode="random", seed=5)
-        assert a.best_objective == b.best_objective
-        np.testing.assert_array_equal(a.best_point.x, b.best_point.x)
-        c = subspace_oracle(x0, y0, resolution=500, mode="random", seed=6)
-        assert c.best_objective != a.best_objective
-
-    def test_random_mode_upper_bound(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            x0 = rng.uniform(-1.0, 1.0, n)
-            y0 = rng.uniform(-1.0, 1.0, n)
-            rep = subspace_oracle(x0, y0, resolution=2000, mode="random", seed=7)
-            assert rep.gap_vs_formula >= -1e-9
-
     def test_validation(self):
         with pytest.raises(DomainError):
             subspace_oracle([1.0], [1.0], resolution=0)
-        with pytest.raises(DomainError):
-            subspace_oracle([1.0], [1.0], resolution=4, mode="exhaustive")
 
 
 class TestSeparableGridReduction:
@@ -172,6 +155,49 @@ class TestSeparableGridReduction:
         rep = subspace_oracle(x0, y0, resolution=10_000)
         assert rep.candidates_examined == 10_000 ** 2 + 1
         assert -1e-9 <= rep.gap_vs_formula <= 1e-6
+
+
+def spectral_inputs(rng, n):
+    """(kind, x0, y0): generic, both degenerate rays, near-degenerate pairs
+    and the origin."""
+    x0 = rng.uniform(-1.0, 1.0, n)
+    y0 = rng.uniform(-1.0, 1.0, n)
+    yield "generic", x0, y0
+    yield "plus", x0, x0.copy()
+    yield "minus", x0, -x0
+    for eps in (1e-8, 1e-10):
+        w = rng.standard_normal(n)
+        yield f"near{eps:g}", y0 + eps * w / np.linalg.norm(w), y0
+    yield "origin", np.zeros(n), np.zeros(n)
+
+
+class TestSpectralBound:
+    """The exact subspace minimum behind check's ``subspace_lower`` item."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 1000])
+    @pytest.mark.parametrize("t", [1.0, 2.0**520, 2.0**-520, 1e300, 1e-300])
+    def test_matches_formula(self, n, t):
+        rng = np.random.default_rng([47, n])
+        for kind, x0, y0 in spectral_inputs(rng, n):
+            core = _reduce(t * x0, t * y0, DEFAULT_TOLS)
+            assert abs(_spectral(core) - core.half) <= 1e-14 * core.s, kind
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_below_grid_best(self, n):
+        rng = np.random.default_rng([48, n])
+        for _ in range(10):
+            for kind, x0, y0 in spectral_inputs(rng, n):
+                core = _reduce(x0, y0, DEFAULT_TOLS)
+                grid = subspace_oracle(x0, y0, resolution=10_000).best_objective
+                assert _spectral(core) * core.c**2 <= grid + 1e-14 * core.s, kind
+
+    def test_check_item_is_exact(self):
+        rng = np.random.default_rng(49)
+        for _ in range(20):
+            x0 = rng.uniform(-1.0, 1.0, 4)
+            y0 = rng.uniform(-1.0, 1.0, 4)
+            item = check(x0, y0).items["subspace_lower"]
+            assert abs(item.residual) <= 1e-14
 
 
 class TestCheck:
@@ -228,11 +254,12 @@ class TestCheck:
         """A corrupted projection (large root chosen) must be flagged."""
         from crossproj.projection import SingletonProjection
 
-        real_project = oracle_mod.project
+        real_assemble = projection_mod._assemble
 
-        def corrupted(x0, y0, tols=None):
-            res = real_project(x0, y0)
+        def corrupted(core):
+            res = real_assemble(core)
             if res.tag is CaseTag.GENERIC:
+                x0, y0 = core.x0, core.y0
                 lams = solve_lambda(x0, y0)
                 bad = candidate(lams.lambda_plus, x0, y0)
                 q = float(np.dot(x0, y0))
@@ -241,7 +268,9 @@ class TestCheck:
                 )
             return res
 
-        monkeypatch.setattr(oracle_mod, "project", corrupted)
+        # project and check's own result both assemble through _assemble
+        monkeypatch.setattr(projection_mod, "_assemble", corrupted)
+        monkeypatch.setattr(oracle_mod, "_assemble", corrupted)
         rep = check([1.0, 2.0], [3.0, 1.0])
         assert not rep.ok
         assert "lagrangian_match" in rep.failures() or "point_match" in rep.failures()

@@ -1,5 +1,7 @@
 """The public surface of the package, pinned so any change to it shows in a diff."""
 
+import inspect
+
 import crossproj
 
 PUBLIC = [
@@ -59,6 +61,42 @@ PUBLIC = [
     "project_orthant_pair",
 ]
 
+#: The parameter names of every public function, so an added or removed
+#: knob shows in a diff as an added or removed name does.
+SIGNATURES = {
+    # linalg
+    "as_pair": ["x", "y"],
+    "as_vector": ["v", "name"],
+    "block_solve": ["lam", "rhs"],
+    "inner": ["x", "y"],
+    "norm": ["x"],
+    # projection
+    "candidate": ["lam", "x0", "y0"],
+    "classify": ["x0", "y0", "tols"],
+    "degenerate_family": ["x0", "y0", "u", "tols"],
+    "distance_sq": ["x0", "y0", "tols"],
+    "family_enumerate": ["x0", "y0", "count", "mode", "tols"],
+    "family_samples": ["x0", "y0", "count", "mode", "tols"],
+    "membership": ["p", "tol"],
+    "membership_residual": ["p"],
+    "objective": ["p", "x0", "y0"],
+    "project": ["x0", "y0", "tols"],
+    "project_1d": ["x0", "y0", "tols"],
+    "solve_lambda": ["x0", "y0"],
+    # oracle
+    "check": ["x0", "y0", "seed", "tols"],
+    "lagrangian_oracle": ["x0", "y0", "tols"],
+    "subspace_oracle": ["x0", "y0", "resolution", "tols"],
+    # solvers
+    "alternating_projections": ["problem", "start", "max_iter", "tol", "selection"],
+    "default_start": ["kind", "dim", "seed"],
+    "douglas_rachford": ["problem", "start", "max_iter", "tol", "selection"],
+    "generate_instance": ["kind", "dim", "seed"],
+    "instance_from_dict": ["doc"],
+    "instance_to_dict": ["problem", "witness", "seed"],
+    "project_orthant_pair": ["p"],
+}
+
 
 def test_all_is_pinned():
     assert crossproj.__all__ == PUBLIC
@@ -67,3 +105,12 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     missing = [name for name in crossproj.__all__ if not hasattr(crossproj, name)]
     assert missing == []
+
+
+def test_signatures_are_pinned():
+    functions = {
+        name: list(inspect.signature(obj).parameters)
+        for name in crossproj.__all__
+        if inspect.isfunction(obj := getattr(crossproj, name))
+    }
+    assert functions == SIGNATURES
