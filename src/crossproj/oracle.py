@@ -31,7 +31,6 @@ from .errors import DomainError, SingularSystem
 from .linalg import Pair, _sphere_lattice, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
-    FALLBACK_BAND,
     CaseTag,
     SingletonProjection,
     Tolerances,
@@ -44,6 +43,10 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     membership_residual,
     project,
 )
+
+#: Within this width of |1 - lam^2| the raw ``block_solve`` candidates lose
+#: precision, so :func:`check` compares project's point with them only outside.
+FALLBACK_BAND = 1e-6
 
 #: Objectives within this band of the minimum count as tied.
 TIE_TOL = 1e-12
@@ -242,7 +245,7 @@ def subspace_oracle(
     if u is None or not np.any(u):
         best = Pair(np.zeros_like(x0), y0)
     else:
-        best = _family_member(x0, y0, u)
+        best = _family_member(core.xs, core.ys, u, core.k)
     best_obj = float(_objective(best, x0, y0))
     return OracleReport(
         mode="subspace_grid",
@@ -318,11 +321,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     failed invariant.  ``subspace_lower`` compares the formula with the
     exact subspace minimum of :func:`_spectral`, in every dimension.  The
     exact-equality invariants (oracle match, stationarity, strict ordering
-    of the multiplier branches) apply only when the input is safely
-    generic -- |1 - lam^2| >= FALLBACK_BAND, where :func:`project` takes
-    the direct quotient -- since closer to the degenerate ray the raw
-    multiplier candidates lose precision by construction; there the
-    near-degenerate stability bound is checked instead.  The identity items ``orthogonality_quadratic`` and
+    of the multiplier branches) compare :func:`project`'s point with the
+    raw ``block_solve`` candidates, so they apply only to safely generic
+    inputs, |1 - lam^2| >= FALLBACK_BAND; nearer the degenerate ray those
+    candidates lose precision, and the stability bound is checked instead.
+    The identity items ``orthogonality_quadratic`` and
     ``objective_closed_form`` sweep all sampled multipliers in one array
     pass and match the one-at-a-time scalar loop up to rounding.
     """

@@ -25,23 +25,16 @@ trichotomies do not survive floating point); the band widths live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
-from .linalg import Pair, as_vector, block_solve, inner, norm
+from .linalg import Pair, as_vector, block_solve, inner
+from .linalg import norm  # noqa: F401 -- stays bound for bench/tracing.py
 from .linalg import _pow2_scale, _require_unit, _sphere_lattice, _vector_inf
-
-#: Below this width of |1 - lam^2| the direct quotient in the stationarity
-#: solve loses precision and the subspace form of the candidate is used.
-#: The quotient's membership residual grows like eps/|1 - lam^2|, so the
-#: band must sit well above machine precision; 1e-6 keeps the residual of
-#: the direct branch under 1e-10 while the subspace branch is exact in the
-#: constraint by construction.
-FALLBACK_BAND = 1e-6
 
 
 class CaseTag(Enum):
@@ -133,6 +126,7 @@ class FamilyProjection:
     canonical: tuple[Pair, Pair]
     half_dist_sq: float
     dist: float | None = None
+    _k: float = field(default=1.0, repr=False)  # the reduction's scale window
 
     __post_init__ = _fill_dist
 
@@ -142,7 +136,8 @@ class FamilyProjection:
 
     def member(self, u) -> Pair:
         """The member for unit direction u; only u is checked."""
-        return _family_member(self.x0, self.y0, _check_direction(u, self.x0.size))
+        u, k = _check_direction(u, self.x0.size), self._k
+        return _family_member(self.x0 / k, self.y0 / k, u, k)
 
     def selections(self) -> list[Pair]:
         return list(self.canonical)
@@ -183,6 +178,9 @@ class _Reduction(NamedTuple):
     s: float  # (|x0|^2 + |y0|^2) / c^2
     nx: float  # |x0| / c
     ny: float  # |y0| / c
+    xs: np.ndarray  # (x0, y0) / k, the arrays the reductions were taken on
+    ys: np.ndarray
+    k: float  # 1 for c within 2^+-200, else c
 
     @property
     def half_dist_sq(self) -> float:
@@ -197,8 +195,9 @@ class _Reduction(NamedTuple):
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     """Validate, then classify and solve at unit scale, on (x0/c, y0/c).
 
-    The small root is 2q / (S + P) with P = |x0+y0| |x0-y0|, the factored
-    square root of S^2 - 4 q^2, so nothing cancels as q -> 0.
+    The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
+    d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
+    arrays where the subtraction would lose more than a bit, below S/2.
     """
     x0, y0, m = _check_input(x0, y0)
     c = _pow2_scale(m)
@@ -214,19 +213,20 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     nx, ny = math.sqrt(xx), math.sqrt(yy)
     s = xx + yy
     band = 1.0 + nx * ny
-    if abs(q) <= tols.orth * band:
-        return _Reduction(x0, y0, CaseTag.ORTHOGONAL, None, 0.0, band * c * c, c, q, s, nx, ny)
-    d_minus = math.sqrt(float((d := xs - ys).dot(d)) * f)
-    d_plus = math.sqrt(float((d := xs + ys).dot(d)) * f)
-    sp = s + d_plus * d_minus
-    lams = LambdaPair(2.0 * q / sp, sp / (2.0 * q))
-    if min(d_minus, d_plus) <= tols.deg * (nx + ny):
-        tag = CaseTag.DEGENERATE_PLUS if d_minus <= d_plus else CaseTag.DEGENERATE_MINUS
-        half = 0.25 * s
-    else:
-        tag = CaseTag.GENERIC
-        half = 0.5 * lams.lambda_minus * q
-    return _Reduction(x0, y0, tag, lams, half, band * c * c, c, q, s, nx, ny)
+    tag, lams, half = CaseTag.ORTHOGONAL, None, 0.0
+    if abs(q) > tols.orth * band:
+        d2 = s - 2.0 * abs(q)
+        if d2 < 0.5 * s:
+            d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v)) * f
+        d = math.sqrt(d2)
+        sp = s + d * math.sqrt(s + 2.0 * abs(q))
+        lams = LambdaPair(2.0 * q / sp, sp / (2.0 * q))
+        if d <= tols.deg * (nx + ny):
+            tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
+            half = 0.25 * s
+        else:
+            tag, half = CaseTag.GENERIC, 0.5 * lams.lambda_minus * q
+    return _Reduction(x0, y0, tag, lams, half, band * c * c, c, q, s, nx, ny, xs, ys, k)
 
 
 def membership(p: Pair, tol: float) -> bool:
@@ -282,9 +282,13 @@ def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float | np.ndarray:
     return 0.5 * np.vecdot(dx, dx) + 0.5 * np.vecdot(dy, dy)
 
 
-def _family_member(x0: np.ndarray, y0: np.ndarray, u: np.ndarray) -> Pair:
-    # (<u,x0> u, y0 - <u,y0> u); orthogonal by construction for unit u
-    return Pair(float(u.dot(x0)) * u, y0 - float(u.dot(y0)) * u)
+def _family_member(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, k: float = 1.0) -> Pair:
+    # (<u,x0> u, y0 - <u,y0> u) from (xs, ys) = (x0, y0)/k; orthogonal for unit u
+    x, y = float(u.dot(xs)) * u, ys - float(u.dot(ys)) * u
+    if k != 1.0:  # in place: fresh arrays here made malloc re-fault heap pages at n = 10^4
+        x *= k
+        y *= k
+    return Pair(x, y)
 
 
 def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
@@ -297,11 +301,12 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
 
     In the generic case the solution is the multiplier candidate at the
     small root lam; half the squared distance is lam*<x0,y0>/2, which also
-    equals (S - |x0+y0||x0-y0|)/4.  When lam is within ``FALLBACK_BAND``
-    of +-1 the quotient by 1 - lam^2 is ill-conditioned even though the
-    projection itself is perfectly tame, so the point is assembled from
-    the subspace pair (P_U x0, P_{U-perp} y0) with U spanned by
-    x0 - lam*y0, which is where the solution direction lives.
+    equals (S - |x0+y0||x0-y0|)/4.  The point is the subspace pair
+    (P_U x0, P_{U-perp} y0), not the quotient by 1 - lam^2, which is
+    ill-conditioned near the degenerate ray: U is spanned by the longer of
+    x0 - lam*y0 = (1 - lam^2) x and y0 - lam*x0 = (1 - lam^2) y, and the
+    pair is formed on the arrays that were reduced, at unit scale outside
+    2^+-200, so each coordinate is finite even where the point's norm is not.
     """
     return _assemble(_reduce(x0, y0, tols))
 
@@ -315,19 +320,16 @@ def _assemble(core: _Reduction) -> ProjectionResult:
         zero = np.zeros_like(x0)
         base = Pair(zero, y0)
         canonical = (base, Pair(x0, zero))
-        return FamilyProjection(core.tag, x0, y0, base, canonical, core.half_dist_sq, core.dist)
+        return FamilyProjection(
+            core.tag, x0, y0, base, canonical, core.half_dist_sq, core.dist, core.k
+        )
+    # U along the longer part of the solution: |x| >= |y| exactly when |x0| >= |y0|
     lam = core.lams.lambda_minus
-    if abs(1.0 - lam * lam) >= FALLBACK_BAND:
-        point = block_solve(lam, Pair(x0, y0))
-    else:
-        w = x0 - lam * y0
-        nw = norm(w)
-        # at unit scale, since |x0| + |y0| itself may overflow
-        if nw / core.c <= 1e-12 * (core.nx + core.ny):
-            # collinear with |x0| < |y0|: the solution has x = 0
-            point = Pair(np.zeros_like(x0), y0)
-        else:
-            point = _family_member(x0, y0, w / nw)
+    longer_x = core.nx >= core.ny
+    xs, ys = (core.xs, core.ys) if longer_x else (core.ys, core.xs)
+    w = xs - lam * ys
+    a, b = _family_member(xs, ys, w / math.sqrt(float(w.dot(w))), core.k)
+    point = Pair(a, b) if longer_x else Pair(b, a)
     return SingletonProjection(core.tag, point, lam, core.half_dist_sq, core.dist)
 
 
@@ -347,10 +349,10 @@ def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
     For a unit direction u the member is (<u,x0> u, y0 - <u,y0> u); its
     displacement half-cost equals (|x0|^2 + |y0|^2)/4 for every u.
     """
-    x0, y0, tag = _reduce(x0, y0, tols)[:3]
-    if not tag.is_degenerate:
-        raise CaseError(f"input is not degenerate (classified {tag.value})")
-    return _family_member(x0, y0, _check_direction(u, x0.size))
+    core = _reduce(x0, y0, tols)
+    if not core.tag.is_degenerate:
+        raise CaseError(f"input is not degenerate (classified {core.tag.value})")
+    return _family_member(core.xs, core.ys, _check_direction(u, core.x0.size), core.k)
 
 
 def family_samples(
@@ -365,26 +367,26 @@ def family_samples(
     exact duplicate points are dropped, so fewer than ``count`` samples
     may come back when the family is finite (n = 1).
     """
-    x0, y0, tag = _reduce(x0, y0, tols)[:3]
+    core = _reduce(x0, y0, tols)
     if mode not in ("grid", "injective"):
         raise DomainError(f"unknown sampling mode {mode!r}")
     if count < 1:
         raise DomainError("count must be >= 1")
-    if not tag.is_degenerate:
-        raise CaseError(f"input is not degenerate (classified {tag.value})")
+    if not core.tag.is_degenerate:
+        raise CaseError(f"input is not degenerate (classified {core.tag.value})")
 
-    n = x0.size
+    n = core.x0.size
     per_angle = 2 if n == 1 else max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
     for _ in range(8):  # double the lattice resolution until count is reached
-        out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), y0))]
+        out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), core.y0))]
         seen: set[bytes] = set()  # the members kept after the base, as exact keys
         lattice = [np.array([[1.0], [-1.0]])] if n == 1 else _sphere_lattice(n, per_angle)
         for u in (u for us in lattice for u in us):
             if len(out) == count:
                 break
-            if mode == "injective" and float(u.dot(x0)) <= 0.0:
+            if mode == "injective" and float(u.dot(core.xs)) <= 0.0:
                 continue
-            point = _family_member(x0, y0, u)
+            point = _family_member(core.xs, core.ys, u, core.k)
             if mode == "injective":
                 # + 0.0 turns -0.0 into 0.0, so equal keys mean equal points
                 key = (point.x + 0.0).tobytes() + (point.y + 0.0).tobytes()
@@ -410,14 +412,8 @@ def project_1d(x0: float, y0: float, tols: Tolerances = DEFAULT_TOLS) -> Project
 
     The nearest point is (0, y0) when |x0| < |y0| and (x0, 0) when
     |x0| > |y0|; for |x0| = |y0| != 0 both axes are equally close and the
-    result is the two-point family {(x0, 0), (0, y0)}.  Tag, multiplier and
-    distance are those of :func:`project`; a generic point is assembled
-    exactly on its axis.
+    result is the two-point family {(x0, 0), (0, y0)}.  It is :func:`project`
+    on length-1 arrays, whose unit direction is exactly +-1 at n = 1, so a
+    generic point lies exactly on its axis.
     """
-    xv, yv = np.array([float(x0)]), np.array([float(y0)])
-    res = project(xv, yv, tols)
-    if res.tag is not CaseTag.GENERIC:
-        return res
-    zero = np.zeros(1)
-    axis = Pair(zero, yv) if abs(xv[0]) < abs(yv[0]) else Pair(xv, zero)
-    return SingletonProjection(res.tag, axis, res.lam, res.half_dist_sq, res.dist)
+    return project(np.array([float(x0)]), np.array([float(y0)]), tols)

@@ -34,7 +34,7 @@ from crossproj import (
     project_1d,
     solve_lambda,
 )
-from crossproj.projection import FALLBACK_BAND
+from crossproj.oracle import FALLBACK_BAND
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402
@@ -644,9 +644,9 @@ class TestOverflowOrder:
         assert built.dist == 1.0
 
     def test_fallback_where_norm_sum_overflows(self):
-        # near-degenerate, so the point comes from the subspace fallback; at
-        # t = 2^1023, |x0| + |y0| exceeds the float64 range but the point does
-        # not, and scaling by a power of two keeps every bit
+        # near-degenerate, inside the band where the raw multiplier candidates
+        # lose precision; at t = 2^1023, |x0| + |y0| exceeds the float64 range
+        # but the point does not, and scaling by a power of two keeps every bit
         x, y = np.array([0.91, 0.65]), np.array([0.91, 0.65 + 1.3e-8])
         unit, t = project(x, y), 2.0**1023
         assert abs(1.0 - unit.lam**2) < FALLBACK_BAND
