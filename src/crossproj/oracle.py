@@ -113,14 +113,12 @@ class _Tracker:
 
 
 def _lex_min_rows(us: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest row of a 2-D array."""
-    idx = np.arange(us.shape[0])
-    for col in range(us.shape[1]):
-        vals = us[idx, col]
-        idx = idx[vals == vals.min()]
-        if idx.size == 1:
-            break
-    return us[idx[0]].copy()
+    """Lexicographically smallest row of a 2-D array, the first of equal rows.
+
+    ``lexsort`` takes its last key as primary, hence the reversed columns;
+    it is stable and compares -0.0 equal to 0.0.
+    """
+    return us[np.lexsort(us.T[::-1])[0]].copy()
 
 
 def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
@@ -230,15 +228,12 @@ def subspace_oracle(
     zero_u = np.zeros((1, n))
     tracker.offer(np.array([0.5 * float(np.dot(x0, x0))]), zero_u)
 
-    if n == 1:
-        # the only line in R^1; u and -u span the same subspace
-        us = np.array([[1.0]])
-        tracker.offer(_subspace_objectives(x0, y0, us), us)
-    elif n == 3 and resolution**2 > _DIRECT_GRID_LIMIT:
+    if n == 3 and resolution**2 > _DIRECT_GRID_LIMIT:
         us = _grid3_row_candidates(x0, y0, resolution)
         tracker.offer(_subspace_objectives(x0, y0, us), us, examined=resolution**2)
     else:
-        for us in _sphere_lattice(n, resolution):
+        # R^1 has one line; u and -u span the same subspace
+        for us in [np.array([[1.0]])] if n == 1 else _sphere_lattice(n, resolution):
             tracker.offer(_subspace_objectives(x0, y0, us), us)
 
     u = tracker.best_u
@@ -327,7 +322,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     candidates lose precision, and the stability bound is checked instead.
     The identity items ``orthogonality_quadratic`` and
     ``objective_closed_form`` sweep all sampled multipliers in one array
-    pass and match the one-at-a-time scalar loop up to rounding.
+    pass and match the one-at-a-time scalar loop up to rounding.  The
+    symmetry items ``homogeneity`` (t in 0.5, 2, 10), ``swap`` and
+    ``rotation`` share one residual, :func:`_moved_residual`: each compares
+    tag, half squared distance, the multiplier of a singleton, and, away
+    from the degenerate ray, the moved points.
     """
     core = _reduce(x0, y0, tols)
     x0, y0, lams = core.x0, core.y0, core.lams
@@ -347,11 +346,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     half = res.half_dist_sq
 
     singleton = isinstance(res, SingletonProjection)
-    safe_generic = (
-        tag is CaseTag.GENERIC
-        and singleton
-        and abs(1.0 - res.lam * res.lam) >= FALLBACK_BAND
-    )
+    safe_generic = tag is CaseTag.GENERIC and abs(1.0 - res.lam * res.lam) >= FALLBACK_BAND
 
     # emitted points: the singleton, or base + canonical + sampled members
     if singleton:
@@ -445,18 +440,17 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     # to about eps/|x0 - y0|, so symmetry of the exact coordinates cannot be
     # expected; tag, multiplier, and distance remain comparable there.
     compare_points = safe_generic or not singleton or tag is CaseTag.ORTHOGONAL
-    record(
-        "homogeneity",
-        _homogeneity_residual(res, x0, y0, tols, compare_points) / scale,
-        1e-9,
-    )
-    record("swap", _swap_residual(res, x0, y0, tols, compare_points) / scale, 1e-9)
+
+    def symmetry(move, t: float = 1.0) -> float:
+        # project the input moved by one symmetry of the cross; compare with res
+        moved = project(*move(Pair(x0, y0)), tols)
+        return _moved_residual(res, moved, move, compare_points, t)
+
+    scalings = [(lambda p, t=t: Pair(t * p.x, t * p.y), t) for t in (0.5, 2.0, 10.0)]
+    record("homogeneity", max(symmetry(move, t) for move, t in scalings) / scale, 1e-9)
+    record("swap", symmetry(lambda p: Pair(p.y, p.x)) / scale, 1e-9)
     rot = _random_rotation(rng, x0.size)
-    record(
-        "rotation",
-        _rotation_residual(res, x0, y0, rot, tols, compare_points) / scale,
-        1e-9,
-    )
+    record("rotation", symmetry(lambda p: Pair(rot @ p.x, rot @ p.y)) / scale, 1e-9)
 
     hull_res = max(
         membership_residual(Pair(2.0 * x0, np.zeros_like(y0))),
@@ -473,52 +467,21 @@ def _pair_diff(a: Pair, b: Pair) -> float:
     return norm(a.x - b.x) + norm(a.y - b.y)
 
 
-def _homogeneity_residual(res, x0, y0, tols, compare_points: bool) -> float:
-    worst = 0.0
-    for t in (0.5, 2.0, 10.0):
-        scaled = project(t * x0, t * y0, tols)
-        if scaled.tag is not res.tag:
-            return math.inf
-        worst = max(
-            worst,
-            abs(scaled.half_dist_sq - t * t * res.half_dist_sq) / (t * t),
-        )
-        if compare_points:
-            for a, b in zip(scaled.selections(), res.selections()):
-                worst = max(worst, _pair_diff(a, Pair(t * b.x, t * b.y)) / t)
-        if isinstance(res, SingletonProjection):
-            worst = max(worst, abs(scaled.lam - res.lam))
-    return worst
-
-
-def _swap_residual(res, x0, y0, tols, compare_points: bool) -> float:
-    swapped = project(y0, x0, tols)
-    if swapped.tag is not res.tag:
+def _moved_residual(res, moved, move, compare_points: bool, t: float = 1.0) -> float:
+    """Residual of one symmetry ``move`` of the cross (scale factor ``t``):
+    inf if ``moved``, the projection of the moved input, changed tag; else
+    the largest change of half the squared distance at scale t and of the
+    multiplier, and, with ``compare_points``, the distance from each
+    selection of ``moved`` to the nearest moved selection of ``res``, over t.
+    Nearest matching lets the swap reverse a family's canonical pair.
+    """
+    if moved.tag is not res.tag:
         return math.inf
-    worst = abs(swapped.half_dist_sq - res.half_dist_sq)
+    worst = abs(moved.half_dist_sq - t * t * res.half_dist_sq) / (t * t)
     if isinstance(res, SingletonProjection):
-        worst = max(worst, abs(swapped.lam - res.lam))
-        if compare_points:
-            worst = max(worst, _pair_diff(swapped.point, Pair(res.point.y, res.point.x)))
-    else:
-        # canonical selections swap as a set: {(0,x0),(y0,0)} vs {(y0,0),(0,x0)}
-        worst = max(
-            worst,
-            _pair_diff(swapped.canonical[0], Pair(res.canonical[1].y, res.canonical[1].x)),
-        )
-        worst = max(
-            worst,
-            _pair_diff(swapped.canonical[1], Pair(res.canonical[0].y, res.canonical[0].x)),
-        )
-    return worst
-
-
-def _rotation_residual(res, x0, y0, rot, tols, compare_points: bool) -> float:
-    rotated = project(rot @ x0, rot @ y0, tols)
-    if rotated.tag is not res.tag:
-        return math.inf
-    worst = abs(rotated.half_dist_sq - res.half_dist_sq)
+        worst = max(worst, abs(moved.lam - res.lam))
     if compare_points:
-        for a, b in zip(rotated.selections(), res.selections()):
-            worst = max(worst, _pair_diff(a, Pair(rot @ b.x, rot @ b.y)))
+        targets = [move(b) for b in res.selections()]
+        for a in moved.selections():
+            worst = max(worst, min(_pair_diff(a, b) for b in targets) / t)
     return worst

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from crossproj import (
     solve_lambda,
     subspace_oracle,
 )
-from crossproj.linalg import _sphere_lattice
+from crossproj.linalg import Pair, _sphere_lattice
 from crossproj.oracle import (
     _grid3_row_candidates,
     _sample_multipliers,
@@ -274,6 +276,83 @@ class TestCheck:
         rep = check([1.0, 2.0], [3.0, 1.0])
         assert not rep.ok
         assert "lagrangian_match" in rep.failures() or "point_match" in rep.failures()
+
+
+class TestSymmetryItemsCanFail:
+    """Corrupting only the projection of one moved input fails its item."""
+
+    X0 = np.array([1.0, 2.0, -0.5])
+    Y0 = np.array([0.7, -0.2, 1.5])
+
+    @staticmethod
+    def corrupt(monkeypatch, is_moved, change):
+        # check reaches its moved inputs through oracle_mod.project only
+        real = oracle_mod.project
+
+        def patched(x0, y0, tols=DEFAULT_TOLS):
+            res = real(x0, y0, tols)
+            return change(res) if is_moved(x0, y0) else res
+
+        monkeypatch.setattr(oracle_mod, "project", patched)
+
+    def is_swapped(self, x0, y0):
+        return np.array_equal(x0, self.Y0) and np.array_equal(y0, self.X0)
+
+    def is_rotated(self, x0, y0):
+        # the only moved input of the same length that is not the swap
+        same_norm = abs(np.linalg.norm(x0) - np.linalg.norm(self.X0)) < 1e-12
+        return same_norm and not self.is_swapped(x0, y0)
+
+    def test_uncorrupted_passes(self):
+        assert check(self.X0, self.Y0).ok
+
+    def test_scaled_point_fails_homogeneity(self, monkeypatch):
+        self.corrupt(
+            monkeypatch,
+            lambda x0, y0: np.array_equal(x0, 10.0 * self.X0),
+            lambda res: replace(res, point=Pair(res.point.x + 1e-3, res.point.y)),
+        )
+        assert check(self.X0, self.Y0).failures() == ["homogeneity"]
+
+    def test_unswapped_point_fails_swap(self, monkeypatch):
+        self.corrupt(
+            monkeypatch,
+            self.is_swapped,
+            lambda res: replace(res, point=Pair(res.point.y, res.point.x)),
+        )
+        assert check(self.X0, self.Y0).failures() == ["swap"]
+
+    def test_rotated_tag_fails_rotation(self, monkeypatch):
+        self.corrupt(
+            monkeypatch, self.is_rotated, lambda res: replace(res, tag=CaseTag.ORTHOGONAL)
+        )
+        rep = check(self.X0, self.Y0)
+        assert rep.failures() == ["rotation"]
+        assert rep.items["rotation"].residual == np.inf
+
+    def test_rotated_multiplier_fails_rotation(self, monkeypatch):
+        self.corrupt(monkeypatch, self.is_rotated, lambda res: replace(res, lam=res.lam + 1e-6))
+        assert check(self.X0, self.Y0).failures() == ["rotation"]
+
+    @pytest.mark.parametrize(
+        "canonical, failures",
+        [
+            (lambda a, b: (b, a), []),
+            (lambda a, b: (Pair(a.x, a.y + 0.1), b), ["swap"]),
+        ],
+        ids=["reversed_order_passes", "wrong_point_fails"],
+    )
+    def test_swapped_family(self, monkeypatch, canonical, failures):
+        x0 = np.array([1.0, -0.5])
+        y0 = -x0
+        self.corrupt(
+            monkeypatch,
+            lambda a, b: np.array_equal(a, y0) and np.array_equal(b, x0),
+            lambda res: replace(res, canonical=canonical(*res.canonical)),
+        )
+        rep = check(x0, y0)
+        assert rep.case is CaseTag.DEGENERATE_MINUS
+        assert rep.failures() == failures
 
 
 class TestMultiplierSweep:
