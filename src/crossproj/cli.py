@@ -263,7 +263,8 @@ def cmd_family(args) -> int:
     lines = [",".join(head)]
     for u, point in samples:
         row = [_fmt(v) for v in u] + [_fmt(v) for v in point.x] + [_fmt(v) for v in point.y]
-        row.append(_fmt(objective(point, x0, y0)))
+        with np.errstate(over="ignore"):  # an overflowed objective is written as inf
+            row.append(_fmt(objective(point, x0, y0)))
         lines.append(",".join(row))
     _emit("\n".join(lines), args.output)
     return 0

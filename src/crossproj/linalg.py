@@ -9,7 +9,6 @@ arguments.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -137,7 +136,7 @@ def block_solve(lam: float | np.ndarray, rhs: Pair) -> Pair:
     return Pair((rhs.x - lam * rhs.y) / den, (rhs.y - lam * rhs.x) / den)
 
 
-def _sphere_lattice(n: int, r: int):
+def _sphere_lattice(n: int, r: int, poles_once: bool = False):
     """Uniform angle-lattice directions on the unit sphere of R^n, n >= 2.
 
     Polar angles take r points over [0, pi] inclusive, the azimuth r points
@@ -145,21 +144,40 @@ def _sphere_lattice(n: int, r: int):
     (cos t1, sin t1 cos t2, ..., sin t1 ... sin t_{n-2} cos a,
     sin t1 ... sin t_{n-2} sin a).  The r^(n-1) directions come in
     lexicographic order, in (r, n) blocks that fix the polar angles and sweep
-    the azimuth.  At the poles several angle tuples give the same direction.
+    the azimuth.  At the poles several angle tuples give the same direction:
+    below a polar angle 0 every later coordinate is a signed zero.  With
+    ``poles_once`` each such subtree is yielded as its first row alone, a
+    (1, n) block with +0.0 after the zero angle, so the first direction off
+    the poles comes after n - 2 rows instead of r^(n-2) copies of the first
+    pole.  The walk is iterative, so its depth n - 2 is not bounded by the
+    interpreter's recursion limit.
     """
     azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
-    ca, sa = np.cos(azimuth), np.sin(azimuth)
-    if n == 2:
-        yield np.stack([ca, sa], axis=1)
-        return
+    tail = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=1)
     polar = np.linspace(0.0, np.pi, r)
     cp, sp = np.cos(polar), np.sin(polar)
-    for combo in itertools.product(range(r), repeat=n - 2):
-        us = np.empty((r, n))
-        pre = 1.0
-        for i, j in enumerate(combo):
-            us[:, i] = cp[j] * pre
-            pre *= sp[j]
-        us[:, n - 2] = pre * ca
-        us[:, n - 1] = pre * sa
+    head = np.empty(n - 2)  # head[i] = cos t_(i+1) * pres[i] for the chosen angles
+    js, pres, j = [], [1.0], 0  # chosen polar indices, sine products, next index
+    while True:
+        i = len(js)
+        if i < n - 2:
+            head[i] = cp[j] * pres[i]
+            if not (poles_once and j == 0):
+                js.append(j)
+                pres.append(pres[i] * sp[j])
+                j = 0
+                continue
+            us = np.zeros((1, n))  # cos 0 = 1, so head[i] is the pole's last entry
+            us[0, : i + 1] = head[: i + 1]
+            j = 1
+        else:
+            us = np.empty((r, n))
+            us[:, :i] = head[:i]
+            us[:, i:] = pres[i] * tail
+            j = r
         yield us
+        while j == r:  # climb past the levels whose angles are all taken
+            if not js:
+                return
+            j = js.pop() + 1
+            pres.pop()

@@ -44,8 +44,8 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     project,
 )
 
-#: Within this width of |1 - lam^2| the raw ``block_solve`` candidates lose
-#: precision, so :func:`check` compares project's point with them only outside.
+#: Width of |1 - lam^2| next to the degenerate ray inside which :func:`check`
+#: replaces its exact-match items with the stability bound (``near_ray``).
 FALLBACK_BAND = 1e-6
 
 #: Objectives within this band of the minimum count as tied.
@@ -314,19 +314,19 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
 
     Every verdict is a (passed, residual, tol) triple; nothing raises on a
     failed invariant.  ``subspace_lower`` compares the formula with the
-    exact subspace minimum of :func:`_spectral`, in every dimension.  The
-    exact-equality invariants (oracle match, stationarity, strict ordering
-    of the multiplier branches) compare :func:`project`'s point with the
-    raw ``block_solve`` candidates, so they apply only to safely generic
-    inputs, |1 - lam^2| >= FALLBACK_BAND; nearer the degenerate ray those
-    candidates lose precision, and the stability bound is checked instead.
-    The identity items ``orthogonality_quadratic`` and
+    exact subspace minimum of :func:`_spectral`, in every dimension.  One
+    regime decides which items apply: ``near_ray``, a generic input with
+    |1 - lam^2| < FALLBACK_BAND.  There ``stability`` replaces
+    ``lagrangian_match``, and the exact-match items (``point_match``,
+    ``stationarity``, ``plus_branch_larger``, ``objective_identity``,
+    ``subspace_reduction``, and the moved points of the symmetry items) are
+    left out.  The identity items ``orthogonality_quadratic`` and
     ``objective_closed_form`` sweep all sampled multipliers in one array
     pass and match the one-at-a-time scalar loop up to rounding.  The
     symmetry items ``homogeneity`` (t in 0.5, 2, 10), ``swap`` and
     ``rotation`` share one residual, :func:`_moved_residual`: each compares
-    tag, half squared distance, the multiplier of a singleton, and, away
-    from the degenerate ray, the moved points.
+    tag, half squared distance, the multiplier of a singleton, and, outside
+    ``near_ray``, the moved points.
     """
     core = _reduce(x0, y0, tols)
     x0, y0, lams = core.x0, core.y0, core.lams
@@ -346,7 +346,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     half = res.half_dist_sq
 
     singleton = isinstance(res, SingletonProjection)
-    safe_generic = tag is CaseTag.GENERIC and abs(1.0 - res.lam * res.lam) >= FALLBACK_BAND
+    # Near the degenerate ray the raw block_solve candidates lose precision and
+    # the minimizing direction is fixed only to about eps/|x0 - y0|, so there
+    # the exact-match items give way to the stability bound.
+    near_ray = tag is CaseTag.GENERIC and abs(1.0 - res.lam * res.lam) < FALLBACK_BAND
+    safe_generic = tag is CaseTag.GENERIC and not near_ray
 
     # emitted points: the singleton, or base + canonical + sampled members
     if singleton:
@@ -358,21 +362,20 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
             u /= np.linalg.norm(u)
             emitted.append(res.member(u))
     record("feasible", max(membership_residual(p) for p in emitted), mem_tol)
+    objs = [_objective(p, x0, y0) for p in emitted]
 
     lag = _lagrangian(core, tols)
     record("lagrangian_lower", -lag.gap_vs_formula, 1e-9)
-    if tag is CaseTag.GENERIC and not safe_generic:
+    if near_ray:
         canon_best = min(
             _objective(Pair(np.zeros_like(x0), y0), x0, y0),
             _objective(Pair(x0, np.zeros_like(y0)), x0, y0),
         )
-        record("stability", _objective(res.point, x0, y0) - canon_best, 1e-7)
+        record("stability", objs[0] - canon_best, 1e-7)
     else:
         record("lagrangian_match", abs(lag.gap_vs_formula), 1e-10 * (1.0 + abs(half)))
     if safe_generic:
-        dx = lag.best_point.x - res.point.x
-        dy = lag.best_point.y - res.point.y
-        record("point_match", norm(dx) + norm(dy), 1e-8 * scale)
+        record("point_match", _pair_diff(lag.best_point, res.point), 1e-8 * scale)
 
     record("subspace_lower", (core.half - _spectral(core)) * c * c, 1e-9)
 
@@ -405,46 +408,31 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         f_plus = _objective(block_solve(lams.lambda_plus, Pair(x0, y0)), x0, y0)
         record("plus_branch_larger", half - f_plus, 1e-12 * (1.0 + abs(half)))
 
-    if singleton:
-        if tag is CaseTag.ORTHOGONAL or safe_generic:
-            record(
-                "objective_identity",
-                abs(_objective(res.point, x0, y0) - half) / (1.0 + abs(half)),
-                1e-10,
-            )
+    if not near_ray:
+        record(
+            "objective_identity",
+            max(abs(f - half) for f in objs) / (1.0 + abs(half)),
+            1e-10,
+        )
+        if singleton:
             # every singleton is a subspace pair for U = span of its x part
             if norm(res.point.x) <= 1e-9 * (1.0 + nx):
                 cand_pt = Pair(np.zeros_like(x0), y0)
             else:
                 u = res.point.x / norm(res.point.x)
                 cand_pt = _family_member(x0, y0, u)
+            record("subspace_reduction", _pair_diff(cand_pt, res.point) / scale, 1e-9)
+        else:
             record(
-                "subspace_reduction",
-                (norm(cand_pt.x - res.point.x) + norm(cand_pt.y - res.point.y)) / scale,
-                1e-9,
+                "degenerate_spread",
+                (max(objs) - min(objs)) / (1.0 + abs(half)),
+                1e-10,
             )
-    else:
-        spread = [_objective(p, x0, y0) for p in emitted]
-        record(
-            "objective_identity",
-            max(abs(f - half) for f in spread) / (1.0 + abs(half)),
-            1e-10,
-        )
-        record(
-            "degenerate_spread",
-            (max(spread) - min(spread)) / (1.0 + abs(half)),
-            1e-10,
-        )
-
-    # close to the degenerate ray the minimizing direction is only determined
-    # to about eps/|x0 - y0|, so symmetry of the exact coordinates cannot be
-    # expected; tag, multiplier, and distance remain comparable there.
-    compare_points = safe_generic or not singleton or tag is CaseTag.ORTHOGONAL
 
     def symmetry(move, t: float = 1.0) -> float:
         # project the input moved by one symmetry of the cross; compare with res
         moved = project(*move(Pair(x0, y0)), tols)
-        return _moved_residual(res, moved, move, compare_points, t)
+        return _moved_residual(res, moved, move, not near_ray, t)
 
     scalings = [(lambda p, t=t: Pair(t * p.x, t * p.y), t) for t in (0.5, 2.0, 10.0)]
     record("homogeneity", max(symmetry(move, t) for move, t in scalings) / scale, 1e-9)

@@ -380,7 +380,11 @@ def family_samples(
     for _ in range(8):  # double the lattice resolution until count is reached
         out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), core.y0))]
         seen: set[bytes] = set()  # the members kept after the base, as exact keys
-        lattice = [np.array([[1.0], [-1.0]])] if n == 1 else _sphere_lattice(n, per_angle)
+        # injective mode visits each pole once: its repeats give the same member
+        lattice = (
+            [np.array([[1.0], [-1.0]])] if n == 1
+            else _sphere_lattice(n, per_angle, poles_once=mode == "injective")
+        )
         for u in (u for us in lattice for u in us):
             if len(out) == count:
                 break

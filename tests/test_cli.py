@@ -167,6 +167,16 @@ class TestFamilyCommand:
         assert len(lines) == 2
         assert lines[1] == "0,0,1,0.5"
 
+    def test_overflowing_objective_is_inf_without_warning(self, capsys):
+        code, out, err = run(
+            capsys, "family", "--x0=1e300,2e300", "--y0=1e300,2e300", "--count", "3"
+        )
+        assert code == 0
+        assert err == ""
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.endswith(",inf") for row in rows)
+
     def test_non_degenerate_exits_4(self, capsys):
         code, _, err = run(capsys, "family", "--x0", "1,2", "--y0", "3,1")
         assert code == 4

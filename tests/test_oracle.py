@@ -234,6 +234,33 @@ class TestCheck:
         assert "stability" in rep.items
         assert "stationarity" not in rep.items  # not applicable this close to the ray
 
+    def test_item_names_per_regime(self):
+        # the exact, ordered item set of each regime: near the degenerate ray
+        # stability replaces lagrangian_match and the exact-match items go
+        y0 = np.array([0.3, -0.7, 0.5])
+        w = np.array([1.0, 2.0, -2.0]) / 3.0
+        head = ["feasible", "lagrangian_lower"]
+        roots = ["vieta", "orthogonality_quadratic", "objective_closed_form"]
+        tail = ["homogeneity", "swap", "rotation", "convex_hull"]
+        cases = [
+            ([1.0, 0.0], [0.0, 1.0], CaseTag.ORTHOGONAL,
+             ["lagrangian_match", "subspace_lower", "objective_identity",
+              "subspace_reduction"]),
+            ([1.0, 2.0], [3.0, 1.0], CaseTag.GENERIC,
+             ["lagrangian_match", "point_match", "subspace_lower", *roots,
+              "stationarity", "plus_branch_larger", "objective_identity",
+              "subspace_reduction"]),
+            (y0 + 1e-8 * w, y0, CaseTag.GENERIC, ["stability", "subspace_lower", *roots]),
+            ([1.0, -0.5], [1.0, -0.5], CaseTag.DEGENERATE_PLUS,
+             ["lagrangian_match", "subspace_lower", *roots, "objective_identity",
+              "degenerate_spread"]),
+        ]
+        for x0, y0_, tag, middle in cases:
+            rep = check(x0, y0_)
+            assert rep.ok, rep.failures()
+            assert rep.case is tag
+            assert list(rep.items) == head + middle + tail
+
     def test_narrowed_orth_band(self):
         # generic under orth = 1e-13 but orthogonal under the default band:
         # the multiplier roots must come from the caller's bands

@@ -34,6 +34,8 @@ from crossproj import (
     project_1d,
     solve_lambda,
 )
+import crossproj.projection as projection_mod
+from crossproj.linalg import _sphere_lattice
 from crossproj.oracle import FALLBACK_BAND
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -356,6 +358,33 @@ class TestFamilyEnumerate:
                 assert not (np.array_equal(p.x, q.x) and np.array_equal(p.y, q.y))
             seen.append(p)
         assert len(samples) == 12
+
+    def test_injective_visits_each_pole_once(self, monkeypatch):
+        # the walk behind injective mode skips a pole's repeats, so sampling
+        # stays linear in n where the full lattice has r^(n-1) directions
+        calls = []
+        real = projection_mod._family_member
+        monkeypatch.setattr(
+            projection_mod, "_family_member", lambda *a: calls.append(1) or real(*a)
+        )
+        x0 = np.linspace(0.5, 1.5, 10)
+        assert len(family_samples(x0, x0, 8, mode="injective")) == 8
+        assert len(calls) <= 2 * 8
+
+    def test_pole_walk_drops_only_repeats(self):
+        # each row the pole walk skips repeats the row it kept last, up to
+        # the signs of zeros
+        for n in range(2, 6):
+            for r in range(1, 5):
+                full = [u for us in _sphere_lattice(n, r) for u in us]
+                once = [u for us in _sphere_lattice(n, r, poles_once=True) for u in us]
+                kept = 0
+                for u in full:
+                    if kept < len(once) and u.tobytes() == once[kept].tobytes():
+                        kept += 1
+                    else:
+                        assert (u + 0.0).tobytes() == (once[kept - 1] + 0.0).tobytes()
+                assert kept == len(once)
 
     def test_wrong_case_rejected(self):
         with pytest.raises(CaseError):
