@@ -37,10 +37,8 @@ from .projection import (
     candidate,
     classify,
     degenerate_family,
-    distance_sq,
     family_enumerate,
     family_samples,
-    membership,
     membership_residual,
     objective,
     project,
@@ -66,7 +64,6 @@ from .solvers import (
     generate_instance,
     instance_from_dict,
     instance_to_dict,
-    project_orthant_pair,
 )
 
 __all__ = [
@@ -96,10 +93,8 @@ __all__ = [
     "candidate",
     "classify",
     "degenerate_family",
-    "distance_sq",
     "family_enumerate",
     "family_samples",
-    "membership",
     "membership_residual",
     "objective",
     "project",
@@ -123,5 +118,4 @@ __all__ = [
     "generate_instance",
     "instance_from_dict",
     "instance_to_dict",
-    "project_orthant_pair",
 ]

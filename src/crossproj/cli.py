@@ -37,7 +37,7 @@ from . import __version__
 from .errors import CaseError, DimensionMismatch, DivergenceError, DomainError
 from .errors import NotUnitNorm, SingularSystem
 from .linalg import Pair
-from .oracle import check
+from .oracle import MEMBERSHIP_TOL, check
 from .projection import (
     SingletonProjection,
     Tolerances,
@@ -197,7 +197,7 @@ def result_document(res, x0, y0, tols: Tolerances) -> dict:
         "half_dist_sq": res.half_dist_sq,
         "dist_sq": 2.0 * res.half_dist_sq,
         "dist": res.dist,
-        "tolerances": {"orth": tols.orth, "deg": tols.deg, "membership": tols.membership},
+        "tolerances": {"orth": tols.orth, "deg": tols.deg, "membership": MEMBERSHIP_TOL},
         "input": {"dim": int(len(x0)), "x0": list(x0), "y0": list(y0)},
         "points": points,
     }

@@ -51,6 +51,10 @@ FALLBACK_BAND = 1e-6
 #: Objectives within this band of the minimum count as tied.
 TIE_TOL = 1e-12
 
+#: A pair counts as lying in the cross when |<x,y>| <= MEMBERSHIP_TOL *
+#: (1 + |x0||y0|) at unit scale, times c^2 (the input's ``band_scale``).
+MEMBERSHIP_TOL = 1e-9
+
 #: Grid sweeps up to this many lattice points are evaluated directly; for
 #: n = 3 beyond it the separable row reduction kicks in.
 _DIRECT_GRID_LIMIT = 2_000_000
@@ -132,11 +136,11 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     close to the degenerate ray).  For generic inputs the sweep is exact:
     every nearest point is one of the multiplier candidates.
     """
-    return _lagrangian(_reduce(x0, y0, tols), tols)
+    return _lagrangian(_reduce(x0, y0, tols))
 
 
-def _lagrangian(core: _Reduction, tols: Tolerances) -> OracleReport:
-    # the sweep of lagrangian_oracle on an input already reduced at tols
+def _lagrangian(core: _Reduction) -> OracleReport:
+    # the sweep of lagrangian_oracle on an input already reduced
     x0, y0 = core.x0, core.y0
 
     cands: list[Pair] = []
@@ -152,7 +156,7 @@ def _lagrangian(core: _Reduction, tols: Tolerances) -> OracleReport:
     cands.append(Pair(zero, y0))
     cands.append(Pair(x0, zero))
 
-    mem_tol = tols.membership * core.band_scale
+    mem_tol = MEMBERSHIP_TOL * core.band_scale
     feasible = [p for p in cands if membership_residual(p) <= mem_tol]
     objs = [_objective(p, x0, y0) for p in feasible]
     i = int(np.argmin(objs))
@@ -342,7 +346,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     c = core.c
     nx, ny = core.nx * c, core.ny * c
     scale = 1.0 + nx + ny
-    mem_tol = tols.membership * core.band_scale
+    mem_tol = MEMBERSHIP_TOL * core.band_scale
     half = res.half_dist_sq
 
     singleton = isinstance(res, SingletonProjection)
@@ -352,11 +356,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     near_ray = tag is CaseTag.GENERIC and abs(1.0 - res.lam * res.lam) < FALLBACK_BAND
     safe_generic = tag is CaseTag.GENERIC and not near_ray
 
-    # emitted points: the singleton, or base + canonical + sampled members
+    # emitted points: the singleton, or the canonical pair + sampled members
     if singleton:
         emitted = [res.point]
     else:
-        emitted = [res.base, res.canonical[1]]
+        emitted = list(res.canonical)
         for _ in range(2):
             u = rng.standard_normal(x0.size)
             u /= np.linalg.norm(u)
@@ -364,7 +368,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     record("feasible", max(membership_residual(p) for p in emitted), mem_tol)
     objs = [_objective(p, x0, y0) for p in emitted]
 
-    lag = _lagrangian(core, tols)
+    lag = _lagrangian(core)
     record("lagrangian_lower", -lag.gap_vs_formula, 1e-9)
     if near_ray:
         canon_best = min(

@@ -12,7 +12,7 @@ valued in general; it falls into exactly one of three cases for an input
   y + lam*x = y0, with lam the small root of the multiplier quadratic
   q*lam^2 - S*lam + q = 0   (q = <x0, y0>, S = |x0|^2 + |y0|^2).
 * ``degenerate``  -- <x0, y0> != 0 and x0 = +-y0: every unit direction u
-  yields a nearest point (<u, x0> u, y0 - <u, y0> u), plus the base point
+  yields a nearest point (<u, x0> u, y0 - <u, y0> u), plus the point
   (0, y0); the set has the cardinality of the unit sphere and is
   represented lazily.
 
@@ -52,7 +52,7 @@ class CaseTag(Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative classification bands and the feasibility certificate scale.
+    """Relative classification bands, each finite and at least 0.
 
     Every band is evaluated at unit scale, on (x0/c, y0/c) for the power of
     two c with max(|x0|_inf, |y0|_inf)/c in [0.5, 1), so tags are invariant
@@ -61,14 +61,16 @@ class Tolerances:
     ``orth``: |<x0,y0>| <= orth * (1 + |x0||y0|) classifies as orthogonal.
     ``deg``:  min(|x0-y0|, |x0+y0|) <= deg * (|x0|+|y0|) classifies as
     degenerate (checked after the orthogonal band; precedence resolves the
-    overlap at the origin).  ``membership`` scales feasibility checks:
-    a pair counts as lying in the cross when
-    |<x,y>| <= membership * (1 + |x0||y0|) at unit scale, times c^2.
+    overlap at the origin).
     """
 
     orth: float = 1e-12
     deg: float = 1e-12
-    membership: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for name in ("orth", "deg"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"tolerance {name} must be finite and >= 0")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -113,7 +115,7 @@ class SingletonProjection:
 class FamilyProjection:
     """Sphere-parametrized family of nearest points for x0 = +-y0.
 
-    The full set is {base} | {(<u,x0> u, y0 - <u,y0> u) : |u| = 1}; it is
+    The full set is {(0, y0)} | {(<u,x0> u, y0 - <u,y0> u) : |u| = 1}; it is
     stored lazily (materialize members with :meth:`member` or
     :func:`family_enumerate`).  ``canonical`` holds the two standard
     selections (0, y0) and (x0, 0), in that order.
@@ -122,7 +124,6 @@ class FamilyProjection:
     tag: CaseTag
     x0: np.ndarray
     y0: np.ndarray
-    base: Pair
     canonical: tuple[Pair, Pair]
     half_dist_sq: float
     dist: float | None = None
@@ -229,13 +230,6 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     return _Reduction(x0, y0, tag, lams, half, band * c * c, c, q, s, nx, ny, xs, ys, k)
 
 
-def membership(p: Pair, tol: float) -> bool:
-    """Whether |<p.x, p.y>| <= tol."""
-    if tol < 0.0:
-        raise DomainError("membership tolerance must be nonnegative")
-    return abs(inner(p.x, p.y)) <= tol
-
-
 def membership_residual(p: Pair) -> float:
     """|<p.x, p.y>|, the amount by which a pair misses the cross."""
     return abs(inner(p.x, p.y))
@@ -318,10 +312,9 @@ def _assemble(core: _Reduction) -> ProjectionResult:
         return SingletonProjection(core.tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     if core.tag.is_degenerate:
         zero = np.zeros_like(x0)
-        base = Pair(zero, y0)
-        canonical = (base, Pair(x0, zero))
+        canonical = (Pair(zero, y0), Pair(x0, zero))
         return FamilyProjection(
-            core.tag, x0, y0, base, canonical, core.half_dist_sq, core.dist, core.k
+            core.tag, x0, y0, canonical, core.half_dist_sq, core.dist, core.k
         )
     # U along the longer part of the solution: |x| >= |y| exactly when |x0| >= |y0|
     lam = core.lams.lambda_minus
@@ -331,11 +324,6 @@ def _assemble(core: _Reduction) -> ProjectionResult:
     a, b = _family_member(xs, ys, w / math.sqrt(float(w.dot(w))), core.k)
     point = Pair(a, b) if longer_x else Pair(b, a)
     return SingletonProjection(core.tag, point, lam, core.half_dist_sq, core.dist)
-
-
-def distance_sq(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Squared distance from (x0, y0) to the cross, without assembling a point."""
-    return 2.0 * _reduce(x0, y0, tols).half_dist_sq
 
 
 def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -360,7 +348,7 @@ def family_samples(
 ) -> list[tuple[np.ndarray, Pair]]:
     """(direction, member) samples of the degenerate family.
 
-    The base selection (0, y0) always comes first and carries the zero
+    The selection (0, y0) always comes first and carries the zero
     vector as its direction (it corresponds to the trivial subspace).
     Remaining members use sphere directions from a uniform angle lattice.
     In ``injective`` mode only directions with <u, x0> > 0 are emitted and
@@ -379,7 +367,7 @@ def family_samples(
     per_angle = 2 if n == 1 else max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
     for _ in range(8):  # double the lattice resolution until count is reached
         out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), core.y0))]
-        seen: set[bytes] = set()  # the members kept after the base, as exact keys
+        seen: set[bytes] = set()  # the members kept after (0, y0), as exact keys
         # injective mode visits each pole once: its repeats give the same member
         lattice = (
             [np.array([[1.0], [-1.0]])] if n == 1
@@ -407,7 +395,7 @@ def family_samples(
 def family_enumerate(
     x0, y0, count: int, mode: str = "grid", tols: Tolerances = DEFAULT_TOLS
 ) -> list[Pair]:
-    """Members of the degenerate family: the base point plus sphere samples."""
+    """Members of the degenerate family: (0, y0) plus sphere samples."""
     return [point for _, point in family_samples(x0, y0, count, mode, tols)]
 
 

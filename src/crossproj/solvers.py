@@ -24,11 +24,6 @@ from .projection import SingletonProjection, _distance, project
 _SELECTIONS = ("first", "second", "alternate")
 
 
-def project_orthant_pair(p: Pair) -> Pair:
-    """Clamp both components to the nonnegative orthant (which is self-dual)."""
-    return Pair(np.maximum(p.x, 0.0), np.maximum(p.y, 0.0))
-
-
 @dataclass(frozen=True, eq=False)
 class OrthantPairConstraint:
     """x and y each in the nonnegative orthant."""
@@ -36,7 +31,7 @@ class OrthantPairConstraint:
     kind: ClassVar[str] = "orthant"
 
     def project(self, p: Pair) -> Pair:
-        return project_orthant_pair(p)
+        return Pair(np.maximum(p.x, 0.0), np.maximum(p.y, 0.0))
 
     def distance(self, p: Pair) -> float:
         return _joint_norm(np.minimum(p.x, 0.0), np.minimum(p.y, 0.0))

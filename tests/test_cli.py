@@ -135,6 +135,20 @@ class TestProjectCommand:
         code, _, err = run(capsys, "project", "--x0", "1,2", "--y0", "1")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--x0", "1,0", "--y0", "0,1", "--tol-orth=-1"),
+            ("--x0", "1,2", "--y0", "1,2", "--tol-deg=-1"),
+            ("--x0", "1,2", "--y0", "3,1", "--tol-orth=nan"),
+        ],
+    )
+    def test_invalid_band_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, "project", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: tolerance ")
+
     def test_unknown_flag_is_parse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["project", "--x0", "1", "--y0", "1", "--frobnicate"])

@@ -22,11 +22,9 @@ from crossproj import (
     candidate,
     classify,
     degenerate_family,
-    distance_sq,
     family_enumerate,
     family_samples,
     inner,
-    membership,
     membership_residual,
     norm,
     objective,
@@ -69,20 +67,16 @@ def random_generic(rng, n, lo=-1.0, hi=1.0):
 
 class TestMembership:
     def test_orthogonal_pair_tol_zero(self):
-        assert membership(pair([1.0, 0.0], [0.0, 1.0]), 0.0)
+        assert membership_residual(pair([1.0, 0.0], [0.0, 1.0])) == 0.0
 
     def test_inner_product_one(self):
-        assert not membership(pair([1.0, 1.0], [1.0, 0.0]), 1e-9)
+        assert membership_residual(pair([1.0, 1.0], [1.0, 0.0])) == 1.0
 
     def test_axis_points_always_members(self):
         # in R^1 the cross is the union of the two axes
         for x in (-3.0, 0.0, 0.25, 7.0):
-            assert membership(pair([x], [0.0]), 0.0)
-            assert membership(pair([0.0], [x]), 0.0)
-
-    def test_negative_tol_rejected(self):
-        with pytest.raises(DomainError):
-            membership(pair([1.0], [1.0]), -1.0)
+            assert membership_residual(pair([x], [0.0])) == 0.0
+            assert membership_residual(pair([0.0], [x])) == 0.0
 
     def test_closed_under_limits(self):
         # a convergent sequence of members has a member as its limit
@@ -91,8 +85,19 @@ class TestMembership:
         limit = pair(np.zeros(3), b)
         for k in (1, 10, 1000, 10**9):
             p = pair(a / k, b)
-            assert membership(p, 0.0)
-        assert membership(limit, 0.0)
+            assert membership_residual(p) == 0.0
+        assert membership_residual(limit) == 0.0
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("band", ["orth", "deg"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_band_must_be_finite_and_nonnegative(self, band, value):
+        with pytest.raises(DomainError, match=f"^tolerance {band} must be finite"):
+            Tolerances(**{band: value})
+
+    def test_zero_bands_accepted(self):
+        assert classify([1.0, 2.0], [3.0, 1.0], Tolerances(orth=0.0, deg=0.0)) is CaseTag.GENERIC
 
 
 class TestClassify:
@@ -172,7 +177,7 @@ class TestCandidate:
         out = candidate(0.5, [2.0], [1.0])
         np.testing.assert_allclose(out.x, [2.0])
         np.testing.assert_allclose(out.y, [0.0], atol=1e-15)
-        assert membership(out, 0.0)
+        assert membership_residual(out) == 0.0
 
     def test_large_root_scalar(self):
         out = candidate(2.0, [2.0], [1.0])
@@ -253,13 +258,13 @@ class TestProject:
 
 class TestDistanceSq:
     def test_orthogonal_zero(self):
-        assert distance_sq([1.0, 0.0], [0.0, 2.0]) == 0.0
+        assert 2.0 * project([1.0, 0.0], [0.0, 2.0]).half_dist_sq == 0.0
 
     def test_scalar_generic(self):
-        assert distance_sq([2.0], [1.0]) == 1.0
+        assert 2.0 * project([2.0], [1.0]).half_dist_sq == 1.0
 
     def test_scalar_degenerate(self):
-        assert distance_sq([1.0], [1.0]) == 1.0
+        assert 2.0 * project([1.0], [1.0]).half_dist_sq == 1.0
 
     def test_matches_norm_expression(self):
         rng = np.random.default_rng(14)
@@ -267,7 +272,8 @@ class TestDistanceSq:
             x0, y0 = random_generic(rng, 3)
             s = float(np.dot(x0, x0) + np.dot(y0, y0))
             p = norm(x0 + y0) * norm(x0 - y0)
-            assert distance_sq(x0, y0) == pytest.approx((s - p) / 2.0, rel=1e-9, abs=1e-13)
+            dist_sq = 2.0 * project(x0, y0).half_dist_sq
+            assert dist_sq == pytest.approx((s - p) / 2.0, rel=1e-9, abs=1e-13)
 
 
 class TestDegenerateFamily:
@@ -578,8 +584,8 @@ class TestInvariants:
     @settings(max_examples=100)
     def test_convex_hull_decomposition(self, x, y):
         # (2x, 0) and (0, 2y) lie in the cross exactly and average to (x, y)
-        assert membership(pair(2.0 * x, np.zeros(3)), 0.0)
-        assert membership(pair(np.zeros(3), 2.0 * y), 0.0)
+        assert membership_residual(pair(2.0 * x, np.zeros(3))) == 0.0
+        assert membership_residual(pair(np.zeros(3), 2.0 * y)) == 0.0
         np.testing.assert_array_equal(0.5 * (2.0 * x) + 0.0, x)
         np.testing.assert_array_equal(0.0 + 0.5 * (2.0 * y), y)
 
@@ -644,7 +650,6 @@ class TestOverflowOrder:
         assert reference.wrong_reason(x0, y0, res.half_dist_sq, res.selections()) is None
         c, half_u, _ = reference.unit_scale(x0, y0)
         assert res.half_dist_sq == pytest.approx((c * half_u) * c, rel=1e-9, abs=0.0)
-        assert distance_sq(x0, y0) == 2.0 * res.half_dist_sq
 
     def test_finite_where_c_squared_overflows(self):
         res = project(2.0**520 * self.X, 2.0**520 * self.Y)

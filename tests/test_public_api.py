@@ -1,5 +1,6 @@
 """The public surface of the package, pinned so any change to it shows in a diff."""
 
+import dataclasses
 import inspect
 
 import crossproj
@@ -31,10 +32,8 @@ PUBLIC = [
     "candidate",
     "classify",
     "degenerate_family",
-    "distance_sq",
     "family_enumerate",
     "family_samples",
-    "membership",
     "membership_residual",
     "objective",
     "project",
@@ -58,7 +57,6 @@ PUBLIC = [
     "generate_instance",
     "instance_from_dict",
     "instance_to_dict",
-    "project_orthant_pair",
 ]
 
 #: The parameter names of every public function, so an added or removed
@@ -74,10 +72,8 @@ SIGNATURES = {
     "candidate": ["lam", "x0", "y0"],
     "classify": ["x0", "y0", "tols"],
     "degenerate_family": ["x0", "y0", "u", "tols"],
-    "distance_sq": ["x0", "y0", "tols"],
     "family_enumerate": ["x0", "y0", "count", "mode", "tols"],
     "family_samples": ["x0", "y0", "count", "mode", "tols"],
-    "membership": ["p", "tol"],
     "membership_residual": ["p"],
     "objective": ["p", "x0", "y0"],
     "project": ["x0", "y0", "tols"],
@@ -94,7 +90,30 @@ SIGNATURES = {
     "generate_instance": ["kind", "dim", "seed"],
     "instance_from_dict": ["doc"],
     "instance_to_dict": ["problem", "witness", "seed"],
-    "project_orthant_pair": ["p"],
+}
+
+#: The fields of every public dataclass, so an added or removed knob or
+#: result field shows in a diff as a function parameter does.
+FIELDS = {
+    # projection
+    "Tolerances": ["orth", "deg"],
+    "SingletonProjection": ["tag", "point", "lam", "half_dist_sq", "dist"],
+    "FamilyProjection": ["tag", "x0", "y0", "canonical", "half_dist_sq", "dist", "_k"],
+    # oracle
+    "OracleReport": [
+        "mode", "best_point", "best_objective", "gap_vs_formula",
+        "candidates_examined", "tie_count", "ties",
+    ],
+    "CheckReport": ["case", "items"],
+    # solvers
+    "SolverTrace": [
+        "method", "iterates", "residuals_c", "residuals_b", "case_tags",
+        "converged", "iterations", "config",
+    ],
+    "FeasibilityProblem": ["dim", "constraint"],
+    "OrthantPairConstraint": [],
+    "AffinePairConstraint": ["anchor_x", "basis_x", "anchor_y", "basis_y"],
+    "BoxPairConstraint": ["lo_x", "hi_x", "lo_y", "hi_y"],
 }
 
 
@@ -114,3 +133,12 @@ def test_signatures_are_pinned():
         if inspect.isfunction(obj := getattr(crossproj, name))
     }
     assert functions == SIGNATURES
+
+
+def test_dataclass_fields_are_pinned():
+    classes = {
+        name: [f.name for f in dataclasses.fields(obj)]
+        for name in crossproj.__all__
+        if inspect.isclass(obj := getattr(crossproj, name)) and dataclasses.is_dataclass(obj)
+    }
+    assert classes == FIELDS

@@ -10,19 +10,18 @@ from crossproj import (
     DivergenceError,
     DomainError,
     FeasibilityProblem,
+    OrthantPairConstraint,
     Pair,
     SingletonProjection,
     alternating_projections,
     default_start,
-    distance_sq,
     douglas_rachford,
     generate_instance,
     inner,
+    membership_residual,
     instance_from_dict,
     instance_to_dict,
-    membership,
     project,
-    project_orthant_pair,
 )
 
 
@@ -32,20 +31,21 @@ def pair(x, y):
 
 class TestOrthantProjection:
     def test_clamps_both_components(self):
-        out = project_orthant_pair(pair([1.0, -2.0], [-3.0, 4.0]))
+        out = OrthantPairConstraint().project(pair([1.0, -2.0], [-3.0, 4.0]))
         np.testing.assert_array_equal(out.x, [1.0, 0.0])
         np.testing.assert_array_equal(out.y, [0.0, 4.0])
 
     def test_fixes_nonnegative_input(self):
         p = pair([0.5, 0.0], [1.0, 2.0])
-        out = project_orthant_pair(p)
+        out = OrthantPairConstraint().project(p)
         np.testing.assert_array_equal(out.x, p.x)
         np.testing.assert_array_equal(out.y, p.y)
 
     def test_result_nonnegative(self):
         rng = np.random.default_rng(0)
+        orthant = OrthantPairConstraint()
         for _ in range(50):
-            out = project_orthant_pair(pair(rng.standard_normal(4), rng.standard_normal(4)))
+            out = orthant.project(pair(rng.standard_normal(4), rng.standard_normal(4)))
             assert np.all(out.x >= 0.0) and np.all(out.y >= 0.0)
 
 
@@ -112,7 +112,7 @@ class TestGenerateInstance:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_witness_is_exactly_feasible(self, kind, dim):
         problem, witness = generate_instance(kind, dim, seed=3)
-        assert membership(witness, 0.0)  # disjoint supports: exact zero
+        assert membership_residual(witness) == 0.0  # disjoint supports: exact zero
         assert problem.constraint.distance(witness) == 0.0
 
     def test_orthant_witness_nonnegative(self):
@@ -345,7 +345,7 @@ def _reference_run(method, problem, start, max_iter, tol):
         if method == "ap":
             monitored, d_c = z, math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
         else:
-            monitored, d_c = sel, math.sqrt(max(distance_sq(sel.x, sel.y), 0.0))
+            monitored, d_c = sel, math.sqrt(max(2.0 * project(sel.x, sel.y).half_dist_sq, 0.0))
         d_b = problem.constraint.distance(monitored)
         iterates.append(monitored)
         res_c.append(d_c)

@@ -18,7 +18,6 @@ from crossproj import (
     as_vector,
     check,
     classify,
-    distance_sq,
     douglas_rachford,
     generate_instance,
     project,
@@ -38,10 +37,15 @@ def _dr(x, y):
     return douglas_rachford(_PROBLEM, (x, y), max_iter=3)
 
 
+def _distance_sq(x0, y0):
+    # the squared distance as callers take it from project's result
+    return 2.0 * project(x0, y0).half_dist_sq
+
+
 # entry point -> the names its errors give the two components
 PAIR_ENTRIES = {
     "project": (project, ("x0", "y0")),
-    "distance_sq": (distance_sq, ("x0", "y0")),
+    "distance_sq": (_distance_sq, ("x0", "y0")),
     "classify": (classify, ("x0", "y0")),
     "check": (check, ("x0", "y0")),
     "as_pair": (as_pair, ("x", "y")),
@@ -125,6 +129,6 @@ def test_scalar_input_is_a_vector_of_dimension_one():
     assert p.x.shape == p.y.shape == (1,)
     res = project(2.0, 1.0)
     assert res.point.x.shape == (1,)
-    assert distance_sq(2.0, 1.0) == pytest.approx(1.0)
+    assert _distance_sq(2.0, 1.0) == pytest.approx(1.0)
     with pytest.raises(DomainError, match="^x0 has non-finite"):
         project(math.nan, 1.0)
