@@ -39,6 +39,7 @@ from .errors import NotUnitNorm, SingularSystem
 from .linalg import Pair
 from .oracle import MEMBERSHIP_TOL, check
 from .projection import (
+    DEFAULT_TOLS,
     SingletonProjection,
     Tolerances,
     classify,
@@ -52,7 +53,6 @@ from .solvers import (
     douglas_rachford,
     generate_instance,
     instance_from_dict,
-    instance_to_dict,
 )
 
 
@@ -366,8 +366,7 @@ def cmd_solve(args) -> int:
         raise PointFileError("provide exactly one of --generate or --instance")
     if args.generate is not None:
         kind, dim, seed = args.generate
-        problem, witness = generate_instance(kind, dim, seed)
-        instance_doc = instance_to_dict(problem, witness, seed=seed)
+        problem, _ = generate_instance(kind, dim, seed)
     else:
         try:
             with open(args.instance, "r", encoding="utf-8") as fh:
@@ -378,7 +377,7 @@ def cmd_solve(args) -> int:
             raise PointFileError(
                 f"{args.instance}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
             )
-        problem, witness = instance_from_dict(instance_doc)
+        problem, _ = instance_from_dict(instance_doc)
         seed = instance_doc.get("seed", args.seed if args.seed is not None else _default_seed())
 
     start = args.start if args.start is not None else default_start(problem.kind, problem.dim, seed)
@@ -416,8 +415,8 @@ def _add_point_arguments(sub) -> None:
     sub.add_argument("--input", metavar="FILE", help="point document {dim, x0, y0}")
     sub.add_argument("--x0", type=_parse_coords, metavar="A,B,...", help="inline x0")
     sub.add_argument("--y0", type=_parse_coords, metavar="C,D,...", help="inline y0")
-    sub.add_argument("--tol-orth", type=float, default=1e-12, dest="tol_orth")
-    sub.add_argument("--tol-deg", type=float, default=1e-12, dest="tol_deg")
+    sub.add_argument("--tol-orth", type=float, default=DEFAULT_TOLS.orth, dest="tol_orth")
+    sub.add_argument("--tol-deg", type=float, default=DEFAULT_TOLS.deg, dest="tol_deg")
     sub.add_argument("--output", metavar="FILE", help="write result here instead of stdout")
 
 

@@ -12,16 +12,28 @@ solver takes the configured canonical selection and records that choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError
+from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _inf_norm, _joint_norm, as_pair
 from .projection import SingletonProjection, _distance, project
 
 _SELECTIONS = ("first", "second", "alternate")
+
+#: Largest |B B^T - I| entry accepted for an affine basis B.
+_ORTHONORMAL_TOL = 1e-9
+
+
+def _check_fields(constraint) -> None:
+    """Store each field of a constraint as a float array, checked finite."""
+    for f in fields(constraint):
+        arr = np.asarray(getattr(constraint, f.name), dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"instance field {f.name!r} has non-finite entries")
+        object.__setattr__(constraint, f.name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +70,17 @@ class AffinePairConstraint:
 
     kind: ClassVar[str] = "affine"
 
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        for name in ("basis_x", "basis_y"):
+            basis = getattr(self, name)
+            gap = np.abs(basis @ basis.T - np.eye(basis.shape[0])).max(initial=0.0)
+            if not gap <= _ORTHONORMAL_TOL:
+                raise DomainError(
+                    f"instance field {name!r} must have orthonormal rows"
+                    f" (max |B B^T - I| = {gap:.3g})"
+                )
+
     def _proj_component(self, v, anchor, basis):
         d = v - anchor
         if basis.shape[0] == 0:
@@ -84,6 +107,15 @@ class BoxPairConstraint:
 
     kind: ClassVar[str] = "box"
 
+    def __post_init__(self) -> None:
+        _check_fields(self)
+        for axis in ("x", "y"):
+            bad = np.flatnonzero(getattr(self, f"lo_{axis}") > getattr(self, f"hi_{axis}"))
+            if bad.size:
+                raise DomainError(
+                    f"instance field 'lo_{axis}' exceeds 'hi_{axis}' at coordinate {bad[0]}"
+                )
+
     def project(self, p: Pair) -> Pair:
         return Pair(np.clip(p.x, self.lo_x, self.hi_x), np.clip(p.y, self.lo_y, self.hi_y))
 
@@ -91,6 +123,9 @@ class BoxPairConstraint:
 
 
 Constraint = OrthantPairConstraint | AffinePairConstraint | BoxPairConstraint
+
+#: Each constraint class by its kind, in the order instance seeds use.
+_CONSTRAINTS = {c.kind: c for c in (OrthantPairConstraint, AffinePairConstraint, BoxPairConstraint)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,21 +194,11 @@ class SolverTrace:
 def _select(result, selection: str, k: int) -> Pair:
     if isinstance(result, SingletonProjection):
         return result.point
-    if selection == "first":
-        return result.canonical[0]
-    if selection == "second":
-        return result.canonical[1]
-    return result.canonical[k % 2]
+    return result.canonical[{"first": 0, "second": 1}.get(selection, k % 2)]
 
 
 def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
     return DivergenceError(f"{method}: iterate became non-finite", trace=trace)
-
-
-def _check_finite(p: Pair, method: str, trace: SolverTrace) -> None:
-    # the inf-norm is finite exactly when every coordinate is
-    if not (math.isfinite(_inf_norm(p.x)) and math.isfinite(_inf_norm(p.y))):
-        raise _diverged(method, trace)
 
 
 def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
@@ -185,14 +210,41 @@ def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, 
     if selection not in _SELECTIONS:
         raise DomainError(f"selection must be one of {_SELECTIONS}")
     z = as_pair(*start)
-    config = {
-        "max_iter": max_iter,
-        "tol": tol,
-        "selection": selection,
-        "kind": problem.kind,
-        "dim": problem.dim,
-    }
+    if z.x.shape[0] != problem.dim:
+        raise DimensionMismatch(f"start has dimension {z.x.shape[0]}, problem has {problem.dim}")
+    config = {"max_iter": max_iter, "tol": tol, "selection": selection,
+              "kind": problem.kind, "dim": problem.dim}
     return z, SolverTrace(method=method, config=config)
+
+
+def _run(name, method, problem, start, max_iter, tol, selection, monitor, update) -> SolverTrace:
+    """The loop both solvers share.  With s = select(P_C(z)), ``monitor(z, s, pc)``
+    gives the point to record and its distance to the cross, and
+    ``update(constraint, z, s)`` the next z.  The next step's projection
+    validates each update, so only the last update is checked on its own."""
+    z, trace = _start_run(method, problem, start, max_iter, tol, selection)
+    constraint = problem.constraint
+    for k in range(max_iter):
+        try:
+            pc = project(z.x, z.y)
+            s = _select(pc, selection, k)
+            point, d_c = monitor(z, s, pc)
+        except DomainError:
+            raise _diverged(name, trace) from None
+        trace.iterations = k + 1
+        d_b = constraint.distance(point)
+        trace.iterates.append(point)
+        trace.residuals_c.append(d_c)
+        trace.residuals_b.append(d_b)
+        trace.case_tags.append(pc.tag.value)
+        if d_c + d_b <= tol:
+            trace.converged = True
+            break
+        z = update(constraint, z, s)
+    else:  # the inf-norm is finite exactly when every coordinate is
+        if not (math.isfinite(_inf_norm(z.x)) and math.isfinite(_inf_norm(z.y))):
+            raise _diverged(name, trace)
+    return trace
 
 
 def alternating_projections(
@@ -207,30 +259,19 @@ def alternating_projections(
     Each iteration checks the current iterate's combined residual
     d_C(z) + d_B(z) (recording it) and, if above ``tol``, updates
     z <- P_B(select(P_C(z))).  Stopping on the combined residual makes both
-    set distances individually meet ``tol`` at convergence.  The projection
-    of the next step validates each update, so it is checked for
-    finiteness once; only the last update is checked on its own.
+    set distances individually meet ``tol`` at convergence.
     """
-    z, trace = _start_run("ap", problem, start, max_iter, tol, selection)
-    for k in range(max_iter):
-        try:
-            pc = project(z.x, z.y)
-        except DomainError:
-            raise _diverged("alternating_projections", trace) from None
-        trace.iterations = k + 1
-        d_c = pc.dist
-        d_b = problem.constraint.distance(z)
-        trace.iterates.append(z)
-        trace.residuals_c.append(d_c)
-        trace.residuals_b.append(d_b)
-        trace.case_tags.append(pc.tag.value)
-        if d_c + d_b <= tol:
-            trace.converged = True
-            break
-        z = problem.constraint.project(_select(pc, selection, k))
-    else:
-        _check_finite(z, "alternating_projections", trace)
-    return trace
+    return _run(
+        "alternating_projections", "ap", problem, start, max_iter, tol, selection,
+        monitor=lambda z, s, pc: (z, pc.dist),
+        update=lambda constraint, z, s: constraint.project(s),
+    )
+
+
+def _reflect_step(constraint, z: Pair, s: Pair) -> Pair:
+    """z + P_B(2*s - z) - s."""
+    pb = constraint.project(Pair(2.0 * s.x - z.x, 2.0 * s.y - z.y))
+    return Pair(z.x + pb.x - s.x, z.y + pb.y - s.y)
 
 
 def douglas_rachford(
@@ -245,36 +286,14 @@ def douglas_rachford(
     The governing sequence z is monitored through its shadow s (the
     selected cross projection); residuals and the stopping rule use the
     shadow's combined distance d_C(s) + d_B(s), the same merit as
-    :func:`alternating_projections`, and like it checks each update for
-    finiteness once, through the next step's projection.  A shadow that
-    overflows from a finite iterate also ends the run as divergent.
+    :func:`alternating_projections`.  A shadow that overflows from a finite
+    iterate also ends the run as divergent.
     """
-    z, trace = _start_run("dr", problem, start, max_iter, tol, selection)
-    for k in range(max_iter):
-        try:
-            pc = project(z.x, z.y)
-            shadow = _select(pc, selection, k)
-            d_c = _distance(shadow.x, shadow.y)
-        except DomainError:
-            raise _diverged("douglas_rachford", trace) from None
-        trace.iterations = k + 1
-        d_b = problem.constraint.distance(shadow)
-        trace.iterates.append(shadow)
-        trace.residuals_c.append(d_c)
-        trace.residuals_b.append(d_b)
-        trace.case_tags.append(pc.tag.value)
-        if d_c + d_b <= tol:
-            trace.converged = True
-            break
-        reflected = Pair(2.0 * shadow.x - z.x, 2.0 * shadow.y - z.y)
-        pb = problem.constraint.project(reflected)
-        z = Pair(z.x + pb.x - shadow.x, z.y + pb.y - shadow.y)
-    else:
-        _check_finite(z, "douglas_rachford", trace)
-    return trace
-
-
-_KINDS = ("orthant", "affine", "box")
+    return _run(
+        "douglas_rachford", "dr", problem, start, max_iter, tol, selection,
+        monitor=lambda z, s, pc: (s, _distance(s.x, s.y)),
+        update=_reflect_step,
+    )
 
 
 def _complementary_witness(rng: np.random.Generator, dim: int, nonneg: bool) -> Pair:
@@ -305,11 +324,11 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
     affine targets pass through the witness, and the boxes contain it.
     Returns ``(problem, witness)``.
     """
-    if kind not in _KINDS:
-        raise DomainError(f"instance kind must be one of {_KINDS}")
+    if not isinstance(kind, str) or kind not in _CONSTRAINTS:
+        raise DomainError(f"instance kind must be one of {tuple(_CONSTRAINTS)}")
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    rng = np.random.default_rng([seed, dim, _KINDS.index(kind)])
+    rng = np.random.default_rng([seed, dim, list(_CONSTRAINTS).index(kind)])
 
     if kind == "orthant":
         witness = _complementary_witness(rng, dim, nonneg=True)
@@ -341,7 +360,7 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
 
 def default_start(kind: str, dim: int, seed: int = 0) -> Pair:
     """Deterministic random starting point matched to an instance seed."""
-    rng = np.random.default_rng([seed, dim, _KINDS.index(kind), 997])
+    rng = np.random.default_rng([seed, dim, list(_CONSTRAINTS).index(kind), 997])
     return Pair(rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim))
 
 
@@ -356,22 +375,7 @@ def instance_to_dict(problem: FeasibilityProblem, witness: Pair, seed: int | Non
     if seed is not None:
         doc["seed"] = seed
     c = problem.constraint
-    if isinstance(c, AffinePairConstraint):
-        doc["constraint"] = {
-            "anchor_x": list(c.anchor_x),
-            "basis_x": [list(row) for row in c.basis_x],
-            "anchor_y": list(c.anchor_y),
-            "basis_y": [list(row) for row in c.basis_y],
-        }
-    elif isinstance(c, BoxPairConstraint):
-        doc["constraint"] = {
-            "lo_x": list(c.lo_x),
-            "hi_x": list(c.hi_x),
-            "lo_y": list(c.lo_y),
-            "hi_y": list(c.hi_y),
-        }
-    else:
-        doc["constraint"] = {}
+    doc["constraint"] = {f.name: getattr(c, f.name).tolist() for f in fields(c)}
     return doc
 
 
@@ -386,60 +390,31 @@ def _field_vector(data: dict, name: str, dim: int) -> np.ndarray:
     return arr
 
 
-#: Largest |B B^T - I| entry accepted for an instance file's affine basis B.
-_ORTHONORMAL_TOL = 1e-9
-
-
 def _field_basis(data: dict, name: str, dim: int) -> np.ndarray:
     try:
-        basis = np.asarray(data.get(name, []), dtype=float).reshape(-1, dim)
+        return np.asarray(data.get(name, []), dtype=float).reshape(-1, dim)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"instance field {name!r} rows must have length {dim}: {exc}") from exc
-    if not np.all(np.isfinite(basis)):
-        raise DomainError(f"instance field {name!r} has non-finite entries")
-    gap = np.abs(basis @ basis.T - np.eye(basis.shape[0])).max(initial=0.0)
-    if not gap <= _ORTHONORMAL_TOL:
-        raise DomainError(
-            f"instance field {name!r} must have orthonormal rows (max |B B^T - I| = {gap:.3g})"
-        )
-    return basis
-
-
-def _field_bounds(data: dict, axis: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    lo = _field_vector(data, f"lo_{axis}", dim)
-    hi = _field_vector(data, f"hi_{axis}", dim)
-    bad = np.flatnonzero(lo > hi)
-    if bad.size:
-        raise DomainError(f"instance field 'lo_{axis}' exceeds 'hi_{axis}' at coordinate {bad[0]}")
-    return lo, hi
 
 
 def instance_from_dict(doc: dict):
-    """Inverse of :func:`instance_to_dict`; validates shapes, finiteness,
-    orthonormal affine bases and ordered box bounds."""
+    """Inverse of :func:`instance_to_dict`; checks each field's shape, and the
+    constraint its own rules (finite data, orthonormal bases, lo <= hi)."""
     try:
         kind = doc["kind"]
         dim = int(doc["dim"])
         wit = doc["witness"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"instance document is missing field {exc}") from exc
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _CONSTRAINTS:
         raise DomainError(f"unknown instance kind {kind!r}")
     if dim < 1:
         raise DomainError("instance dim must be >= 1")
     witness = Pair(_field_vector(wit, "x", dim), _field_vector(wit, "y", dim))
     data = doc.get("constraint", {})
-
-    if kind == "orthant":
-        constraint: Constraint = OrthantPairConstraint()
-    elif kind == "affine":
-        constraint = AffinePairConstraint(
-            anchor_x=_field_vector(data, "anchor_x", dim),
-            basis_x=_field_basis(data, "basis_x", dim),
-            anchor_y=_field_vector(data, "anchor_y", dim),
-            basis_y=_field_basis(data, "basis_y", dim),
-        )
-    else:
-        (lo_x, hi_x), (lo_y, hi_y) = _field_bounds(data, "x", dim), _field_bounds(data, "y", dim)
-        constraint = BoxPairConstraint(lo_x=lo_x, hi_x=hi_x, lo_y=lo_y, hi_y=hi_y)
-    return FeasibilityProblem(dim, constraint), witness
+    cls = _CONSTRAINTS[kind]
+    values = {
+        f.name: (_field_basis if f.name.startswith("basis_") else _field_vector)(data, f.name, dim)
+        for f in fields(cls)
+    }
+    return FeasibilityProblem(dim, cls(**values)), witness

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from crossproj import (
+    AffinePairConstraint,
     BoxPairConstraint,
+    DimensionMismatch,
     DivergenceError,
     DomainError,
     FeasibilityProblem,
@@ -182,6 +185,51 @@ class TestInstanceValidation:
         data[f"lo_{axis}"][2], data[f"hi_{axis}"][2] = data[f"hi_{axis}"][2], data[f"lo_{axis}"][2]
         with pytest.raises(DomainError, match=f"'lo_{axis}' exceeds 'hi_{axis}' at coordinate 2"):
             instance_from_dict(doc)
+
+
+class TestConstraintsValidateThemselves:
+    """The instance-file rules hold for a constraint however it is built."""
+
+    def test_empty_box_rejected(self):
+        with pytest.raises(DomainError, match="'lo_x' exceeds 'hi_x' at coordinate 0"):
+            BoxPairConstraint(lo_x=[1.0, 0.0], hi_x=[0.0, 1.0], lo_y=[0.0, 0.0], hi_y=[1.0, 1.0])
+        with pytest.raises(DomainError, match="'lo_y' exceeds 'hi_y' at coordinate 1"):
+            BoxPairConstraint(
+                lo_x=np.zeros(2), hi_x=np.ones(2), lo_y=np.array([0.0, 2.0]), hi_y=np.ones(2)
+            )
+
+    def test_degenerate_box_accepted(self):
+        c = BoxPairConstraint(lo_x=[1.0], hi_x=[1.0], lo_y=[0], hi_y=[2])
+        assert c.lo_y.dtype == np.float64
+        assert c.distance(pair([1.0], [3.0])) == 1.0
+
+    def test_scaled_basis_rejected(self):
+        with pytest.raises(DomainError, match="'basis_x' must have orthonormal rows"):
+            AffinePairConstraint(np.zeros(2), 2.0 * np.eye(2), np.zeros(2), np.eye(2))
+
+    def test_non_orthogonal_basis_rejected(self):
+        with pytest.raises(DomainError, match="'basis_y' must have orthonormal rows"):
+            AffinePairConstraint(
+                np.zeros(2), np.eye(2), np.zeros(2), np.array([[1.0, 0.0], [0.6, 0.8]])
+            )
+
+    @pytest.mark.parametrize("kind", ["affine", "box"])
+    def test_non_finite_field_rejected(self, kind):
+        c = generate_instance(kind, 3, seed=1)[0].constraint
+        name = "anchor_y" if kind == "affine" else "hi_y"
+        values = {f.name: getattr(c, f.name).copy() for f in dataclasses.fields(c)}
+        values[name][1] = np.inf
+        with pytest.raises(DomainError, match=f"'{name}' has non-finite entries"):
+            type(c)(**values)
+
+
+class TestStartDimension:
+    @pytest.mark.parametrize("solver", [alternating_projections, douglas_rachford])
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_start_of_another_dimension_raises(self, solver, n):
+        problem, _ = generate_instance("orthant", 3, seed=0)
+        with pytest.raises(DimensionMismatch, match="start has dimension"):
+            solver(problem, pair(np.ones(n), np.ones(n)))
 
 
 class TestAlternatingProjections:
