@@ -9,10 +9,12 @@ Exit codes are stable contracts:
 
 * 0 -- success (all checks passed / solver converged)
 * 1 -- an invariant failed in ``check``
-* 2 -- parse error: bad flags or a malformed input file
+* 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, a file that is not
+  UTF-8 JSON, or a point file (``--input``) that breaks the field rule
 * 3 -- numeric-domain error raised while computing (non-finite inline
-  coordinates, mismatched inline dimensions, invalid instance data, a
-  solver iterate that became non-finite, ...)
+  coordinates, mismatched inline dimensions, an instance file
+  (``--instance``) that breaks the field rule or its constraint's rules,
+  a solver iterate that became non-finite, ...)
 * 4 -- ``family`` invoked on an input that is not degenerate
 * 5 -- solver exhausted max_iter without converging
 
@@ -20,7 +22,8 @@ All numbers in JSON and CSV output render with 17 significant digits, so
 parsing them back reproduces the exact binary values; JSON writes a
 non-finite number (an overflowed squared distance, say) as ``null``.
 ``CROSSPROJ_SEED`` provides the default seed wherever ``--seed`` is
-accepted.
+accepted.  The field rule of both file kinds: ``dim`` is an int >= 1 and
+each vector a list of ``dim`` finite JSON numbers (not strings or bools).
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .projection import (
     objective,
     project,
 )
+from .solvers import _field, _integer, _numbers
 from .solvers import (
     alternating_projections,
     default_start,
@@ -105,8 +109,15 @@ def _parse_coords(text: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CROSSPROJ_SEED", "0"))
+def _non_negative(text: str) -> int:
+    """A non-negative integer flag value (seeds, ``--trials``); anything else exits 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -119,41 +130,27 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
-def load_point_file(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a point document {dim, x0, y0} with field-precise errors."""
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; failing to read or decode it is a parse error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise PointFileError(f"cannot read {path}: {exc}")
-    try:
-        doc = json.loads(text)
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise PointFileError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, over-long int, deep nesting
+        raise PointFileError(f"cannot read {path}: {exc}")
+
+
+def load_point_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a point document {dim, x0, y0} by the instance files' field rule (exit 2)."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise PointFileError(f"{path}: top-level value must be an object")
-    for name in ("dim", "x0", "y0"):
-        if name not in doc:
-            raise PointFileError(f"{path}: missing field {name!r}")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise PointFileError(f"{path}: field 'dim' must be a positive integer")
-    arrays = {}
-    for name in ("x0", "y0"):
-        raw = doc[name]
-        if not isinstance(raw, list):
-            raise PointFileError(f"{path}: field {name!r} must be an array")
-        if len(raw) != dim:
-            raise PointFileError(
-                f"{path}: field {name!r} has length {len(raw)}, expected dim = {dim}"
-            )
-        for i, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise PointFileError(f"{path}: field '{name}[{i}]' is not a number")
-            if not math.isfinite(v):
-                raise PointFileError(f"{path}: field '{name}[{i}]' is not finite")
-        arrays[name] = np.array(raw, dtype=float)
-    return arrays["x0"], arrays["y0"]
+    try:
+        dim = _integer(doc, "dim", 1)
+        return _numbers(_field(doc, "x0"), "x0", dim), _numbers(_field(doc, "y0"), "y0", dim)
+    except DomainError as exc:
+        raise PointFileError(f"{path}: {exc}") from None
 
 
 def _resolve_point(args) -> tuple[np.ndarray, np.ndarray]:
@@ -181,13 +178,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def result_document(res, x0, y0, tols: Tolerances) -> dict:
     singleton = isinstance(res, SingletonProjection)
-    if singleton:
-        points = [{"selection": "unique", "x": list(res.point.x), "y": list(res.point.y)}]
-    else:
-        points = [
-            {"selection": "base", "x": list(res.canonical[0].x), "y": list(res.canonical[0].y)},
-            {"selection": "alternate", "x": list(res.canonical[1].x), "y": list(res.canonical[1].y)},
-        ]
+    labels = ("unique",) if singleton else ("base", "alternate")
+    points = [dict(selection=s, x=list(p.x), y=list(p.y)) for s, p in zip(labels, res.selections())]
     return {
         "schema": "crossproj/result/v1",
         "version": __version__,
@@ -296,12 +288,11 @@ def _crafted_inputs(rng: np.random.Generator, dim: int):
 
 
 def cmd_check(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     stats: dict[str, list] = {}
     failures = []
     total_inputs = 0
     for dim in args.dims:
-        rng = np.random.default_rng([seed, dim])
+        rng = np.random.default_rng([args.seed, dim])
         inputs = list(_crafted_inputs(rng, dim))
         inputs += [
             (rng.uniform(-1.0, 1.0, dim), rng.uniform(-1.0, 1.0, dim))
@@ -320,7 +311,7 @@ def cmd_check(args) -> int:
                 else:
                     failures.append((dim, trial, name, x0, y0, item))
     width = max(len(name) for name in stats)
-    print(f"checked {total_inputs} inputs over dims {args.dims} (seed {seed})")
+    print(f"checked {total_inputs} inputs over dims {args.dims} (seed {args.seed})")
     for name in sorted(stats):
         passed, total, worst, tol = stats[name]
         status = "ok " if passed == total else "FAIL"
@@ -348,10 +339,9 @@ def _parse_generate(text: str):
     kind = parts[0].strip()
     try:
         dim = int(parts[1])
-        seed = int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad --generate value {text!r}: {exc}")
-    return kind, dim, seed
+    return kind, dim, _non_negative(parts[2])
 
 
 def _parse_start(text: str) -> Pair:
@@ -368,17 +358,9 @@ def cmd_solve(args) -> int:
         kind, dim, seed = args.generate
         problem, _ = generate_instance(kind, dim, seed)
     else:
-        try:
-            with open(args.instance, "r", encoding="utf-8") as fh:
-                instance_doc = json.load(fh)
-        except OSError as exc:
-            raise PointFileError(f"cannot read {args.instance}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise PointFileError(
-                f"{args.instance}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            )
-        problem, _ = instance_from_dict(instance_doc)
-        seed = instance_doc.get("seed", args.seed if args.seed is not None else _default_seed())
+        doc = _read_json(args.instance)
+        problem, _ = instance_from_dict(doc)
+        seed = _integer(doc, "seed", 0) if "seed" in doc else args.seed
 
     start = args.start if args.start is not None else default_start(problem.kind, problem.dim, seed)
     if len(start.x) != problem.dim or len(start.y) != problem.dim:
@@ -426,6 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact projection onto the cross {(x, y) : <x, y> = 0}.",
     )
     parser.add_argument("--version", action="version", version=f"crossproj {__version__}")
+    seed = os.environ.get("CROSSPROJ_SEED", "0")  # parsed like --seed when that is absent
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("project", help="project one point onto the cross")
@@ -441,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("check", help="run the invariant battery on seeded inputs")
     p.add_argument("--dims", type=_parse_dims, default=[1, 2, 3, 4])
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=_non_negative, default=100)
+    p.add_argument("--seed", type=_non_negative, default=seed)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("solve", help="run a feasibility solver on an instance")
@@ -453,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--selection", choices=("first", "second", "alternate"), default="first")
     p.add_argument("--start", type=_parse_start, metavar="X;Y")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative, default=seed)
     p.add_argument("--trace", metavar="FILE", help="write the iterate trace CSV here")
     p.add_argument("--summary", metavar="FILE", help="also write the JSON summary here")
     p.set_defaults(func=cmd_solve)

@@ -25,6 +25,7 @@ _SELECTIONS = ("first", "second", "alternate")
 
 #: Largest |B B^T - I| entry accepted for an affine basis B.
 _ORTHONORMAL_TOL = 1e-9
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_fields(constraint) -> None:
@@ -134,6 +135,11 @@ class FeasibilityProblem:
 
     dim: int
     constraint: Constraint
+
+    def __post_init__(self) -> None:
+        for name, arr in vars(self.constraint).items():
+            if np.shape(arr)[-1:] != (self.dim,):
+                raise DimensionMismatch(f"{name!r} has shape {np.shape(arr)}, dim is {self.dim}")
 
     @property
     def kind(self) -> str:
@@ -379,42 +385,50 @@ def instance_to_dict(problem: FeasibilityProblem, witness: Pair, seed: int | Non
     return doc
 
 
-def _field_vector(data: dict, name: str, dim: int) -> np.ndarray:
-    if name not in data:
-        raise DomainError(f"instance constraint is missing field {name!r}")
-    arr = np.asarray(data[name], dtype=float)
-    if arr.shape != (dim,):
-        raise DomainError(f"instance field {name!r} must have length {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"instance field {name!r} has non-finite entries")
-    return arr
+def _field(doc, *path: str):
+    """``doc[path[0]][path[1]]...``, each level a JSON object holding its key."""
+    for i, key in enumerate(path):
+        if not isinstance(doc, dict) or key not in doc:
+            raise DomainError(f"missing field {'.'.join(path[: i + 1])!r}")
+        doc = doc[key]
+    return doc
 
 
-def _field_basis(data: dict, name: str, dim: int) -> np.ndarray:
-    try:
-        return np.asarray(data.get(name, []), dtype=float).reshape(-1, dim)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"instance field {name!r} rows must have length {dim}: {exc}") from exc
+def _integer(doc, name: str, least: int) -> int:
+    """Field ``name`` of ``doc``: an int, not a bool, of at least ``least`` (0 or 1)."""
+    value = _field(doc, name)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DomainError(f"field {name!r} must be a {('non-negative', 'positive')[least]} integer")
+    return value
+
+
+def _numbers(raw, name: str, dim: int, rows: bool = False) -> np.ndarray:
+    """A list of ``dim`` finite JSON numbers as a vector; with ``rows``, a list of them as rows."""
+    if not isinstance(raw, list):
+        raise DomainError(f"field {name!r} must be an array")
+    if rows:
+        return np.reshape([_numbers(r, f"{name}[{i}]", dim) for i, r in enumerate(raw)], (-1, dim))
+    if len(raw) != dim:
+        raise DomainError(f"field {name!r} has length {len(raw)}, expected dim = {dim}")
+    for i, v in enumerate(raw):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (number and abs(v) <= _FLOAT_MAX):  # an int beyond the float range is not finite
+            raise DomainError(f"field '{name}[{i}]' is not {'finite' if number else 'a number'}")
+    return np.array(raw, dtype=float)
 
 
 def instance_from_dict(doc: dict):
-    """Inverse of :func:`instance_to_dict`; checks each field's shape, and the
-    constraint its own rules (finite data, orthonormal bases, lo <= hi)."""
-    try:
-        kind = doc["kind"]
-        dim = int(doc["dim"])
-        wit = doc["witness"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"instance document is missing field {exc}") from exc
+    """Inverse of :func:`instance_to_dict`, reading the lists it writes (not numpy arrays):
+    ``dim`` finite numbers per vector and per basis row, no rows for a missing basis."""
+    kind = _field(doc, "kind")
     if not isinstance(kind, str) or kind not in _CONSTRAINTS:
         raise DomainError(f"unknown instance kind {kind!r}")
-    if dim < 1:
-        raise DomainError("instance dim must be >= 1")
-    witness = Pair(_field_vector(wit, "x", dim), _field_vector(wit, "y", dim))
+    dim = _integer(doc, "dim", 1)
+    witness = Pair(*(_numbers(_field(doc, "witness", a), f"witness.{a}", dim) for a in "xy"))
     data = doc.get("constraint", {})
-    cls = _CONSTRAINTS[kind]
-    values = {
-        f.name: (_field_basis if f.name.startswith("basis_") else _field_vector)(data, f.name, dim)
-        for f in fields(cls)
-    }
+    values = {}
+    for f in fields(cls := _CONSTRAINTS[kind]):
+        rows = f.name.startswith("basis_")  # a missing basis has no rows
+        raw = data.get(f.name, []) if rows and isinstance(data, dict) else _field(data, f.name)
+        values[f.name] = _numbers(raw, f.name, dim, rows)
     return FeasibilityProblem(dim, cls(**values)), witness

@@ -112,12 +112,27 @@ class TestProjectCommand:
         assert code == 2
         assert "'x0'" in err and "length 2" in err
 
-    def test_file_non_finite_is_parse_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("value", ["NaN", "1" + "0" * 400], ids=["nan", "int_beyond_float"])
+    def test_file_non_finite_is_parse_error(self, capsys, tmp_path, value):
         path = tmp_path / "bad.json"
-        path.write_text('{"dim": 1, "x0": [NaN], "y0": [1.0]}')
+        path.write_text(f'{{"dim": 1, "x0": [{value}], "y0": [1.0]}}')
         code, _, err = run(capsys, "project", "--input", str(path))
         assert code == 2
         assert "x0[0]" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[\xff]", b"[1" + b"0" * 5000 + b"]", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "int_beyond_str_limit", "nested_too_deep"],
+    )
+    @pytest.mark.parametrize("argv", [("project", "--input"), ("solve", "--instance")],
+                             ids=["point", "instance"])
+    def test_undecodable_file_is_parse_error(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
     def test_file_bad_json_reports_location(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -211,6 +226,19 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "--dims", "1", "--trials", "1")
         assert code == 0
         assert "(seed 7)" in out
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [(("--seed", "-1"), None), (("--trials", "-3"), None), ((), "abc"), ((), "-1")],
+        ids=["seed_negative", "trials_negative", "env_seed_string", "env_seed_negative"],
+    )
+    def test_bad_seed_or_trials_is_parse_error(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("CROSSPROJ_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--dims", "1", "--trials", "1", *argv])
+        assert exc.value.code == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
 
     def test_corrupted_build_detected(self, capsys, monkeypatch):
         from crossproj.projection import SingletonProjection, candidate, solve_lambda
@@ -314,17 +342,42 @@ class TestSolveCommand:
         assert (code, out) == (3, "")
         assert err == "error: douglas_rachford: iterate became non-finite\n"
 
-    def test_invalid_instance_data_exits_3(self, capsys, tmp_path):
-        problem, witness = generate_instance("box", 2, seed=0)
-        doc = instance_to_dict(problem, witness, seed=0)
-        doc["constraint"]["lo_x"], doc["constraint"]["hi_x"] = (
-            doc["constraint"]["hi_x"], doc["constraint"]["lo_x"],
-        )
-        path = tmp_path / "swapped.json"
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["constraint"].update(lo_x=d["constraint"]["hi_x"],
+                                              hi_x=d["constraint"]["lo_x"]),
+             "'lo_x' exceeds 'hi_x'"),
+            (lambda d: d.update(dim="abc"), "'dim' must be a positive integer"),
+            (lambda d: d.update(dim=2.7), "'dim' must be a positive integer"),
+            (lambda d: d.update(witness=5), "missing field 'witness.x'"),
+            (lambda d: d.update(constraint=5), "missing field 'lo_x'"),
+            (lambda d: d["witness"]["x"].__setitem__(0, "1.5"), "'witness.x[0]' is not a number"),
+            (lambda d: d["witness"]["y"].__setitem__(1, True), "'witness.y[1]' is not a number"),
+            (lambda d: d["constraint"]["lo_x"].__setitem__(0, -10**400), "'lo_x[0]' is not finite"),
+            (lambda d: d.update(seed="abc"), "'seed' must be a non-negative integer"),
+            (lambda d: d.update(seed=-1), "'seed' must be a non-negative integer"),
+            (lambda d: d.update(seed=True), "'seed' must be a non-negative integer"),
+        ],
+        ids=[
+            "swapped_bounds", "dim_string", "dim_fraction", "witness_number",
+            "constraint_number", "string_coordinate", "bool_coordinate", "int_beyond_float",
+            "seed_string", "seed_negative", "seed_bool",
+        ],
+    )
+    def test_invalid_instance_data_exits_3(self, capsys, tmp_path, edit, message):
+        doc = instance_to_dict(*generate_instance("box", 2, seed=0), seed=0)
+        edit(doc)
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "solve", "--instance", str(path))
-        assert code == 3
-        assert "'lo_x'" in err and "'hi_x'" in err
+        code, out, err = run(capsys, "solve", "--instance", str(path))
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("error: ") and message in err
+
+    def test_bad_generate_seed_is_parse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--generate", "orthant,3,-1"])
+        assert exc.value.code == 2
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "solve")

@@ -163,7 +163,7 @@ class TestInstanceValidation:
     def test_non_finite_basis_entry(self):
         doc = self._affine_doc()
         doc["constraint"]["basis_y"][0][1] = float("nan")
-        with pytest.raises(DomainError, match="'basis_y' has non-finite"):
+        with pytest.raises(DomainError, match=r"'basis_y\[0\]\[1\]' is not finite"):
             instance_from_dict(doc)
 
     def test_scaled_basis_row(self):
@@ -221,6 +221,12 @@ class TestConstraintsValidateThemselves:
         values[name][1] = np.inf
         with pytest.raises(DomainError, match=f"'{name}' has non-finite entries"):
             type(c)(**values)
+
+    def test_mis_dimensioned_constraint_rejected(self):
+        with pytest.raises(DimensionMismatch, match=r"'lo_x' has shape \(1,\), dim is 3"):
+            FeasibilityProblem(3, BoxPairConstraint([0.0], [1.0], [0.0], [1.0]))
+        empty = AffinePairConstraint(np.zeros(3), np.zeros((0, 3)), np.zeros(3), np.eye(3))
+        assert FeasibilityProblem(3, empty).dim == 3  # a (0, n) basis fits dim n
 
 
 class TestStartDimension:
