@@ -36,7 +36,6 @@ from .projection import (
     Tolerances,
     candidate,
     classify,
-    degenerate_family,
     family_enumerate,
     family_samples,
     membership_residual,
@@ -92,7 +91,6 @@ __all__ = [
     "Tolerances",
     "candidate",
     "classify",
-    "degenerate_family",
     "family_enumerate",
     "family_samples",
     "membership_residual",

@@ -10,7 +10,9 @@ Exit codes are stable contracts:
 * 0 -- success (all checks passed / solver converged)
 * 1 -- an invariant failed in ``check``
 * 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, a file that is not
-  UTF-8 JSON, or a point file (``--input``) that breaks the field rule
+  UTF-8 JSON, or a point file (``--input``) that breaks the field rule;
+  also an output file (``--output``, ``--trace``, ``--summary``) that
+  cannot be written
 * 3 -- numeric-domain error raised while computing (non-finite inline
   coordinates, mismatched inline dimensions, an instance file
   (``--instance``) that breaks the field rule or its constraint's rules,
@@ -29,6 +31,7 @@ each vector a list of ``dim`` finite JSON numbers (not strings or bools).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -61,7 +64,7 @@ from .solvers import (
 
 
 class PointFileError(Exception):
-    """Malformed input document; reported with file/field context (exit 2)."""
+    """Malformed input document or unwritable output file; reported with its path (exit 2)."""
 
 
 def _fmt(v: float) -> str:
@@ -168,12 +171,17 @@ def _tols(args) -> Tolerances:
     return Tolerances(orth=args.tol_orth, deg=args.tol_deg)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(text: str, path: str | None = None) -> None:
+    """``text`` as whole lines on stdout, or in the file at ``path``; every file the CLI writes."""
+    text = text if text.endswith("\n") else text + "\n"
+    if path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PointFileError(f"cannot write {path}: {exc}")
 
 
 def result_document(res, x0, y0, tols: Tolerances) -> dict:
@@ -374,8 +382,9 @@ def cmd_solve(args) -> int:
         )
 
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            trace.write_csv(fh)
+        csv = io.StringIO()
+        trace.write_csv(csv)
+        _emit(csv.getvalue(), args.trace)
 
     summary = trace.summary()
     summary["schema"] = "crossproj/solve-summary/v1"
@@ -387,9 +396,8 @@ def cmd_solve(args) -> int:
     }
     text = _json_dumps(summary)
     if args.summary is not None:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _emit(text, args.summary)
+    _emit(text)
     return 0 if trace.converged else 5
 
 

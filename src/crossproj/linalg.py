@@ -1,8 +1,9 @@
 """Dense real vector primitives.
 
 Validation, inner products and a norm accurate at every float64 scale, the
-two-by-two block solve behind the multiplier stationarity system, and the
-angle lattice on the unit sphere that every sphere sweep uses.  Everything
+two-by-two block solve behind the multiplier stationarity system, the
+angle lattice on the unit sphere that every sphere sweep uses, and the one
+sampler of random orthonormal frames.  Everything
 operates on float64 numpy arrays; all functions are pure and never mutate
 arguments.
 """
@@ -134,6 +135,13 @@ def block_solve(lam: float | np.ndarray, rhs: Pair) -> Pair:
             f"multiplier {lam!r} is inside the singular guard band around +-1"
         )
     return Pair((rhs.x - lam * rhs.y) / den, (rhs.y - lam * rhs.x) / den)
+
+
+def _haar_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """(n, k) matrix with orthonormal columns, Haar distributed: the Q of a
+    Gaussian draw, its signs fixed by the diagonal of R."""
+    q, r = np.linalg.qr(rng.standard_normal((n, k)))
+    return q * np.sign(np.diag(r))
 
 
 def _sphere_lattice(n: int, r: int, poles_once: bool = False):

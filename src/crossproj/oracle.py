@@ -21,6 +21,7 @@ data, not exceptions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystem
-from .linalg import Pair, _sphere_lattice, block_solve, norm
+from .linalg import Pair, _haar_columns, _sphere_lattice, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
     CaseTag,
@@ -82,38 +83,6 @@ class OracleReport:
     candidates_examined: int
     tie_count: int = 1
     ties: list = field(default_factory=list)
-
-
-class _Tracker:
-    """Streaming minimum over direction candidates.
-
-    Keeps the running best objective, a banded tie count, and the
-    lexicographically smallest direction among the tied candidates so the
-    selected minimizer does not depend on evaluation order.
-    """
-
-    def __init__(self) -> None:
-        self.best = math.inf
-        self.best_u: np.ndarray | None = None
-        self.tie_count = 0
-        self.examined = 0
-
-    def offer(self, fs: np.ndarray, us: np.ndarray, examined: int | None = None) -> None:
-        self.examined += len(fs) if examined is None else examined
-        m = float(fs.min())
-        if m < self.best - TIE_TOL:
-            self.best = m
-            self.tie_count = 0
-            self.best_u = None
-        elif m < self.best:
-            self.best = m
-        mask = fs <= self.best + TIE_TOL
-        hits = int(np.count_nonzero(mask))
-        if hits:
-            self.tie_count += hits
-            u = _lex_min_rows(us[mask])
-            if self.best_u is None or tuple(u) < tuple(self.best_u):
-                self.best_u = u
 
 
 def _lex_min_rows(us: np.ndarray) -> np.ndarray:
@@ -228,19 +197,33 @@ def subspace_oracle(
         raise DomainError("resolution must be >= 1")
     n = x0.size
 
-    tracker = _Tracker()
-    zero_u = np.zeros((1, n))
-    tracker.offer(np.array([0.5 * float(np.dot(x0, x0))]), zero_u)
-
+    # (directions, lattice points they stand for)
     if n == 3 and resolution**2 > _DIRECT_GRID_LIMIT:
-        us = _grid3_row_candidates(x0, y0, resolution)
-        tracker.offer(_subspace_objectives(x0, y0, us), us, examined=resolution**2)
+        lattice = [(_grid3_row_candidates(x0, y0, resolution), resolution**2)]
     else:
         # R^1 has one line; u and -u span the same subspace
-        for us in [np.array([[1.0]])] if n == 1 else _sphere_lattice(n, resolution):
-            tracker.offer(_subspace_objectives(x0, y0, us), us)
+        rows = [np.array([[1.0]])] if n == 1 else _sphere_lattice(n, resolution)
+        lattice = ((us, len(us)) for us in rows)
 
-    u = tracker.best_u
+    # streaming minimum from the zero direction (U = {0}) on, with a banded tie
+    # count; ties go to the lexicographically smallest direction, so the
+    # selected minimizer does not depend on evaluation order
+    best, u, tie_count, examined = math.inf, None, 0, 0
+    for us, count in itertools.chain([(np.zeros((1, n)), 1)], lattice):
+        examined += count
+        fs = _subspace_objectives(x0, y0, us)
+        m = float(fs.min())
+        if m < best - TIE_TOL:
+            tie_count, u = 0, None
+        best = min(best, m)
+        mask = fs <= best + TIE_TOL
+        hits = int(np.count_nonzero(mask))
+        if hits:
+            tie_count += hits
+            tied = _lex_min_rows(us[mask])
+            if u is None or tuple(tied) < tuple(u):
+                u = tied
+
     if u is None or not np.any(u):
         best = Pair(np.zeros_like(x0), y0)
     else:
@@ -251,8 +234,8 @@ def subspace_oracle(
         best_point=best,
         best_objective=best_obj,
         gap_vs_formula=best_obj - core.half_dist_sq,
-        candidates_examined=tracker.examined,
-        tie_count=max(tracker.tie_count, 1),
+        candidates_examined=examined,
+        tie_count=max(tie_count, 1),
     )
 
 
@@ -293,14 +276,6 @@ class CheckReport:
 
     def failures(self) -> list[str]:
         return [name for name, item in self.items.items() if not item.passed]
-
-
-def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    if n == 1:
-        return np.array([[-1.0]])
-    a = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(a)
-    return q * np.sign(np.diag(r))
 
 
 def _sample_multipliers(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -441,7 +416,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     scalings = [(lambda p, t=t: Pair(t * p.x, t * p.y), t) for t in (0.5, 2.0, 10.0)]
     record("homogeneity", max(symmetry(move, t) for move, t in scalings) / scale, 1e-9)
     record("swap", symmetry(lambda p: Pair(p.y, p.x)) / scale, 1e-9)
-    rot = _random_rotation(rng, x0.size)
+    rot = np.array([[-1.0]]) if x0.size == 1 else _haar_columns(rng, x0.size, x0.size)
     record("rotation", symmetry(lambda p: Pair(rot @ p.x, rot @ p.y)) / scale, 1e-9)
 
     hull_res = max(

@@ -136,8 +136,11 @@ class FamilyProjection:
         return True
 
     def member(self, u) -> Pair:
-        """The member for unit direction u; only u is checked."""
-        u, k = _check_direction(u, self.x0.size), self._k
+        """The member for unit direction u; only u is checked (finite, dimension n, unit)."""
+        u, n, k = as_vector(u, "u"), self.x0.size, self._k
+        if u.size != n:
+            raise DimensionMismatch(f"u has dimension {u.size}, expected {n}")
+        _require_unit(u)
         return _family_member(self.x0 / k, self.y0 / k, u, k)
 
     def selections(self) -> list[Pair]:
@@ -154,15 +157,6 @@ def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray, float]:
     if x0.size != y0.size:
         raise DimensionMismatch(f"x0 and y0 differ in dimension: {x0.size} != {y0.size}")
     return x0, y0, max(mx, my)
-
-
-def _check_direction(u, n: int) -> np.ndarray:
-    # a finite unit vector of dimension n
-    u = as_vector(u, "u")
-    if u.size != n:
-        raise DimensionMismatch(f"u has dimension {u.size}, expected {n}")
-    _require_unit(u)
-    return u
 
 
 class _Reduction(NamedTuple):
@@ -329,18 +323,6 @@ def _assemble(core: _Reduction) -> ProjectionResult:
 def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
     # the distance itself, finite where its square overflows
     return _reduce(x0, y0, tols).dist
-
-
-def degenerate_family(x0, y0, u, tols: Tolerances = DEFAULT_TOLS) -> Pair:
-    """One member of the set-valued projection for x0 = +-y0.
-
-    For a unit direction u the member is (<u,x0> u, y0 - <u,y0> u); its
-    displacement half-cost equals (|x0|^2 + |y0|^2)/4 for every u.
-    """
-    core = _reduce(x0, y0, tols)
-    if not core.tag.is_degenerate:
-        raise CaseError(f"input is not degenerate (classified {core.tag.value})")
-    return _family_member(core.xs, core.ys, _check_direction(u, core.x0.size), core.k)
 
 
 def family_samples(

@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
-from .linalg import Pair, _inf_norm, _joint_norm, as_pair
+from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, as_pair
 from .projection import SingletonProjection, _distance, project
 
 _SELECTIONS = ("first", "second", "alternate")
@@ -82,17 +82,10 @@ class AffinePairConstraint:
                     f" (max |B B^T - I| = {gap:.3g})"
                 )
 
-    def _proj_component(self, v, anchor, basis):
-        d = v - anchor
-        if basis.shape[0] == 0:
-            return anchor.copy()
-        return anchor + basis.T @ (basis @ d)
-
     def project(self, p: Pair) -> Pair:
-        return Pair(
-            self._proj_component(p.x, self.anchor_x, self.basis_x),
-            self._proj_component(p.y, self.anchor_y, self.basis_y),
-        )
+        # a + B^T (B (v - a)) per component; a (0, n) basis gives the anchor
+        ax, bx, ay, by = self.anchor_x, self.basis_x, self.anchor_y, self.basis_y
+        return Pair(ax + bx.T @ (bx @ (p.x - ax)), ay + by.T @ (by @ (p.y - ay)))
 
     distance = _distance_via_project
 
@@ -175,14 +168,10 @@ class SolverTrace:
             return math.inf
         return self.residuals_c[-1] + self.residuals_b[-1]
 
-    def csv_rows(self):
-        """(iteration, residual_C, residual_B, case_tag) rows."""
-        for k in range(len(self.residuals_c)):
-            yield k, self.residuals_c[k], self.residuals_b[k], self.case_tags[k]
-
     def write_csv(self, stream) -> None:
+        """One (iteration, residual_C, residual_B, case_tag) row per recorded iterate."""
         stream.write("iteration,residual_C,residual_B,case_tag\n")
-        for k, rc, rb, tag in self.csv_rows():
+        for k, (rc, rb, tag) in enumerate(zip(self.residuals_c, self.residuals_b, self.case_tags)):
             stream.write(f"{k},{rc:.17g},{rb:.17g},{tag}\n")
 
     def summary(self) -> dict:
@@ -313,12 +302,11 @@ def _complementary_witness(rng: np.random.Generator, dim: int, nonneg: bool) -> 
     return Pair(np.where(on_x, mag_x, 0.0), np.where(~on_x, mag_y, 0.0))
 
 
-def _orthonormal_rows(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
-    if k == 0:
-        return np.zeros((0, n))
-    a = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(a)
-    return (q * np.sign(np.diag(r))).T
+def _kind_index(kind) -> int:
+    """Position of ``kind`` in ``_CONSTRAINTS``, which seeds instances and starts."""
+    if not isinstance(kind, str) or kind not in _CONSTRAINTS:
+        raise DomainError(f"instance kind must be one of {tuple(_CONSTRAINTS)}")
+    return list(_CONSTRAINTS).index(kind)
 
 
 def generate_instance(kind: str, dim: int, seed: int = 0):
@@ -330,11 +318,10 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
     affine targets pass through the witness, and the boxes contain it.
     Returns ``(problem, witness)``.
     """
-    if not isinstance(kind, str) or kind not in _CONSTRAINTS:
-        raise DomainError(f"instance kind must be one of {tuple(_CONSTRAINTS)}")
+    index = _kind_index(kind)
     if dim < 1:
         raise DomainError("dim must be >= 1")
-    rng = np.random.default_rng([seed, dim, list(_CONSTRAINTS).index(kind)])
+    rng = np.random.default_rng([seed, dim, index])
 
     if kind == "orthant":
         witness = _complementary_witness(rng, dim, nonneg=True)
@@ -346,9 +333,9 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
         ky = int(rng.integers(1, dim + 1))
         constraint = AffinePairConstraint(
             anchor_x=witness.x.copy(),
-            basis_x=_orthonormal_rows(rng, kx, dim),
+            basis_x=_haar_columns(rng, dim, kx).T,
             anchor_y=witness.y.copy(),
-            basis_y=_orthonormal_rows(rng, ky, dim),
+            basis_y=_haar_columns(rng, dim, ky).T,
         )
         return FeasibilityProblem(dim, constraint), witness
 
@@ -366,7 +353,7 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
 
 def default_start(kind: str, dim: int, seed: int = 0) -> Pair:
     """Deterministic random starting point matched to an instance seed."""
-    rng = np.random.default_rng([seed, dim, list(_CONSTRAINTS).index(kind), 997])
+    rng = np.random.default_rng([seed, dim, _kind_index(kind), 997])
     return Pair(rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim))
 
 

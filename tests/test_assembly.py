@@ -18,7 +18,7 @@ import pytest
 
 import crossproj.linalg as linalg_mod
 import crossproj.projection as projection_mod
-from crossproj import CaseTag, degenerate_family, norm, project, project_1d
+from crossproj import CaseTag, norm, project, project_1d
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402
@@ -172,6 +172,6 @@ class TestNearFloatMax:
         # the true member is (x0, 0)
         x0 = np.array([1.7e308, 1.7e308])
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        for out in (project(x0, x0).member(u), degenerate_family(x0, x0, u)):
-            np.testing.assert_allclose(out.x, x0, rtol=4.0 * EPS)
-            assert np.all(np.abs(out.y) <= 4.0 * EPS * x0)
+        out = project(x0, x0).member(u)
+        np.testing.assert_allclose(out.x, x0, rtol=4.0 * EPS)
+        assert np.all(np.abs(out.y) <= 4.0 * EPS * x0)

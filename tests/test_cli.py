@@ -92,6 +92,22 @@ class TestProjectCommand:
         assert out == ""
         assert json.loads(target.read_text())["case"] == "generic"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("project", "--x0", "1", "--y0", "1", "--output"),
+            ("family", "--x0", "1,1", "--y0", "1,1", "--output"),
+            ("solve", "--generate", "orthant,3,0", "--trace"),
+            ("solve", "--generate", "orthant,3,0", "--summary"),
+        ],
+        ids=["project_output", "family_output", "solve_trace", "solve_summary"],
+    )
+    def test_unwritable_output_is_parse_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
     def test_input_file(self, capsys, tmp_path):
         doc = {"dim": 2, "x0": [1.0, 2.0], "y0": [3.0, 1.0]}
         path = tmp_path / "point.json"

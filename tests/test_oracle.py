@@ -87,6 +87,17 @@ class TestLagrangianOracle:
             assert norm(rep.best_point.x - res.point.x) <= 1e-8 * scale
             assert norm(rep.best_point.y - res.point.y) <= 1e-8 * scale
 
+    def test_singular_multipliers_skipped(self):
+        # generic under deg = 0, with both roots inside block_solve's guard
+        # band around 1: only the two axis selections are candidates
+        y = np.array([0.6, 0.8])
+        x0 = y + 1e-14 * np.array([0.8, -0.6])
+        tols = Tolerances(deg=0.0)
+        assert classify(x0, y, tols) is CaseTag.GENERIC
+        rep = lagrangian_oracle(x0, y, tols)
+        assert rep.candidates_examined == 2
+        assert rep.gap_vs_formula >= -1e-9
+
     def test_gap_never_negative(self):
         rng = np.random.default_rng(41)
         for _ in range(200):

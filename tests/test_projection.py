@@ -21,7 +21,6 @@ from crossproj import (
     Tolerances,
     candidate,
     classify,
-    degenerate_family,
     family_enumerate,
     family_samples,
     inner,
@@ -278,13 +277,13 @@ class TestDistanceSq:
 
 class TestDegenerateFamily:
     def test_plane_example(self):
-        out = degenerate_family([1.0, 1.0], [1.0, 1.0], [1.0, 0.0])
+        out = project([1.0, 1.0], [1.0, 1.0]).member([1.0, 0.0])
         np.testing.assert_array_equal(out.x, [1.0, 0.0])
         np.testing.assert_array_equal(out.y, [0.0, 1.0])
         assert objective(out, [1.0, 1.0], [1.0, 1.0]) == 1.0
 
     def test_scalar_example(self):
-        out = degenerate_family([1.0], [1.0], [1.0])
+        out = project([1.0], [1.0]).member([1.0])
         np.testing.assert_array_equal(out.x, [1.0])
         np.testing.assert_array_equal(out.y, [0.0])
 
@@ -293,20 +292,17 @@ class TestDegenerateFamily:
         x0 = rng.uniform(0.5, 1.5, 4)
         y0 = -x0
         half = 0.25 * float(np.dot(x0, x0) + np.dot(y0, y0))
+        res = project(x0, y0)
         for _ in range(50):
             u = rng.standard_normal(4)
             u /= np.linalg.norm(u)
-            member = degenerate_family(x0, y0, u)
+            member = res.member(u)
             assert membership_residual(member) <= feas_tol(x0, y0)
             assert objective(member, x0, y0) == pytest.approx(half, rel=1e-10)
 
-    def test_wrong_case_rejected(self):
-        with pytest.raises(CaseError):
-            degenerate_family([1.0, 2.0], [3.0, 1.0], [1.0, 0.0])
-
     def test_non_unit_direction_rejected(self):
         with pytest.raises(NotUnitNorm):
-            degenerate_family([1.0], [1.0], [2.0])
+            project([1.0], [1.0]).member([2.0])
 
     def test_member_under_wide_band(self):
         # degenerate only under deg = 1e-6: the member comes from the stored

@@ -31,7 +31,6 @@ PUBLIC = [
     "Tolerances",
     "candidate",
     "classify",
-    "degenerate_family",
     "family_enumerate",
     "family_samples",
     "membership_residual",
@@ -71,7 +70,6 @@ SIGNATURES = {
     # projection
     "candidate": ["lam", "x0", "y0"],
     "classify": ["x0", "y0", "tols"],
-    "degenerate_family": ["x0", "y0", "u", "tols"],
     "family_enumerate": ["x0", "y0", "count", "mode", "tols"],
     "family_samples": ["x0", "y0", "count", "mode", "tols"],
     "membership_residual": ["p"],

@@ -64,6 +64,17 @@ class TestConstraints:
         np.testing.assert_allclose(q.y, r.y, atol=1e-12)
         assert c.distance(q) <= 1e-12
 
+    def test_empty_affine_basis_pins_to_anchor(self):
+        # a (0, n) basis spans nothing, so the component's set is its anchor
+        anchor_x, anchor_y = np.array([1.0, 0.0, -2.0]), np.array([0.5, 3.0, 0.0])
+        c = AffinePairConstraint(anchor_x, np.zeros((0, 3)), anchor_y, np.zeros((0, 3)))
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            q = c.project(pair(rng.standard_normal(3), rng.standard_normal(3)))
+            np.testing.assert_array_equal(q.x, anchor_x)
+            np.testing.assert_array_equal(q.y, anchor_y)
+        assert c.distance(pair(anchor_x, anchor_y)) == 0.0
+
     def test_box_projection(self):
         c = BoxPairConstraint(
             lo_x=np.array([0.0]), hi_x=np.array([1.0]),
@@ -141,6 +152,8 @@ class TestGenerateInstance:
     def test_validation(self):
         with pytest.raises(DomainError):
             generate_instance("simplex", 2, seed=0)
+        with pytest.raises(DomainError, match="instance kind must be one of"):
+            default_start("bogus", 3)
         with pytest.raises(DomainError):
             generate_instance("orthant", 0, seed=0)
         with pytest.raises(DomainError):
@@ -159,6 +172,20 @@ class TestInstanceValidation:
 
     def _affine_doc(self):
         return instance_to_dict(*generate_instance("affine", 3, seed=2), seed=2)
+
+    def test_missing_basis_roundtrips_and_solves(self):
+        problem, witness = generate_instance("affine", 3, seed=4)
+        doc = instance_to_dict(problem, witness, seed=4)
+        del doc["constraint"]["basis_x"]
+        loaded, _ = instance_from_dict(doc)
+        assert loaded.constraint.basis_x.shape == (0, 3)
+        again = instance_to_dict(loaded, witness, seed=4)
+        assert again["constraint"]["basis_x"] == []
+        assert instance_to_dict(instance_from_dict(again)[0], witness, seed=4) == again
+        for solver in (alternating_projections, douglas_rachford):
+            trace = solver(loaded, default_start("affine", 3, seed=4), max_iter=50)
+            assert trace.iterations >= 1
+            assert all(map(math.isfinite, trace.residuals))
 
     def test_non_finite_basis_entry(self):
         doc = self._affine_doc()
