@@ -41,7 +41,6 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     _reduce,
     _Reduction,
     classify,
-    membership_residual,
     project,
 )
 
@@ -52,8 +51,8 @@ FALLBACK_BAND = 1e-6
 #: Objectives within this band of the minimum count as tied.
 TIE_TOL = 1e-12
 
-#: A pair counts as lying in the cross when |<x,y>| <= MEMBERSHIP_TOL *
-#: (1 + |x0||y0|) at unit scale, times c^2 (the input's ``band_scale``).
+#: A pair counts as lying in the cross when |<x/c, y/c>| <= MEMBERSHIP_TOL *
+#: (1 + |x0/c||y0/c|), c the input's power-of-two scale (:func:`_membership`).
 MEMBERSHIP_TOL = 1e-9
 
 #: Grid sweeps up to this many lattice points are evaluated directly; for
@@ -122,11 +121,9 @@ def _lagrangian(core: _Reduction) -> OracleReport:
             except SingularSystem:
                 pass
     zero = np.zeros_like(x0)
-    cands.append(Pair(zero, y0))
-    cands.append(Pair(x0, zero))
+    cands += [Pair(zero, y0), Pair(x0, zero)]
 
-    mem_tol = MEMBERSHIP_TOL * core.band_scale
-    feasible = [p for p in cands if membership_residual(p) <= mem_tol]
+    feasible = [p for p in cands if _membership([p], core).passed]
     objs = [_objective(p, x0, y0) for p in feasible]
     i = int(np.argmin(objs))
     best, best_obj = feasible[i], float(objs[i])
@@ -263,6 +260,14 @@ class CheckItem(NamedTuple):
     tol: float
 
 
+def _membership(pairs, core: _Reduction) -> CheckItem:
+    # the largest |<x/c, y/c>| against MEMBERSHIP_TOL (1 + |x0/c||y0/c|): division
+    # by the power of two c is exact, so the residual is finite where <x, y> overflows
+    residual = max(abs(float((p.x / core.c).dot(p.y / core.c))) for p in pairs)
+    tol = MEMBERSHIP_TOL * (1.0 + core.nx * core.ny)
+    return CheckItem(residual <= tol, residual, tol)
+
+
 @dataclass(eq=False)
 class CheckReport:
     """Pass/fail verdicts with measured residuals for one input."""
@@ -297,11 +302,12 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     regime decides which items apply: ``near_ray``, a generic input with
     |1 - lam^2| < FALLBACK_BAND.  There ``stability`` replaces
     ``lagrangian_match``, and the exact-match items (``point_match``,
-    ``stationarity``, ``plus_branch_larger``, ``objective_identity``,
-    ``subspace_reduction``, and the moved points of the symmetry items) are
-    left out.  The identity items ``orthogonality_quadratic`` and
-    ``objective_closed_form`` sweep all sampled multipliers in one array
-    pass and match the one-at-a-time scalar loop up to rounding.  The
+    ``plus_branch_larger``, ``objective_identity``, ``subspace_reduction``,
+    and the moved points of the symmetry items) are left out;
+    ``stationarity`` stays, as the projected point is exact there too.  The
+    identity items ``orthogonality_quadratic`` and ``objective_closed_form``
+    sweep all sampled multipliers in one array pass and match the
+    one-at-a-time scalar loop up to rounding.  The
     symmetry items ``homogeneity`` (t in 0.5, 2, 10), ``swap`` and
     ``rotation`` share one residual, :func:`_moved_residual`: each compares
     tag, half squared distance, the multiplier of a singleton, and, outside
@@ -321,13 +327,12 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     c = core.c
     nx, ny = core.nx * c, core.ny * c
     scale = 1.0 + nx + ny
-    mem_tol = MEMBERSHIP_TOL * core.band_scale
     half = res.half_dist_sq
 
     singleton = isinstance(res, SingletonProjection)
     # Near the degenerate ray the raw block_solve candidates lose precision and
     # the minimizing direction is fixed only to about eps/|x0 - y0|, so there
-    # the exact-match items give way to the stability bound.
+    # the exact-match items other than stationarity give way to the stability bound.
     near_ray = tag is CaseTag.GENERIC and abs(1.0 - res.lam * res.lam) < FALLBACK_BAND
     safe_generic = tag is CaseTag.GENERIC and not near_ray
 
@@ -340,7 +345,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
             u = rng.standard_normal(x0.size)
             u /= np.linalg.norm(u)
             emitted.append(res.member(u))
-    record("feasible", max(membership_residual(p) for p in emitted), mem_tol)
+    items["feasible"] = _membership(emitted, core)
     objs = [_objective(p, x0, y0) for p in emitted]
 
     lag = _lagrangian(core)
@@ -378,12 +383,13 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         record("orthogonality_quadratic", ident.max(initial=root_res / (1.0 + s)), 1e-10)
         record("objective_closed_form", closed.max(initial=0.0), 1e-10)
 
-    if safe_generic:
+    if tag is CaseTag.GENERIC:
         pt = res.point
         stat = (
             norm(pt.x + res.lam * pt.y - x0) + norm(pt.y + res.lam * pt.x - y0)
         ) / scale
         record("stationarity", stat, 1e-10)
+    if safe_generic:
         f_plus = _objective(block_solve(lams.lambda_plus, Pair(x0, y0)), x0, y0)
         record("plus_branch_larger", half - f_plus, 1e-12 * (1.0 + abs(half)))
 
@@ -418,14 +424,6 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     record("swap", symmetry(lambda p: Pair(p.y, p.x)) / scale, 1e-9)
     rot = np.array([[-1.0]]) if x0.size == 1 else _haar_columns(rng, x0.size, x0.size)
     record("rotation", symmetry(lambda p: Pair(rot @ p.x, rot @ p.y)) / scale, 1e-9)
-
-    hull_res = max(
-        membership_residual(Pair(2.0 * x0, np.zeros_like(y0))),
-        membership_residual(Pair(np.zeros_like(x0), 2.0 * y0)),
-        norm(0.5 * (2.0 * x0) - x0),
-        norm(0.5 * (2.0 * y0) - y0),
-    )
-    record("convex_hull", hull_res, 0.0)
 
     return CheckReport(case=tag, items=items)
 

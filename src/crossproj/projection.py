@@ -167,7 +167,6 @@ class _Reduction(NamedTuple):
     tag: CaseTag
     lams: LambdaPair | None  # roots of the multiplier quadratic; None if orthogonal
     half: float  # half the squared distance to the cross, at unit scale
-    band_scale: float  # 1 + |x0||y0| at unit scale, times c^2
     c: float  # the power-of-two scale of the input
     q: float  # <x0, y0> / c^2
     s: float  # (|x0|^2 + |y0|^2) / c^2
@@ -207,9 +206,8 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     yy = float(ys.dot(ys)) * f
     nx, ny = math.sqrt(xx), math.sqrt(yy)
     s = xx + yy
-    band = 1.0 + nx * ny
     tag, lams, half = CaseTag.ORTHOGONAL, None, 0.0
-    if abs(q) > tols.orth * band:
+    if abs(q) > tols.orth * (1.0 + nx * ny):
         d2 = s - 2.0 * abs(q)
         if d2 < 0.5 * s:
             d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v)) * f
@@ -221,7 +219,7 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
             half = 0.25 * s
         else:
             tag, half = CaseTag.GENERIC, 0.5 * lams.lambda_minus * q
-    return _Reduction(x0, y0, tag, lams, half, band * c * c, c, q, s, nx, ny, xs, ys, k)
+    return _Reduction(x0, y0, tag, lams, half, c, q, s, nx, ny, xs, ys, k)
 
 
 def membership_residual(p: Pair) -> float:
@@ -289,35 +287,39 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
 
     In the generic case the solution is the multiplier candidate at the
     small root lam; half the squared distance is lam*<x0,y0>/2, which also
-    equals (S - |x0+y0||x0-y0|)/4.  The point is the subspace pair
-    (P_U x0, P_{U-perp} y0), not the quotient by 1 - lam^2, which is
-    ill-conditioned near the degenerate ray: U is spanned by the longer of
-    x0 - lam*y0 = (1 - lam^2) x and y0 - lam*x0 = (1 - lam^2) y, and the
-    pair is formed on the arrays that were reduced, at unit scale outside
-    2^+-200, so each coordinate is finite even where the point's norm is not.
+    equals (S - |x0+y0||x0-y0|)/4.  With u = (x + y)/sqrt2, v = (x - y)/sqrt2
+    the cross is the cone |u| = |v|, so the point scales p = x0 + y0 and
+    m = x0 - y0 to the mean of their norms A and B: x, y = (A + B)/4
+    (p/A +- m/B), with m exact near the ray, where the quotient by 1 - lam^2
+    is ill-conditioned.  Formed at unit scale outside 2^+-200, each
+    coordinate is finite even where the point's norm is not.
     """
     return _assemble(_reduce(x0, y0, tols))
 
 
 def _assemble(core: _Reduction) -> ProjectionResult:
     # the result of project on an input already reduced
-    x0, y0 = core.x0, core.y0
     if core.tag is CaseTag.ORTHOGONAL:
-        return SingletonProjection(core.tag, Pair(x0, y0), 0.0, 0.0, 0.0)
+        return SingletonProjection(core.tag, Pair(core.x0, core.y0), 0.0, 0.0, 0.0)
     if core.tag.is_degenerate:
-        zero = np.zeros_like(x0)
+        x0, y0, zero = core.x0, core.y0, np.zeros_like(core.x0)
         canonical = (Pair(zero, y0), Pair(x0, zero))
-        return FamilyProjection(
-            core.tag, x0, y0, canonical, core.half_dist_sq, core.dist, core.k
-        )
-    # U along the longer part of the solution: |x| >= |y| exactly when |x0| >= |y0|
+        return FamilyProjection(core.tag, x0, y0, canonical, core.half_dist_sq, core.dist, core.k)
+    # project's two-norm form; p/a = +-m/b = +-1 at n = 1 keeps the point exact
+    p, m = core.xs + core.ys, core.xs - core.ys
+    a, b = math.sqrt(float(p.dot(p))), math.sqrt(float(m.dot(m)))
+    p /= a
+    m /= b
+    x = p + m
+    p -= m  # now y
+    t = 0.25 * (a + b)
+    x *= t
+    p *= t
+    if core.k != 1.0:  # apart from t, as t k may overflow or underflow
+        x *= core.k
+        p *= core.k
     lam = core.lams.lambda_minus
-    longer_x = core.nx >= core.ny
-    xs, ys = (core.xs, core.ys) if longer_x else (core.ys, core.xs)
-    w = xs - lam * ys
-    a, b = _family_member(xs, ys, w / math.sqrt(float(w.dot(w))), core.k)
-    point = Pair(a, b) if longer_x else Pair(b, a)
-    return SingletonProjection(core.tag, point, lam, core.half_dist_sq, core.dist)
+    return SingletonProjection(core.tag, Pair(x, p), lam, core.half_dist_sq, core.dist)
 
 
 def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:

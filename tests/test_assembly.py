@@ -1,11 +1,14 @@
-"""The generic nearest point is assembled as one subspace pair.
+"""The generic nearest point is assembled in rotated coordinates.
 
-``project`` builds it as (<u,x0> u, y0 - <u,y0> u) for u along the longer of
-x0 - lam*y0 and y0 - lam*x0, never as the quotient by 1 - lam^2.  Points are
-compared with a referee that evaluates the closed form in ``decimal`` at 60
-digits from the exact binary values of the input, so an error of about
-1e-16 relative to sqrt(S) is resolved with some 40 digits to spare, even
-where 1 - lam^2 is 1e-9.
+With u = (x + y)/sqrt2 and v = (x - y)/sqrt2 the cross is the cone
+|u| = |v|, so ``project`` scales p = x0 + y0 and m = x0 - y0 to the mean
+of their norms, x, y = (|p| + |m|)/4 (p/|p| +- m/|m|), and never forms the
+quotient by 1 - lam^2.  Near the ray x0 = y0 the difference m is exact
+(each coordinate pair lies within a factor 2), so the point is as accurate
+there as anywhere.  Points are compared with a referee that evaluates the
+closed form in ``decimal`` at 60 digits from the exact binary values of the
+input, so an error of about 1e-16 relative to sqrt(S) is resolved with some
+40 digits to spare, even where 1 - lam^2 is 1e-11.
 """
 
 import math
@@ -116,13 +119,11 @@ class TestPointAccuracy:
         rng = np.random.default_rng([n, 1])
         assert worst_error(make(rng, n) for _ in range(40)) <= 4.0 * EPS
 
-    # the worst errors of the former quotient assembly on these cells at n = 2
-    @pytest.mark.parametrize(
-        "delta, bound", [(1e-3, 1.3e-13), (1e-5, 1.8e-11), (1e-7, 3.1e-8), (1e-9, 1.7e-6)]
-    )
-    def test_near_ray_no_worse_than_quotient(self, delta, bound):
-        rng = np.random.default_rng([2, 2])
-        assert worst_error(near_ray_pair(rng, 2, delta) for _ in range(40)) <= bound
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7, 1e-9, 1e-11])
+    def test_near_ray_as_accurate_as_generic(self, delta, n):
+        rng = np.random.default_rng([n, 2])
+        assert worst_error(near_ray_pair(rng, n, delta) for _ in range(40)) <= 4.0 * EPS
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

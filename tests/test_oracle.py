@@ -243,16 +243,17 @@ class TestCheck:
         rep = check(y0 + 1e-10 * w, y0)
         assert rep.ok, rep.failures()
         assert "stability" in rep.items
-        assert "stationarity" not in rep.items  # not applicable this close to the ray
+        assert "stationarity" in rep.items  # the point is exact this close to the ray too
 
     def test_item_names_per_regime(self):
         # the exact, ordered item set of each regime: near the degenerate ray
-        # stability replaces lagrangian_match and the exact-match items go
+        # stability replaces lagrangian_match and the exact-match items other
+        # than stationarity go
         y0 = np.array([0.3, -0.7, 0.5])
         w = np.array([1.0, 2.0, -2.0]) / 3.0
         head = ["feasible", "lagrangian_lower"]
         roots = ["vieta", "orthogonality_quadratic", "objective_closed_form"]
-        tail = ["homogeneity", "swap", "rotation", "convex_hull"]
+        tail = ["homogeneity", "swap", "rotation"]
         cases = [
             ([1.0, 0.0], [0.0, 1.0], CaseTag.ORTHOGONAL,
              ["lagrangian_match", "subspace_lower", "objective_identity",
@@ -261,7 +262,8 @@ class TestCheck:
              ["lagrangian_match", "point_match", "subspace_lower", *roots,
               "stationarity", "plus_branch_larger", "objective_identity",
               "subspace_reduction"]),
-            (y0 + 1e-8 * w, y0, CaseTag.GENERIC, ["stability", "subspace_lower", *roots]),
+            (y0 + 1e-8 * w, y0, CaseTag.GENERIC,
+             ["stability", "subspace_lower", *roots, "stationarity"]),
             ([1.0, -0.5], [1.0, -0.5], CaseTag.DEGENERATE_PLUS,
              ["lagrangian_match", "subspace_lower", *roots, "objective_identity",
               "degenerate_spread"]),
@@ -469,3 +471,28 @@ class TestCheckAtScale:
     def test_check_passes(self, t):
         rep = check(t * SCALE_X, t * SCALE_Y)
         assert rep.ok, rep.failures()
+
+    def test_feasible_catches_a_point_off_the_cross(self, monkeypatch):
+        # at t = 1e200 the raw <x, y> and its band both overflow to inf; at unit
+        # scale the shifted point misses the cross by about 0.01 |y0/c|^2
+        real = oracle_mod._assemble
+
+        def shifted(core):
+            res = real(core)
+            x, y = res.point
+            return replace(res, point=Pair(x + 0.01 * y, y))
+
+        monkeypatch.setattr(oracle_mod, "_assemble", shifted)
+        # other items still overflow at this scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = check(1e200 * SCALE_X, 1e200 * SCALE_Y)
+        assert rep.case is CaseTag.GENERIC
+        assert not rep.items["feasible"].passed
+
+    def test_feasible_residual_is_finite(self):
+        # the products of <x0, y0> overflow for this orthogonal pair
+        x0, y0 = 1e160 * np.array([1.0, 1.0]), 1e160 * np.array([1.0, -1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            item = check(x0, y0).items["feasible"]
+        assert item.passed
+        assert np.isfinite(item.residual)

@@ -542,6 +542,27 @@ class TestInvariants:
                     np.testing.assert_allclose(a.x, t * b.x, atol=1e-9 * t)
                     np.testing.assert_allclose(a.y, t * b.y, atol=1e-9 * t)
 
+    @pytest.mark.parametrize("j", [-900, -300, -201, -199, -60, 3, 60, 199, 201, 300, 900])
+    def test_power_of_two_homogeneity_is_exact(self, j):
+        # t = 2^j on both sides of the 2^+-200 window outside which the arrays
+        # are divided by c: the same tag and lam bits, and exactly t times the
+        # distance and every selection (half_dist_sq's t^2 underflows at -900)
+        t = 2.0**j
+        rng = np.random.default_rng([27, j + 1000])
+        for n in range(1, 61):
+            y0 = rng.uniform(-1.0, 1.0, n)
+            w = rng.standard_normal(n)
+            for x0 in (rng.uniform(-1.0, 1.0, n), y0 + 1e-8 * w / np.linalg.norm(w), y0):
+                res = project(x0, y0)
+                scaled = project(t * x0, t * y0)
+                assert scaled.tag is res.tag
+                if isinstance(res, SingletonProjection):
+                    assert scaled.lam == res.lam
+                assert scaled.dist == t * res.dist
+                for a, b in zip(scaled.selections(), res.selections(), strict=True):
+                    np.testing.assert_array_equal(a.x, t * b.x)
+                    np.testing.assert_array_equal(a.y, t * b.y)
+
     def test_swap_symmetry(self):
         rng = np.random.default_rng(26)
         for _ in range(150):
