@@ -112,20 +112,13 @@ def _require_unit(u: np.ndarray, name: str = "u") -> None:
         raise NotUnitNorm(f"{name} must have unit norm, got |{name}| = {nu!r}")
 
 
-def block_solve(lam: float | np.ndarray, rhs: Pair) -> Pair:
+def block_solve(lam: float, rhs: Pair) -> Pair:
     """Solve the coupled system x + lam*y = rhs.x, y + lam*x = rhs.y.
 
     The system operator [[I, lam*I], [lam*I, I]] has the explicit inverse
     (1 - lam^2)^{-1} [[I, -lam*I], [-lam*I, I]]; multipliers within the
     relative guard band of +-1 are rejected rather than amplified.
     """
-    if isinstance(lam, np.ndarray):  # k multipliers of shape (k, 1): (k, n) parts
-        if not np.all(np.isfinite(lam)):
-            raise DomainError("multipliers must be finite")
-        den = 1.0 - lam * lam
-        if np.any(np.abs(den) <= BLOCK_GUARD * (1.0 + lam * lam)):
-            raise SingularSystem("a multiplier is inside the singular guard band around +-1")
-        return Pair((rhs.x - lam * rhs.y) / den, (rhs.y - lam * rhs.x) / den)
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError("multiplier must be finite")

@@ -186,6 +186,13 @@ class _Reduction(NamedTuple):
         return self.c * math.sqrt(2.0 * self.half)
 
 
+def _window(c: float) -> float:
+    # 1 for a power-of-two scale c within 2^+-200, else c.  Inside, no sum of
+    # squares overflows and what underflows lies far below its last bit, so the
+    # arrays are not divided: their reductions reach unit scale by the exact 1/c^2.
+    return 1.0 if 2.0**-200 < c < 2.0**200 else c
+
+
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     """Validate, then classify and solve at unit scale, on (x0/c, y0/c).
 
@@ -195,10 +202,7 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     """
     x0, y0, m = _check_input(x0, y0)
     c = _pow2_scale(m)
-    # For c between 2^-200 and 2^200 no sum of squares overflows and what
-    # underflows lies far below its last bit, so the arrays are not divided:
-    # their reductions are brought to unit scale by the exact f = 1/c^2.
-    k = 1.0 if 2.0**-200 < c < 2.0**200 else c
+    k = _window(c)
     xs, ys = (x0, y0) if k == 1.0 else (x0 / k, y0 / k)
     f = (k / c) ** 2
     q = float(xs.dot(ys)) * f
@@ -223,8 +227,11 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
 
 
 def membership_residual(p: Pair) -> float:
-    """|<p.x, p.y>|, the amount by which a pair misses the cross."""
-    return abs(inner(p.x, p.y))
+    """|<p.x, p.y>|, the amount by which a pair misses the cross.  Outside
+    2^+-200 it is taken at the pair's power-of-two scale, then scaled back."""
+    x, y = np.asarray(p.x, dtype=float), np.asarray(p.y, dtype=float)
+    k = _window(_pow2_scale(max(float(np.abs(v).max(initial=0.0)) for v in (x, y))))
+    return abs(inner(x / k, y / k)) * k * k
 
 
 def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
@@ -261,8 +268,7 @@ def objective(p: Pair, x0, y0) -> float:
     return float(_objective(p, *_check_input(x0, y0)[:2]))
 
 
-def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float | np.ndarray:
-    # summed over the last axis: (k, n) parts give the k objectives
+def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float:
     dx = p.x - x0
     dy = p.y - y0
     return 0.5 * np.vecdot(dx, dx) + 0.5 * np.vecdot(dy, dy)

@@ -137,20 +137,6 @@ class TestBlockSolve:
         with pytest.raises(DomainError):
             block_solve(float("nan"), as_pair([1.0], [1.0]))
 
-    def test_multiplier_array(self):
-        # k multipliers of shape (k, 1) give the k scalar solutions as rows
-        rhs = as_pair([1.0, -2.0, 0.5], [0.7, 3.0, -1.5])
-        lams = np.array([-2.5, -0.3, 0.0, 0.8, 1.7])
-        out = block_solve(lams[:, None], rhs)
-        for lam, x, y in zip(lams, out.x, out.y):
-            one = block_solve(lam, rhs)
-            np.testing.assert_array_equal(x, one.x)
-            np.testing.assert_array_equal(y, one.y)
-        with pytest.raises(SingularSystem):
-            block_solve(np.array([[0.5], [-1.0]]), rhs)
-        with pytest.raises(DomainError):
-            block_solve(np.array([[0.5], [np.inf]]), rhs)
-
 
 def lattice(n, r):
     return np.concatenate(list(_sphere_lattice(n, r)))

@@ -87,6 +87,32 @@ class TestMembership:
             assert membership_residual(p) == 0.0
         assert membership_residual(limit) == 0.0
 
+    def test_finite_where_the_raw_product_overflows(self):
+        # each product of these orthogonal pairs overflows; at the pair's
+        # power-of-two scale 2^600 is exact and 1e160 leaves only the rounding
+        # of a product, which a fused multiply-add dot keeps
+        with np.errstate(over="raise", invalid="raise"):
+            assert membership_residual(pair([2.0**600] * 2, [2.0**600, -(2.0**600)])) == 0.0
+            r = membership_residual(pair([1e160, 1e160], [1e160, -1e160]))
+        assert r / 1e160 / 1e160 <= 2.0 * np.finfo(float).eps
+
+    def test_raw_product_at_unit_scale(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            for _ in range(20):
+                x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+                assert membership_residual(pair(x, y)) == abs(float(np.dot(x, y)))
+
+    @pytest.mark.parametrize("j", [-500, -300, -201, -199, -3, 3, 199, 201, 300, 500])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # t^2 times the residual, inside the window of no division and outside it
+        rng = np.random.default_rng(j + 1000)
+        t = 2.0**j
+        for n in (1, 2, 3, 8):
+            x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+            r = membership_residual(pair(x, y))
+            assert membership_residual(pair(t * x, t * y)) == r * t * t
+
 
 class TestTolerances:
     @pytest.mark.parametrize("band", ["orth", "deg"])
