@@ -112,6 +112,12 @@ def _require_unit(u: np.ndarray, name: str = "u") -> None:
         raise NotUnitNorm(f"{name} must have unit norm, got |{name}| = {nu!r}")
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1")
+    return int(value)
+
+
 def block_solve(lam: float, rhs: Pair) -> Pair:
     """Solve the coupled system x + lam*y = rhs.x, y + lam*x = rhs.y.
 

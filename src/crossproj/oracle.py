@@ -14,9 +14,11 @@ Two oracles cross-check :func:`crossproj.projection.project`:
 The cross is the union of those products U x U-perp, so their exact
 minimum is half the squared distance: |x0|^2/2 - lambda_max(M)^+/2 for the
 rank-2 M = x0 x0^T - y0 y0^T.  :func:`check` takes it by QR and a 2x2
-``eigvalsh`` on span{x0, y0} and bundles it with the Lagrangian oracle and
+``eigvalsh`` on span{x0, y0} and bundles it with the Lagrangian sweep and
 the module invariants into a pass/fail battery for one input; failures are
-data, not exceptions.  Every item of the battery tests the answer
+data, not exceptions.  The sweep scores each candidate once: its report
+feeds ``lagrangian_*`` and ``point_match``, its objectives ``stability``
+and ``plus_branch_larger``.  Every item of the battery tests the answer
 :func:`project` gave for that input; the paper's identities that hold at
 any multiplier are pinned by the test suite, not re-derived per input.
 """
@@ -30,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, SingularSystem
-from .linalg import Pair, _haar_columns, _sphere_lattice, block_solve, norm
+from .errors import SingularSystem
+from .linalg import Pair, _haar_columns, _positive_int, _sphere_lattice, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
     CaseTag,
@@ -103,11 +105,12 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     close to the degenerate ray).  For generic inputs the sweep is exact:
     every nearest point is one of the multiplier candidates.
     """
-    return _lagrangian(_reduce(x0, y0, tols))
+    return _lagrangian(_reduce(x0, y0, tols))[0]
 
 
-def _lagrangian(core: _Reduction) -> OracleReport:
-    # the sweep of lagrangian_oracle on an input already reduced
+def _lagrangian(core: _Reduction) -> tuple[OracleReport, list[float]]:
+    # the sweep of lagrangian_oracle on a reduced input, and every candidate's objective in
+    # order: the input or the multiplier roots in root order, then (0, y0), then (x0, 0)
     x0, y0 = core.x0, core.y0
 
     cands: list[Pair] = []
@@ -122,14 +125,11 @@ def _lagrangian(core: _Reduction) -> OracleReport:
     zero = np.zeros_like(x0)
     cands += [Pair(zero, y0), Pair(x0, zero)]
 
-    feasible = [p for p in cands if _membership([p], core).passed]
-    objs = [_objective(p, x0, y0) for p in feasible]
-    i = int(np.argmin(objs))
-    best, best_obj = feasible[i], float(objs[i])
-    ties = [
-        p for j, (p, f) in enumerate(zip(feasible, objs))
-        if j != i and f <= best_obj + TIE_TOL
-    ]
+    objs = [_objective(p, x0, y0) for p in cands]
+    feasible = [j for j, p in enumerate(cands) if _membership([p], core).passed]
+    i = feasible[int(np.argmin([objs[j] for j in feasible]))]
+    best, best_obj = cands[i], float(objs[i])
+    ties = [cands[j] for j in feasible if j != i and objs[j] <= best_obj + TIE_TOL]
     return OracleReport(
         mode="lagrangian",
         best_point=best,
@@ -138,7 +138,7 @@ def _lagrangian(core: _Reduction) -> OracleReport:
         candidates_examined=len(cands),
         tie_count=1 + len(ties),
         ties=ties[:16],
-    )
+    ), objs
 
 
 def _subspace_objectives(x0, y0, us: np.ndarray) -> np.ndarray:
@@ -188,9 +188,7 @@ def subspace_oracle(
     """
     core = _reduce(x0, y0, tols)
     x0, y0 = core.x0, core.y0
-    resolution = int(resolution)
-    if resolution < 1:
-        raise DomainError("resolution must be >= 1")
+    resolution = _positive_int(resolution, "resolution")
     n = x0.size
 
     # (directions, lattice points they stand for)
@@ -287,8 +285,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
 
     Every verdict is a (passed, residual, tol) triple; nothing raises on a
     failed invariant.  ``subspace_lower`` compares the formula with the
-    exact subspace minimum of :func:`_spectral`, in every dimension.  One
-    regime decides which items apply: ``near_ray``, a generic input with
+    exact subspace minimum of :func:`_spectral`, in every dimension.  Five
+    items read the one Lagrangian sweep: ``lagrangian_lower``,
+    ``lagrangian_match`` and ``point_match`` its report, ``stability`` and
+    ``plus_branch_larger`` its axis and large-root objectives.  One regime
+    decides which items apply: ``near_ray``, a generic input with
     |1 - lam^2| < FALLBACK_BAND.  There ``stability`` replaces
     ``lagrangian_match``, and the exact-match items (``point_match``,
     ``plus_branch_larger``, ``objective_identity``, ``subspace_reduction``,
@@ -320,7 +321,6 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     scale = 1.0 + nx + ny
     half = res.half_dist_sq
 
-    singleton = isinstance(res, SingletonProjection)
     # Near the degenerate ray the raw block_solve candidates lose precision and
     # the minimizing direction is fixed only to about eps/|x0 - y0|, so there
     # the exact-match items other than stationarity give way to the stability bound.
@@ -328,7 +328,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     safe_generic = tag is CaseTag.GENERIC and not near_ray
 
     # emitted points: the singleton, or the canonical pair + sampled members
-    if singleton:
+    if isinstance(res, SingletonProjection):
         emitted = [res.point]
     else:
         emitted = list(res.canonical)
@@ -339,14 +339,10 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     items["feasible"] = _membership(emitted, core)
     objs = [_objective(p, x0, y0) for p in emitted]
 
-    lag = _lagrangian(core)
+    lag, cand_objs = _lagrangian(core)
     record("lagrangian_lower", -lag.gap_vs_formula, 1e-9)
     if near_ray:
-        canon_best = min(
-            _objective(Pair(np.zeros_like(x0), y0), x0, y0),
-            _objective(Pair(x0, np.zeros_like(y0)), x0, y0),
-        )
-        record("stability", objs[0] - canon_best, 1e-7)
+        record("stability", objs[0] - min(cand_objs[-2:]), 1e-7)
     else:
         record("lagrangian_match", abs(lag.gap_vs_formula), 1e-10 * (1.0 + abs(half)))
     if safe_generic:
@@ -368,8 +364,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         ) / scale
         record("stationarity", stat, 1e-10)
     if safe_generic:
-        f_plus = _objective(block_solve(lams.lambda_plus, Pair(x0, y0)), x0, y0)
-        record("plus_branch_larger", half - f_plus, 1e-12 * (1.0 + abs(half)))
+        record("plus_branch_larger", half - cand_objs[1], 1e-12 * (1.0 + abs(half)))
 
     if not near_ray:
         record(
@@ -379,17 +374,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         )
         # every emitted point is a subspace pair for U = span of its x part
         rebuilt = [
-            Pair(np.zeros_like(x0), y0) if norm(p.x) <= 1e-9 * (1.0 + nx)
-            else _family_member(x0, y0, p.x / norm(p.x))
+            Pair(np.zeros_like(x0), y0) if (r := norm(p.x)) <= 1e-9 * (1.0 + nx)
+            else _family_member(x0, y0, p.x / r)
             for p in emitted
         ]
         record("subspace_reduction", max(map(_pair_diff, rebuilt, emitted)) / scale, 1e-9)
-        if not singleton:
-            record(
-                "degenerate_spread",
-                (max(objs) - min(objs)) / (1.0 + abs(half)),
-                1e-10,
-            )
 
     def symmetry(move, t: float = 1.0) -> float:
         # project the input moved by one symmetry of the cross; compare with res

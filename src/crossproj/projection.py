@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_vector, block_solve, inner
 from .linalg import norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _pow2_scale, _require_unit, _sphere_lattice, _vector_inf
+from .linalg import _positive_int, _pow2_scale, _require_unit, _sphere_lattice, _vector_inf
 
 
 class CaseTag(Enum):
@@ -348,8 +348,7 @@ def family_samples(
     core = _reduce(x0, y0, tols)
     if mode not in ("grid", "injective"):
         raise DomainError(f"unknown sampling mode {mode!r}")
-    if count < 1:
-        raise DomainError("count must be >= 1")
+    count = _positive_int(count, "count")
     if not core.tag.is_degenerate:
         raise CaseError(f"input is not degenerate (classified {core.tag.value})")
 

@@ -69,8 +69,8 @@ def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
 def test_check_validates_each_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, -0.5], [0.7, -0.2, 1.5])
     # two validator calls per core reduction: check itself and its five project
-    # calls; check's own result, the oracles and the multiplier sweep take
-    # check's reduction
+    # calls; check's own result, the Lagrangian sweep and the spectral bound
+    # take check's reduction
     assert projects == 5
     assert len(validations) == 12
 

@@ -16,12 +16,13 @@ from crossproj import (
     lagrangian_oracle,
     membership_residual,
     norm,
+    objective,
     project,
     solve_lambda,
     subspace_oracle,
 )
 from crossproj.linalg import Pair, _sphere_lattice
-from crossproj.oracle import _grid3_row_candidates, _spectral, _subspace_objectives
+from crossproj.oracle import _grid3_row_candidates, _lagrangian, _spectral, _subspace_objectives
 from crossproj.projection import _reduce
 
 
@@ -129,6 +130,16 @@ class TestSubspaceOracle:
         with pytest.raises(DomainError):
             subspace_oracle([1.0], [1.0], resolution=0)
 
+    @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"], ids=repr)
+    def test_non_integer_resolution_rejected(self, resolution):
+        with pytest.raises(DomainError, match="resolution must be an integer"):
+            subspace_oracle([1.0, 2.0], [3.0, 1.0], resolution=resolution)
+
+    def test_numpy_integer_resolution(self):
+        x0, y0 = [1.0, 2.0], [3.0, 1.0]
+        rep = subspace_oracle(x0, y0, resolution=np.int64(20))
+        assert rep.best_objective == subspace_oracle(x0, y0, resolution=20).best_objective
+
 
 class TestSeparableGridReduction:
     """The per-row reduction must reproduce the direct lattice sweep in R^3."""
@@ -217,7 +228,7 @@ class TestCheck:
         rep = check([1.0, -0.5], [1.0, -0.5])
         assert rep.ok, rep.failures()
         assert rep.case is CaseTag.DEGENERATE_PLUS
-        assert "degenerate_spread" in rep.items
+        assert "objective_identity" in rep.items
 
     def test_near_degenerate_stability_path(self):
         rng = np.random.default_rng(46)
@@ -250,7 +261,7 @@ class TestCheck:
              ["stability", "subspace_lower", *roots, "stationarity"]),
             ([1.0, -0.5], [1.0, -0.5], CaseTag.DEGENERATE_PLUS,
              ["lagrangian_match", "subspace_lower", "vieta", "objective_identity",
-              "subspace_reduction", "degenerate_spread"]),
+              "subspace_reduction"]),
         ]
         for x0, y0_, tag, middle in cases:
             rep = check(x0, y0_)
@@ -274,7 +285,28 @@ class TestCheck:
         rep = check(x0, y0, tols=Tolerances(deg=1e-6))
         assert rep.case is CaseTag.DEGENERATE_PLUS
         assert rep.items["feasible"].passed
-        assert "degenerate_spread" in rep.items
+        assert "objective_identity" in rep.items
+
+    def test_items_read_the_lagrangian_sweep(self):
+        # _lagrangian scores the multiplier roots in root order, then (0, y0),
+        # then (x0, 0); plus_branch_larger and stability read those objectives
+        rng = np.random.default_rng(50)
+        for n in (1, 2, 3, 4):
+            x0, y0 = random_generic(rng, n)
+            zero = np.zeros(n)
+            lams = solve_lambda(x0, y0)
+            axis = [objective(Pair(zero, y0), x0, y0), objective(Pair(x0, zero), x0, y0)]
+            cands = [objective(candidate(lam, x0, y0), x0, y0) for lam in lams]
+            assert _lagrangian(_reduce(x0, y0, DEFAULT_TOLS))[1] == cands + axis
+            item = check(x0, y0).items["plus_branch_larger"]
+            assert item.residual == project(x0, y0).half_dist_sq - cands[1]
+
+        y0 = np.array([0.3, -0.7, 0.5])
+        x0 = y0 + 1e-8 * np.array([1.0, 2.0, -2.0]) / 3.0
+        zero = np.zeros(3)
+        axis = [objective(Pair(zero, y0), x0, y0), objective(Pair(x0, zero), x0, y0)]
+        item = check(x0, y0).items["stability"]
+        assert item.residual == objective(project(x0, y0).point, x0, y0) - min(axis)
 
     def test_detects_wrong_branch(self, monkeypatch):
         """A corrupted projection (large root chosen) must be flagged."""
@@ -399,6 +431,23 @@ class TestCheckAtScale:
     def test_check_passes(self, t):
         rep = check(t * SCALE_X, t * SCALE_Y)
         assert rep.ok, rep.failures()
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the oracle's objective and half_dist_sq both overflow to inf, so "
+        "gap_vs_formula = inf - inf is nan; flip this test once the oracles are scale-safe",
+    )
+    @pytest.mark.parametrize("t", [1e160, 1e300])
+    @pytest.mark.parametrize("oracle", ["lagrangian", "subspace"])
+    def test_oracle_gap_is_finite(self, t, oracle):
+        x0, y0 = t * SCALE_X, t * SCALE_Y
+        with np.errstate(all="ignore"):
+            if oracle == "lagrangian":
+                rep = lagrangian_oracle(x0, y0)
+            else:
+                rep = subspace_oracle(x0, y0, resolution=20)
+        assert np.isfinite(rep.gap_vs_formula)
 
     def test_feasible_catches_a_point_off_the_cross(self, monkeypatch):
         # at t = 1e200 the raw <x, y> and its band both overflow to inf; at unit

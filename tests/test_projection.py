@@ -424,6 +424,18 @@ class TestFamilyEnumerate:
         with pytest.raises(DomainError):
             family_enumerate([1.0], [1.0], 0)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"], ids=repr)
+    def test_non_integer_count_rejected(self, count):
+        # a fractional count never equals the sample count reached, so it
+        # would run the whole lattice-doubling loop
+        for sample in (family_samples, family_enumerate):
+            with pytest.raises(DomainError, match="count must be an integer"):
+                sample([1.0, 1.0], [1.0, 1.0], count)
+
+    def test_numpy_integer_count(self):
+        for count in (np.int64(5), np.int32(5), np.uint8(5)):
+            assert len(family_samples([1.0, 1.0], [1.0, 1.0], count)) == 5
+
 
 class TestProject1d:
     def test_dominant_x(self):
