@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularSystem
+from .errors import DomainError, SingularSystem
 from .linalg import Pair, _haar_columns, _positive_int, _sphere_lattice, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
@@ -303,7 +303,8 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     The symmetry items ``homogeneity`` (t in 0.5, 2, 10), ``swap`` and
     ``rotation`` share one residual, :func:`_moved_residual`: each compares
     tag, half squared distance, the multiplier of a singleton, and, outside
-    ``near_ray``, the moved points.
+    ``near_ray``, the moved points.  A move whose image leaves the float
+    range is left out of its item; t = 0.5 always stays finite.
     """
     core = _reduce(x0, y0, tols)
     x0, y0, lams = core.x0, core.y0, core.lams
@@ -380,16 +381,26 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         ]
         record("subspace_reduction", max(map(_pair_diff, rebuilt, emitted)) / scale, 1e-9)
 
-    def symmetry(move, t: float = 1.0) -> float:
-        # project the input moved by one symmetry of the cross; compare with res
-        moved = project(*move(Pair(x0, y0)), tols)
+    def symmetry(move, t: float = 1.0) -> float | None:
+        # project the input moved by one symmetry of the cross and compare with
+        # res; None where the moved input leaves the float range
+        try:
+            moved = project(*move(Pair(x0, y0)), tols)
+        except DomainError:
+            return None
         return _moved_residual(res, moved, move, not near_ray, t)
 
+    def record_moves(name: str, residuals) -> None:
+        # the item over the moves whose image is finite (t = 0.5 always is)
+        residuals = [r for r in residuals if r is not None]
+        if residuals:
+            record(name, max(residuals) / scale, 1e-9)
+
     scalings = [(lambda p, t=t: Pair(t * p.x, t * p.y), t) for t in (0.5, 2.0, 10.0)]
-    record("homogeneity", max(symmetry(move, t) for move, t in scalings) / scale, 1e-9)
-    record("swap", symmetry(lambda p: Pair(p.y, p.x)) / scale, 1e-9)
+    record_moves("homogeneity", [symmetry(move, t) for move, t in scalings])
+    record_moves("swap", [symmetry(lambda p: Pair(p.y, p.x))])
     rot = np.array([[-1.0]]) if x0.size == 1 else _haar_columns(rng, x0.size, x0.size)
-    record("rotation", symmetry(lambda p: Pair(rot @ p.x, rot @ p.y)) / scale, 1e-9)
+    record_moves("rotation", [symmetry(lambda p: Pair(rot @ p.x, rot @ p.y))])
 
     return CheckReport(case=tag, items=items)
 

@@ -16,10 +16,16 @@ valued in general; it falls into exactly one of three cases for an input
   (0, y0); the set has the cardinality of the unit sphere and is
   represented lazily.
 
-Classification uses relative tolerance bands, evaluated at unit scale by
-the one numeric core :func:`_reduce` behind every public function (exact
-trichotomies do not survive floating point); the band widths live in
-:class:`Tolerances` and every result carries its tag so callers can re-classify.
+Classification uses relative tolerance bands, evaluated at unit scale, on
+(x0/c, y0/c) for the power-of-two scale c of the input (exact trichotomies do
+not survive floating point); the band widths live in :class:`Tolerances` and
+every result carries its tag so callers can re-classify.  :func:`project`
+takes one pass over an in-window input: its three reductions decide it with
+the bits of unit scale, and c is never formed.  Every other input takes the
+scaled route of :func:`_unit`, which validates, measures c and divides by it
+where needed; :func:`_reduce` keeps that route's record for the callers that
+need c itself.  Both routes share the classification and roots
+(:func:`_roots`) and the result construction (:func:`_result`).
 """
 
 from __future__ import annotations
@@ -193,12 +199,31 @@ def _window(c: float) -> float:
     return 1.0 if 2.0**-200 < c < 2.0**200 else c
 
 
-def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
-    """Validate, then classify and solve at unit scale, on (x0/c, y0/c).
+#: project decides from the raw sums of squares where both lie below _SQ_HI and
+#: the larger above n _SQ_LO: then every coordinate is finite and the scale c of
+#: :func:`_unit` lies within 2^+-199, inside the window.
+_SQ_HI = 2.0**396
+_SQ_LO = 2.0**-396
 
-    The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
-    d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
-    arrays where the subtraction would lose more than a bit, below S/2.
+#: Bands narrower than this take the scaled route: the edge of such a band may
+#: lie among quantities that are subnormal at unit scale, where scaling by c^2
+#: is not exact.
+_TOL_MIN = 2.0**-300
+
+# Bound once for project's path, where each lookup would cost about 1% of a
+# call: np.vdot takes the bits of ndarray.dot on contiguous vectors and is
+# silent on inf, NaN and overflow, and an enum member lookup is about 0.1 us.
+_vdot = np.vdot
+_ORTHOGONAL, _GENERIC = CaseTag.ORTHOGONAL, CaseTag.GENERIC
+
+
+def _unit(x0, y0, tols: Tolerances):
+    """The scaled route: validate, then take the reductions at unit scale, on
+    (x0/c, y0/c), and apply the orthogonal band |q| <= orth (1 + |x0/c||y0/c|).
+
+    Returns the validated arrays, c, the window k of c, (xs, ys) = (x0, y0)/k,
+    f = (k/c)^2, q, s, nx, ny (as in :class:`_Reduction`) and whether the input
+    lies in the orthogonal band.
     """
     x0, y0, m = _check_input(x0, y0)
     c = _pow2_scale(m)
@@ -209,20 +234,43 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     xx = float(xs.dot(xs)) * f
     yy = float(ys.dot(ys)) * f
     nx, ny = math.sqrt(xx), math.sqrt(yy)
-    s = xx + yy
+    orthogonal = not abs(q) > tols.orth * (1.0 + nx * ny)
+    return x0, y0, c, k, xs, ys, f, q, xx + yy, nx, ny, orthogonal
+
+
+def _roots(q: float, s: float, band: float, xs: np.ndarray, ys: np.ndarray, f: float):
+    """Tag, both multiplier roots and half the squared distance of an input
+    outside the orthogonal band, all at one working scale g: q = <x0,y0>/g^2,
+    s = (|x0|^2 + |y0|^2)/g^2, band = deg (|x0| + |y0|)/g, and f <v, v> =
+    |v|^2/g^2 for v = xs -+ ys.  Every step is homogeneous, so the raw scale
+    g = 1 gives the bits of unit scale times powers of two wherever no
+    quantity is subnormal.
+
+    The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
+    d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
+    arrays where the subtraction would lose more than a bit, below S/2.
+    """
+    d2 = s - 2.0 * abs(q)
+    if d2 < 0.5 * s:
+        d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v)) * f
+    d = math.sqrt(d2)
+    sp = s + d * math.sqrt(s + 2.0 * abs(q))
+    lam = 2.0 * q / sp
+    if d <= band:
+        tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
+        return tag, lam, sp / (2.0 * q), 0.25 * s
+    return _GENERIC, lam, sp / (2.0 * q), 0.5 * lam * q
+
+
+def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
+    """Validate, then classify and solve at unit scale, on (x0/c, y0/c): the
+    record ``check``, the oracles and :func:`family_samples` read, as they
+    need the exact scale c."""
+    x0, y0, c, k, xs, ys, f, q, s, nx, ny, orthogonal = _unit(x0, y0, tols)
     tag, lams, half = CaseTag.ORTHOGONAL, None, 0.0
-    if abs(q) > tols.orth * (1.0 + nx * ny):
-        d2 = s - 2.0 * abs(q)
-        if d2 < 0.5 * s:
-            d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v)) * f
-        d = math.sqrt(d2)
-        sp = s + d * math.sqrt(s + 2.0 * abs(q))
-        lams = LambdaPair(2.0 * q / sp, sp / (2.0 * q))
-        if d <= tols.deg * (nx + ny):
-            tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
-            half = 0.25 * s
-        else:
-            tag, half = CaseTag.GENERIC, 0.5 * lams.lambda_minus * q
+    if not orthogonal:
+        tag, lam, lam_plus, half = _roots(q, s, tols.deg * (nx + ny), xs, ys, f)
+        lams = LambdaPair(lam, lam_plus)
     return _Reduction(x0, y0, tag, lams, half, c, q, s, nx, ny, xs, ys, k)
 
 
@@ -300,19 +348,54 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     is ill-conditioned.  Formed at unit scale outside 2^+-200, each
     coordinate is finite even where the point's norm is not.
     """
-    return _assemble(_reduce(x0, y0, tols))
+    # One pass: <x0,y0>, |x0|^2 and |y0|^2 decide a contiguous input whose
+    # sums of squares lie in [n 2^-396, 2^396).  The scale c of the bands then
+    # lies within the window, and with P = |x0||y0|, M = max(|x0|^2, |y0|^2)
+    # and M/n <= c^2 <= 4M the orthogonal band |<x0,y0>| <= orth (c^2 + P)
+    # is settled outside the sliver (orth (M + P)/(2n), 8 orth (M + P)], with
+    # room for rounding.  The rest of the classification is homogeneous (see
+    # _roots), so it runs on the raw reductions.  Every other input takes the
+    # scaled route of _unit; so do other views, as ndarray.dot sums reversed
+    # or broadcast ones in an order that np.vdot, which copies them, does not.
+    x0 = np.asarray(x0, dtype=float)
+    try:
+        y0 = np.asarray(y0, dtype=float)
+    except Exception:
+        _check_input(x0, y0)  # validation raises for x0 first, as it should
+        raise
+    decided = False
+    if (x0.strides == (8,) == y0.strides and x0.size == (n := y0.size)
+            and tols.orth >= _TOL_MIN and tols.deg >= _TOL_MIN
+            and (xx := float(_vdot(x0, x0))) < _SQ_HI
+            and (yy := float(_vdot(y0, y0))) < _SQ_HI
+            and (m := xx if xx > yy else yy) > n * _SQ_LO):
+        q = float(_vdot(x0, y0))
+        nx, ny = math.sqrt(xx), math.sqrt(yy)
+        band = tols.orth * (m + nx * ny)
+        orthogonal = abs(q) * (2 * n) <= band
+        decided = orthogonal or abs(q) > 8.0 * band
+        s, xs, ys, g, k, f = xx + yy, x0, y0, 1.0, 1.0, 1.0
+    if not decided:
+        x0, y0, g, k, xs, ys, f, q, s, nx, ny, orthogonal = _unit(x0, y0, tols)
+    if orthogonal:
+        return _result(_ORTHOGONAL, x0, y0, 0.0, 0.0, g, xs, ys, k)
+    tag, lam, _, half = _roots(q, s, tols.deg * (nx + ny), xs, ys, f)
+    return _result(tag, x0, y0, lam, half, g, xs, ys, k)
 
 
-def _assemble(core: _Reduction) -> ProjectionResult:
-    # the result of project on an input already reduced
-    if core.tag is CaseTag.ORTHOGONAL:
-        return SingletonProjection(core.tag, Pair(core.x0, core.y0), 0.0, 0.0, 0.0)
-    if core.tag.is_degenerate:
-        x0, y0, zero = core.x0, core.y0, np.zeros_like(core.x0)
+def _result(tag, x0, y0, lam, half, g, xs, ys, k) -> ProjectionResult:
+    """The result of project from its classification at working scale g: half
+    the squared distance half g^2, the distance g sqrt(2 half) (finite where
+    its square overflows), and the generic point formed on (xs, ys) = (x0, y0)/k."""
+    if tag is _ORTHOGONAL:
+        return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
+    dist = g * math.sqrt(2.0 * half)
+    if tag is not _GENERIC:
+        zero = np.zeros_like(x0)
         canonical = (Pair(zero, y0), Pair(x0, zero))
-        return FamilyProjection(core.tag, x0, y0, canonical, core.half_dist_sq, core.dist, core.k)
+        return FamilyProjection(tag, x0, y0, canonical, half * g * g, dist, k)
     # project's two-norm form; p/a = +-m/b = +-1 at n = 1 keeps the point exact
-    p, m = core.xs + core.ys, core.xs - core.ys
+    p, m = xs + ys, xs - ys
     a, b = math.sqrt(float(p.dot(p))), math.sqrt(float(m.dot(m)))
     p /= a
     m /= b
@@ -321,16 +404,21 @@ def _assemble(core: _Reduction) -> ProjectionResult:
     t = 0.25 * (a + b)
     x *= t
     p *= t
-    if core.k != 1.0:  # apart from t, as t k may overflow or underflow
-        x *= core.k
-        p *= core.k
-    lam = core.lams.lambda_minus
-    return SingletonProjection(core.tag, Pair(x, p), lam, core.half_dist_sq, core.dist)
+    if k != 1.0:  # apart from t, as t k may overflow or underflow
+        x *= k
+        p *= k
+    return SingletonProjection(tag, Pair(x, p), lam, half * g * g, dist)
+
+
+def _assemble(core: _Reduction) -> ProjectionResult:
+    # the result of project on an input already reduced
+    lam = core.lams.lambda_minus if core.lams else 0.0
+    return _result(core.tag, core.x0, core.y0, lam, core.half, core.c, core.xs, core.ys, core.k)
 
 
 def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
     # the distance itself, finite where its square overflows
-    return _reduce(x0, y0, tols).dist
+    return project(x0, y0, tols).dist
 
 
 def family_samples(

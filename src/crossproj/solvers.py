@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
-from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, as_pair
+from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _positive_int, as_pair
 from .projection import SingletonProjection, _distance, project
 
 _SELECTIONS = ("first", "second", "alternate")
@@ -198,8 +198,7 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
 
 def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
     """The validated start pair and the run's empty trace."""
-    if max_iter < 1:
-        raise DomainError("max_iter must be >= 1")
+    max_iter = _positive_int(max_iter, "max_iter")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if selection not in _SELECTIONS:

@@ -1,8 +1,10 @@
 """The benchmark's traced run (``bench/run.py --trace 1``) swaps wrappers onto
 module attributes of the library; each name it patches must stay bound.
 
-The core validates each input vector once, through ``_vector_inf`` (which
-the tracer does not patch); these tests count its calls themselves."""
+``project`` decides an in-window input from its three reductions alone; the
+scaled route, which every other input takes, validates each vector once
+through ``_vector_inf`` (which the tracer does not patch).  These tests count
+its calls themselves."""
 
 import sys
 from pathlib import Path
@@ -48,9 +50,15 @@ def test_tracer_installs_and_removes(monkeypatch):
         tracer.remove()
     assert all(getattr(*key) is fn for key, fn in originals.items())
     assert snap["calls", "projection.project"] == 1
-    # the input is validated once: one validator call per component
-    assert validations == ["x0", "y0"]
+    # an in-window input is decided from its reductions, with no inf-norm pass
+    assert validations == []
     assert snap["count", "branch.generic_direct"] == 1
+
+
+def test_scaled_route_validates_each_vector_once(monkeypatch):
+    validations = _count_validations(monkeypatch)
+    projection_mod.project(np.array([1e300, 1.0]), np.array([1e300, -3.0]))
+    assert validations == ["x0", "y0"]
 
 
 def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
@@ -68,18 +76,18 @@ def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
 
 def test_check_validates_each_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, -0.5], [0.7, -0.2, 1.5])
-    # two validator calls per core reduction: check itself and its five project
-    # calls; check's own result, the Lagrangian sweep and the spectral bound
-    # take check's reduction
+    # two validator calls, for check's own reduction, which its result, the
+    # Lagrangian sweep and the spectral bound take; the five projections of
+    # moved inputs are in window and validate nothing
     assert projects == 5
-    assert len(validations) == 12
+    assert validations == ["x0", "y0"]
 
 
 def test_check_validates_degenerate_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     # as above: the sampled family members reduce nothing
     assert projects == 5
-    assert len(validations) == 12
+    assert validations == ["x0", "y0"]
 
 
 def test_member_reduces_nothing(monkeypatch):
@@ -104,7 +112,8 @@ def test_solver_step_validates_iterate_once(monkeypatch):
     k = 5
     trace = solvers_mod.alternating_projections(problem, start, max_iter=k, tol=1e-8)
     assert (trace.iterations, trace.converged) == (k, False)
-    # each step's projection validates the iterate (two validator calls);
-    # only the last update, which no projection follows, is measured apart
-    assert len(validations) == 2 * k
+    # each step's projection decides the in-window iterate from its reductions,
+    # which are finite only if every coordinate is; only the last update, which
+    # no projection follows, is measured apart
+    assert validations == []
     assert norms == [50, 50]

@@ -1,10 +1,11 @@
 """Mutation harness for ``check``: every item must be able to catch a wrong
 ``project``.
 
-Eleven defects are injected into the numeric core (``_reduce``), the point
-assembly (``_assemble``) or the family member kernel (``_family_member``),
-and ``check`` runs under each on a fixed battery: the inputs of
-``crossproj check --seed s --trials 6`` for s = 0, 1, 2.  A mutant changes
+Eleven defects are injected into the pieces that both routes of ``project``
+and ``check``'s own reduction share: the classification and roots
+(``_roots``), the result construction (``_result``) or the family member
+kernel (``_family_member``).  ``check`` runs under each on a fixed battery:
+the inputs of ``crossproj check --seed s --trials 6`` for s = 0, 1, 2.  A mutant changes
 an input when the result of ``project`` on it differs from the true one (a
 family's member for the diagonal direction included); a changed input whose
 report is ``ok`` is a miss.  Each mutant's misses are pinned as an upper
@@ -18,12 +19,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import crossproj.oracle as oracle_mod
 import crossproj.projection as projection_mod
 from crossproj import CaseTag, check
 from crossproj.cli import _crafted_inputs
-from crossproj.linalg import Pair, block_solve
-from crossproj.projection import LambdaPair
+from crossproj.linalg import Pair, _pow2_scale, block_solve
+from crossproj.projection import solve_lambda
 
 SEEDS = (0, 1, 2)
 TRIALS = 6
@@ -54,49 +54,52 @@ def _turned(v, angle=1e-6):
     return w
 
 
-def _axis(core):
+def _axis(x0, y0):
     # the nearer axis selection
-    zero = np.zeros_like(core.x0)
-    return Pair(core.x0, zero) if core.nx >= core.ny else Pair(zero, core.y0)
+    zero = np.zeros_like(x0)
+    return Pair(x0, zero) if float(x0.dot(x0)) >= float(y0.dot(y0)) else Pair(zero, y0)
 
 
-def _generic(core):
-    return core.tag is CaseTag.GENERIC
-
-
-def _large_root(res, core):
-    lam = core.lams.lambda_plus
-    half = 0.5 * lam * core.q * core.c * core.c
-    point = block_solve(lam, Pair(core.x0, core.y0))
+def _large_root(res, x0, y0):
+    lam = solve_lambda(x0, y0).lambda_plus
+    point = block_solve(lam, Pair(x0, y0))
+    half = 0.5 * lam * float(x0.dot(y0))
     return replace(res, point=point, lam=lam, half_dist_sq=half, dist=None)
 
 
-# defects of a generic result, given the result and its reduction
+# defects of a generic result, given the result and the input
 ASSEMBLE = {
-    "shifted_point": lambda res, core: replace(
-        res, point=Pair(res.point.x + 1e-7 * core.x0, res.point.y)),
-    "off_cross": lambda res, core: replace(
+    "shifted_point": lambda res, x0, y0: replace(
+        res, point=Pair(res.point.x + 1e-7 * x0, res.point.y)),
+    "off_cross": lambda res, x0, y0: replace(
         res, point=Pair(res.point.x + 1e-6 * res.point.y, res.point.y)),
-    "rotated_point": lambda res, core: replace(
+    "rotated_point": lambda res, x0, y0: replace(
         res, point=Pair(_turned(res.point.x), _turned(res.point.y))),
-    "axis_point": lambda res, core: replace(res, point=_axis(core)),
-    "swapped_parts": lambda res, core: replace(res, point=Pair(res.point.y, res.point.x)),
+    "axis_point": lambda res, x0, y0: replace(res, point=_axis(x0, y0)),
+    "swapped_parts": lambda res, x0, y0: replace(res, point=Pair(res.point.y, res.point.x)),
     "large_root": _large_root,
 }
 
 
-# defects of the reduction: (the reductions they apply to, the defect)
+def _generic(tag, q):
+    return tag is CaseTag.GENERIC
+
+
+# defects of the classification and roots (tag, small root, large root, half
+# the squared distance): (the inputs they apply to, given the tag and
+# <x0, y0> at unit scale, the defect)
 REDUCE = {
-    "scaled_half": (_generic, lambda core: core._replace(half=core.half * (1.0 + 1e-6))),
-    "scaled_lam": (_generic, lambda core: core._replace(
-        lams=LambdaPair(core.lams.lambda_minus * (1.0 + 1e-6), core.lams.lambda_plus))),
+    "scaled_half": (_generic, lambda tag, lam, lam_plus, half: (
+        tag, lam, lam_plus, half * (1.0 + 1e-6))),
+    "scaled_lam": (_generic, lambda tag, lam, lam_plus, half: (
+        tag, lam * (1.0 + 1e-6), lam_plus, half)),
     "orthogonal_below_0.1": (
-        lambda core: _generic(core) and abs(core.q) < 0.1,
-        lambda core: core._replace(tag=CaseTag.ORTHOGONAL, lams=None, half=0.0),
+        lambda tag, q: _generic(tag, q) and abs(q) < 0.1,
+        lambda tag, lam, lam_plus, half: (CaseTag.ORTHOGONAL, None, None, 0.0),
     ),
     "scaled_degenerate_half": (
-        lambda core: core.tag.is_degenerate,
-        lambda core: core._replace(half=core.half * (1.0 + 1e-6)),
+        lambda tag, q: tag.is_degenerate,
+        lambda tag, lam, lam_plus, half: (tag, lam, lam_plus, half * (1.0 + 1e-6)),
     ),
 }
 
@@ -122,25 +125,26 @@ MAX_MISSES = {
 }
 
 def _install(mp, name):
+    # project (either route) and check's own reduction and result read the
+    # module's _roots and _result
     if name in ASSEMBLE:
-        real, change = projection_mod._assemble, ASSEMBLE[name]
+        real, change = projection_mod._result, ASSEMBLE[name]
 
-        def assemble(core):
-            res = real(core)
-            return change(res, core) if _generic(core) else res
+        def result(tag, x0, y0, *rest):
+            res = real(tag, x0, y0, *rest)
+            return change(res, x0, y0) if tag is CaseTag.GENERIC else res
 
-        # project and check's own result both assemble through _assemble
-        mp.setattr(projection_mod, "_assemble", assemble)
-        mp.setattr(oracle_mod, "_assemble", assemble)
+        mp.setattr(projection_mod, "_result", result)
     elif name in REDUCE:
-        real, (applies, change) = projection_mod._reduce, REDUCE[name]
+        real, (applies, change) = projection_mod._roots, REDUCE[name]
 
-        def reduce(x0, y0, tols):
-            core = real(x0, y0, tols)
-            return change(core) if applies(core) else core
+        def roots(q, s, band, xs, ys, f):
+            out = real(q, s, band, xs, ys, f)
+            # (xs, ys) = (x0, y0)/k has the power-of-two scale c/k, and q = f <xs, ys>
+            ck = _pow2_scale(max(float(np.abs(xs).max()), float(np.abs(ys).max())))
+            return change(*out) if applies(out[0], q / (f * ck * ck)) else out
 
-        mp.setattr(projection_mod, "_reduce", reduce)
-        mp.setattr(oracle_mod, "_reduce", reduce)
+        mp.setattr(projection_mod, "_roots", roots)
     else:
         real = projection_mod._family_member
 

@@ -22,7 +22,13 @@ from crossproj import (
     subspace_oracle,
 )
 from crossproj.linalg import Pair, _sphere_lattice
-from crossproj.oracle import _grid3_row_candidates, _lagrangian, _spectral, _subspace_objectives
+from crossproj.oracle import (
+    CheckReport,
+    _grid3_row_candidates,
+    _lagrangian,
+    _spectral,
+    _subspace_objectives,
+)
 from crossproj.projection import _reduce
 
 
@@ -448,6 +454,20 @@ class TestCheckAtScale:
             else:
                 rep = subspace_oracle(x0, y0, resolution=20)
         assert np.isfinite(rep.gap_vs_formula)
+
+    @pytest.mark.parametrize(
+        "x0, y0",
+        [([1.7e308, 1.0], [0.3, -2.0]), ([1e308, 1.0], [1e308, -2.0])],
+        ids=["near_max", "degenerate_1e308"],
+    )
+    def test_report_where_a_moved_input_overflows(self, x0, y0):
+        # 10 x0, 2 x0 or the rotation leaves the float range; those moves are left
+        # out of their items, and t = 0.5 keeps homogeneity recorded.  The
+        # objectives overflow at this scale (ROADMAP item 2), hence errstate.
+        with np.errstate(all="ignore"):
+            rep = check(x0, y0)
+        assert isinstance(rep, CheckReport)
+        assert {"homogeneity", "swap"} <= set(rep.items)
 
     def test_feasible_catches_a_point_off_the_cross(self, monkeypatch):
         # at t = 1e200 the raw <x, y> and its band both overflow to inf; at unit

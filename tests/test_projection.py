@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crossproj import (
+    DEFAULT_TOLS,
     CaseError,
     CaseTag,
     DimensionMismatch,
@@ -740,3 +741,139 @@ class TestOverflowOrder:
         assert res.lam == unit.lam
         np.testing.assert_array_equal(res.point.x, t * unit.point.x)
         np.testing.assert_array_equal(res.point.y, t * unit.point.y)
+
+
+def _bits(res) -> tuple:
+    # tag, lam, half_dist_sq, dist, every selection and a family's scale
+    # window, as exact bytes
+    extra = [res.lam] if hasattr(res, "lam") else [res._k]
+    floats = [res.half_dist_sq, res.dist] + extra
+    return (res.tag, [float(v).hex() for v in floats],
+            [p.x.tobytes() + p.y.tobytes() for p in res.selections()])
+
+
+def _scaled_route(x0, y0, tols):
+    return projection_mod._assemble(projection_mod._reduce(x0, y0, tols))
+
+
+def _sliver_pair(rng, n: int, r: float, orth: float, flat: bool = False):
+    """(x, y) with |<x, y>| about r orth (M + P), M = max(|x|^2, |y|^2) and
+    P = |x||y|: the ratio the c-free orthogonal band rule of project reads.
+    A flat x (every |x_i| = 0.99) with a short y puts M/n near c^2 and P near
+    0, the lower end of the bracket M/n <= c^2 <= 4M."""
+    signs = rng.choice([-1.0, 1.0], n)
+    x = 0.99 * signs if flat else rng.uniform(0.5, 1.5, n) * signs
+    w = np.zeros(n) if n == 1 else rng.standard_normal(n)
+    w -= (w @ x) / (x @ x) * x
+    if n > 1:
+        w *= (1e-3 if flat else 1.0) * np.linalg.norm(x) / np.linalg.norm(w)
+    alpha = 0.0
+    for _ in range(30):  # fixed point of alpha |x|^2 = r orth (M + P)
+        y = w + alpha * x
+        xx, yy = float(x @ x), float(y @ y)
+        alpha = r * orth * (max(xx, yy) + math.sqrt(xx * yy)) / xx
+    return x, w + alpha * x
+
+
+class TestOnePass:
+    """project decides an in-window input from <x0,y0>, |x0|^2 and |y0|^2 alone.
+    Its orthogonal band orth (c^2 + P) lies within [orth (M + P)/(2n),
+    8 orth (M + P)], so project settles it without c outside that sliver and
+    takes the scaled route inside it.  Either way every bit must be that of
+    the scaled route, _assemble(_reduce(...)), which applies the band at unit
+    scale; a wrong c-free rule changes the tag of inputs inside the band."""
+
+    WIDE = Tolerances(orth=1e-3)
+
+    @pytest.mark.parametrize("flat", [False, True], ids=["random", "flat"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("j", [-199, -60, 0, 60, 199])
+    def test_sliver_and_its_ends(self, n, j, flat):
+        rng = np.random.default_rng([61, n, j + 200])
+        lo, hi = 1.0 / (2 * n), 8.0
+        ratios = list(np.geomspace(lo / 4.0, hi * 4.0, 49)) + [lo, hi]
+        tags = set()
+        for r in ratios:
+            x, y = _sliver_pair(rng, n, r, self.WIDE.orth, flat)
+            for s in (-2, -1, 0, 1, 2):  # a few ulps of y around each ratio
+                y_s = y + s * np.spacing(y)
+                x0, y0 = 2.0**j * x, 2.0**j * y_s
+                res = project(x0, y0, self.WIDE)
+                assert _bits(res) == _bits(_scaled_route(x0, y0, self.WIDE)), (r, s)
+                tags.add(res.tag)
+        assert {CaseTag.ORTHOGONAL, CaseTag.GENERIC} <= tags
+
+    def test_band_edge_of_unit_scale(self):
+        # n = 1, x = 1: c = 2, so the band |q| <= orth (1 + |q|) of unit scale
+        # sits at |<x, y>| = orth (4 + P), inside the sliver [orth/2, 8 orth] (M = 1)
+        tols = self.WIDE
+        edge = 4.0 * tols.orth / (1.0 - tols.orth)
+        tags = []
+        for y in np.linspace(0.9 * edge, 1.1 * edge, 201):
+            res = project([1.0], [y], tols)
+            assert _bits(res) == _bits(_scaled_route([1.0], [y], tols)), y
+            tags.append(res.tag)
+        assert tags[0] is CaseTag.ORTHOGONAL and tags[-1] is CaseTag.GENERIC
+
+    @pytest.mark.parametrize("tols", [DEFAULT_TOLS, WIDE], ids=["default", "wide"])
+    def test_views_lists_ints_and_scalars(self, tols):
+        rng = np.random.default_rng(62)
+        base = rng.standard_normal(24)
+        cases = [
+            (base[::2], base[1::2]),  # strided views
+            (base[::-3], base[1::3]),  # a reversed view
+            (list(base[:5]), list(base[5:10])),
+            ([3, 4], [1, -2]),
+            (np.array([1000, 0, 0]), np.array([7, 1000, 0])),  # int arrays in the sliver
+            (np.arange(1, 9), np.arange(8, 0, -1)),
+            (np.float64(2.0), 1.0),
+            (np.array(3.0), np.array(-3.0)),
+            (2.0, 0.004),
+        ]
+        cases += [([1000, 0, 0], [k, 1000, 0]) for k in range(0, 20, 3)]
+        for x0, y0 in cases:
+            assert _bits(project(x0, y0, tols)) == _bits(_scaled_route(x0, y0, tols)), (x0, y0)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_window_edges(self, n):
+        # a family keeps the scale window k of its input, 1 only for c within 2^+-200
+        rng = np.random.default_rng([64, n])
+        x, y = rng.uniform(0.5, 1.5, n), rng.standard_normal(n)
+        for j in (-206, -201, -200, -199, -198, -197, 196, 197, 198, 199, 200, 205):
+            for x0, y0 in ((x, y), (x, x), (x, -x), (x, np.zeros(n))):
+                x0, y0 = 2.0**j * x0, 2.0**j * y0
+                assert _bits(project(x0, y0)) == _bits(_scaled_route(x0, y0, DEFAULT_TOLS)), j
+
+    @pytest.mark.parametrize("j", [-60, 0, 60])
+    def test_narrow_bands(self, j):
+        # with a band below 2^-300 an edge may fall among quantities that are
+        # subnormal at unit scale, where the raw ones keep bits that c^2 drops
+        t = 2.0**j
+        cases = [
+            ([1.0], [1e-310]),
+            ([1.0, 1e-310], [1e-310, 1.0]),
+            ([2.0**100, 0.0], [2.0**100, 2.0**-537]),
+            ([1.0, 2.0**-600], [1.0, 0.0]),
+        ]
+        for tols in (Tolerances(orth=0.0, deg=0.0), Tolerances(orth=1e-300, deg=1e-300)):
+            for x, y in cases:
+                x0, y0 = t * np.array(x), t * np.array(y)
+                assert _bits(project(x0, y0, tols)) == _bits(_scaled_route(x0, y0, tols)), (x, y)
+
+    def test_in_window_reads_no_inf_norm(self, monkeypatch):
+        # an in-window input outside the sliver is decided without the inf-norm pass
+        calls = []
+        real = projection_mod._vector_inf
+        monkeypatch.setattr(
+            projection_mod, "_vector_inf", lambda v, name: calls.append(name) or real(v, name)
+        )
+        rng = np.random.default_rng(63)
+        for n in (1, 2, 3, 8, 50):
+            for t in (2.0**-190, 1e-8, 1.0, 1e8, 2.0**190):
+                x0, y0 = t * rng.standard_normal(n), t * rng.standard_normal(n)
+                project(x0, y0)
+                project(x0, np.zeros(n))  # orthogonal
+                project(x0, -x0)  # degenerate
+        assert calls == []
+        project(np.array([1e300, 1.0]), np.array([1e300, -3.0]))
+        assert calls == ["x0", "y0"]

@@ -356,6 +356,25 @@ class TestDouglasRachford:
             assert rc <= 1e-7  # shadows are selections of the cross projection
 
 
+class TestMaxIter:
+    """Both solvers take max_iter as an integer >= 1, numpy integers included."""
+
+    @pytest.mark.parametrize("solver", [alternating_projections, douglas_rachford])
+    @pytest.mark.parametrize("max_iter", [2.5, True, 0, -1, "3"])
+    def test_non_integer_or_small_rejected(self, solver, max_iter):
+        problem, _ = generate_instance("box", 3, 0)
+        with pytest.raises(DomainError, match="^max_iter must be an integer >= 1$"):
+            solver(problem, default_start("box", 3, 0), max_iter=max_iter)
+
+    @pytest.mark.parametrize("solver", [alternating_projections, douglas_rachford])
+    def test_numpy_integer(self, solver):
+        problem, _ = generate_instance("box", 3, 0)
+        start = default_start("box", 3, 0)
+        trace = solver(problem, start, max_iter=np.int64(2), tol=1e-300)
+        assert trace.iterations == 2
+        assert trace.config["max_iter"] == 2 and type(trace.config["max_iter"]) is int
+
+
 class TestDivergenceHandling:
     class _BrokenConstraint:
         kind = "broken"
