@@ -221,7 +221,7 @@ def subspace_oracle(
     if u is None or not np.any(u):
         best = Pair(np.zeros_like(x0), y0)
     else:
-        best = _family_member(core.xs, core.ys, u, core.k)
+        best = _family_member(core.xs, core.ys, u, core.c)
     best_obj = float(_objective(best, x0, y0))
     return OracleReport(
         mode="subspace_grid",
@@ -244,7 +244,7 @@ def _spectral(core: _Reduction) -> float:
     of [x0 y0].  Kept as LAPACK QR and eigvalsh: the 2x2 root written out by
     hand is the formula that :func:`check` tests.
     """
-    x0, y0 = core.x0 / core.c, core.y0 / core.c
+    x0, y0 = core.xs, core.ys
     b = np.linalg.qr(np.stack((x0, y0), axis=1))[0]
     bx, by = x0 @ b, y0 @ b
     top = np.linalg.eigvalsh(np.outer(bx, bx) - np.outer(by, by))[-1]

@@ -16,16 +16,14 @@ valued in general; it falls into exactly one of three cases for an input
   (0, y0); the set has the cardinality of the unit sphere and is
   represented lazily.
 
-Classification uses relative tolerance bands, evaluated at unit scale, on
-(x0/c, y0/c) for the power-of-two scale c of the input (exact trichotomies do
-not survive floating point); the band widths live in :class:`Tolerances` and
-every result carries its tag so callers can re-classify.  :func:`project`
-takes one pass over an in-window input: its three reductions decide it with
-the bits of unit scale, and c is never formed.  Every other input takes the
-scaled route of :func:`_unit`, which validates, measures c and divides by it
-where needed; :func:`_reduce` keeps that route's record for the callers that
-need c itself.  Both routes share the classification and roots
-(:func:`_roots`) and the result construction (:func:`_result`).
+Classification uses relative tolerance bands (exact trichotomies do not
+survive floating point); the band widths live in :class:`Tolerances` and
+every result carries its tag so callers can re-classify.  Both bands are
+homogeneous, so they are read at whatever scale the reductions are taken:
+:func:`project` reads an in-window input's raw reductions and divides every
+other input by its power-of-two scale c first, both through :func:`_roots`
+and :func:`_result`; :func:`_reduce` keeps the unit-scale record for the
+callers that need c itself.
 """
 
 from __future__ import annotations
@@ -60,14 +58,15 @@ class CaseTag(Enum):
 class Tolerances:
     """Relative classification bands, each finite and at least 0.
 
-    Every band is evaluated at unit scale, on (x0/c, y0/c) for the power of
-    two c with max(|x0|_inf, |y0|_inf)/c in [0.5, 1), so tags are invariant
-    under scaling the input from about 1e-300 to 1e300.
-
-    ``orth``: |<x0,y0>| <= orth * (1 + |x0||y0|) classifies as orthogonal.
+    ``orth``: |<x0,y0>| <= orth * (M + |x0||y0|), M = max(|x0|^2, |y0|^2),
+    classifies as orthogonal.
     ``deg``:  min(|x0-y0|, |x0+y0|) <= deg * (|x0|+|y0|) classifies as
     degenerate (checked after the orthogonal band; precedence resolves the
     overlap at the origin).
+
+    Both bands are homogeneous: scaling the input by t scales both sides of
+    each by t^2 (orthogonal) or t (degenerate), so tags are invariant under
+    scaling the input across the float64 range.
     """
 
     orth: float = 1e-12
@@ -133,7 +132,7 @@ class FamilyProjection:
     canonical: tuple[Pair, Pair]
     half_dist_sq: float
     dist: float | None = None
-    _k: float = field(default=1.0, repr=False)  # the reduction's scale window
+    _k: float = field(default=1.0, repr=False)  # the scale its reductions were taken at
 
     __post_init__ = _fill_dist
 
@@ -166,7 +165,8 @@ def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 class _Reduction(NamedTuple):
-    """What the projection formula needs from one input, taken once."""
+    """What the projection formula needs from one input, taken once at unit
+    scale, on (x0/c, y0/c)."""
 
     x0: np.ndarray  # the validated input
     y0: np.ndarray
@@ -178,36 +178,22 @@ class _Reduction(NamedTuple):
     s: float  # (|x0|^2 + |y0|^2) / c^2
     nx: float  # |x0| / c
     ny: float  # |y0| / c
-    xs: np.ndarray  # (x0, y0) / k, the arrays the reductions were taken on
+    xs: np.ndarray  # (x0, y0) / c, the arrays the reductions were taken on
     ys: np.ndarray
-    k: float  # 1 for c within 2^+-200, else c
 
     @property
     def half_dist_sq(self) -> float:
         return self.half * self.c * self.c
 
-    @property
-    def dist(self) -> float:
-        # finite for every finite input: only the square may overflow
-        return self.c * math.sqrt(2.0 * self.half)
 
-
-def _window(c: float) -> float:
-    # 1 for a power-of-two scale c within 2^+-200, else c.  Inside, no sum of
-    # squares overflows and what underflows lies far below its last bit, so the
-    # arrays are not divided: their reductions reach unit scale by the exact 1/c^2.
-    return 1.0 if 2.0**-200 < c < 2.0**200 else c
-
-
-#: project decides from the raw sums of squares where both lie below _SQ_HI and
-#: the larger above n _SQ_LO: then every coordinate is finite and the scale c of
-#: :func:`_unit` lies within 2^+-199, inside the window.
+#: project reads the raw sums of squares where both lie below _SQ_HI and the
+#: larger above n _SQ_LO: every coordinate is then finite, and the raw reductions
+#: keep the bits of those at unit scale times c^2, as c lies within 2^+-199.
 _SQ_HI = 2.0**396
 _SQ_LO = 2.0**-396
 
-#: Bands narrower than this take the scaled route: the edge of such a band may
-#: lie among quantities that are subnormal at unit scale, where scaling by c^2
-#: is not exact.
+#: Bands narrower than this take unit scale: the edge of such a band may lie
+#: among products that underflow in the raw reductions but not at unit scale.
 _TOL_MIN = 2.0**-300
 
 # Bound once for project's path, where each lookup would cost about 1% of a
@@ -217,34 +203,21 @@ _vdot = np.vdot
 _ORTHOGONAL, _GENERIC = CaseTag.ORTHOGONAL, CaseTag.GENERIC
 
 
-def _unit(x0, y0, tols: Tolerances):
-    """The scaled route: validate, then take the reductions at unit scale, on
-    (x0/c, y0/c), and apply the orthogonal band |q| <= orth (1 + |x0/c||y0/c|).
-
-    Returns the validated arrays, c, the window k of c, (xs, ys) = (x0, y0)/k,
-    f = (k/c)^2, q, s, nx, ny (as in :class:`_Reduction`) and whether the input
-    lies in the orthogonal band.
-    """
+def _scaled(x0, y0):
+    """Validate, then divide by the power-of-two scale c of the input: the
+    arrays, c, (xs, ys) = (x0, y0)/c and <xs, ys>, |xs|^2, |ys|^2."""
     x0, y0, m = _check_input(x0, y0)
     c = _pow2_scale(m)
-    k = _window(c)
-    xs, ys = (x0, y0) if k == 1.0 else (x0 / k, y0 / k)
-    f = (k / c) ** 2
-    q = float(xs.dot(ys)) * f
-    xx = float(xs.dot(xs)) * f
-    yy = float(ys.dot(ys)) * f
-    nx, ny = math.sqrt(xx), math.sqrt(yy)
-    orthogonal = not abs(q) > tols.orth * (1.0 + nx * ny)
-    return x0, y0, c, k, xs, ys, f, q, xx + yy, nx, ny, orthogonal
+    xs, ys = x0 / c, y0 / c
+    return x0, y0, c, xs, ys, float(xs.dot(ys)), float(xs.dot(xs)), float(ys.dot(ys))
 
 
-def _roots(q: float, s: float, band: float, xs: np.ndarray, ys: np.ndarray, f: float):
+def _roots(q: float, s: float, band: float, xs: np.ndarray, ys: np.ndarray):
     """Tag, both multiplier roots and half the squared distance of an input
-    outside the orthogonal band, all at one working scale g: q = <x0,y0>/g^2,
-    s = (|x0|^2 + |y0|^2)/g^2, band = deg (|x0| + |y0|)/g, and f <v, v> =
-    |v|^2/g^2 for v = xs -+ ys.  Every step is homogeneous, so the raw scale
-    g = 1 gives the bits of unit scale times powers of two wherever no
-    quantity is subnormal.
+    outside the orthogonal band, all at the scale g of (xs, ys) = (x0, y0)/g:
+    q = <xs, ys>, s = |xs|^2 + |ys|^2 and band = deg (|xs| + |ys|).  Every step
+    is homogeneous, so the raw scale g = 1 gives the bits of unit scale times
+    powers of two wherever no quantity is subnormal.
 
     The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
     d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
@@ -252,33 +225,35 @@ def _roots(q: float, s: float, band: float, xs: np.ndarray, ys: np.ndarray, f: f
     """
     d2 = s - 2.0 * abs(q)
     if d2 < 0.5 * s:
-        d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v)) * f
+        d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v))
     d = math.sqrt(d2)
     sp = s + d * math.sqrt(s + 2.0 * abs(q))
-    lam = 2.0 * q / sp
+    lam, lam_plus = 2.0 * q / sp, sp / (2.0 * q)
     if d <= band:
         tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
-        return tag, lam, sp / (2.0 * q), 0.25 * s
-    return _GENERIC, lam, sp / (2.0 * q), 0.5 * lam * q
+        return tag, lam, lam_plus, 0.25 * s
+    return _GENERIC, lam, lam_plus, 0.5 * lam * q
 
 
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     """Validate, then classify and solve at unit scale, on (x0/c, y0/c): the
     record ``check``, the oracles and :func:`family_samples` read, as they
     need the exact scale c."""
-    x0, y0, c, k, xs, ys, f, q, s, nx, ny, orthogonal = _unit(x0, y0, tols)
+    x0, y0, c, xs, ys, q, xx, yy = _scaled(x0, y0)
+    nx, ny = math.sqrt(xx), math.sqrt(yy)
     tag, lams, half = CaseTag.ORTHOGONAL, None, 0.0
-    if not orthogonal:
-        tag, lam, lam_plus, half = _roots(q, s, tols.deg * (nx + ny), xs, ys, f)
+    if abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
+        tag, lam, lam_plus, half = _roots(q, xx + yy, tols.deg * (nx + ny), xs, ys)
         lams = LambdaPair(lam, lam_plus)
-    return _Reduction(x0, y0, tag, lams, half, c, q, s, nx, ny, xs, ys, k)
+    return _Reduction(x0, y0, tag, lams, half, c, q, xx + yy, nx, ny, xs, ys)
 
 
 def membership_residual(p: Pair) -> float:
     """|<p.x, p.y>|, the amount by which a pair misses the cross.  Outside
     2^+-200 it is taken at the pair's power-of-two scale, then scaled back."""
     x, y = np.asarray(p.x, dtype=float), np.asarray(p.y, dtype=float)
-    k = _window(_pow2_scale(max(float(np.abs(v).max(initial=0.0)) for v in (x, y))))
+    c = _pow2_scale(max(float(np.abs(v).max(initial=0.0)) for v in (x, y)))
+    k = 1.0 if 2.0**-200 < c < 2.0**200 else c
     return abs(inner(x / k, y / k)) * k * k
 
 
@@ -286,8 +261,9 @@ def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
     """Classify (x0, y0) into the projection trichotomy.
 
     Precedence: orthogonal band first (this absorbs the origin), then the
-    degenerate bands, then generic.  The bands are evaluated at unit scale,
-    so the tag of (t x0, t y0) is the same for t from about 1e-300 to 1e300.
+    degenerate bands, then generic.  Both bands are homogeneous (see
+    :class:`Tolerances`), so (t x0, t y0) has the same tag for every t that
+    keeps it exact: taken at unit scale, on (x0/c, y0/c), as by :func:`project`.
     """
     return _reduce(x0, y0, tols).tag
 
@@ -345,55 +321,45 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     the cross is the cone |u| = |v|, so the point scales p = x0 + y0 and
     m = x0 - y0 to the mean of their norms A and B: x, y = (A + B)/4
     (p/A +- m/B), with m exact near the ray, where the quotient by 1 - lam^2
-    is ill-conditioned.  Formed at unit scale outside 2^+-200, each
-    coordinate is finite even where the point's norm is not.
+    is ill-conditioned.  Formed at unit scale where the raw sums of squares
+    leave (n 2^-396, 2^396), each coordinate is finite even where the
+    point's norm is not.
     """
-    # One pass: <x0,y0>, |x0|^2 and |y0|^2 decide a contiguous input whose
-    # sums of squares lie in [n 2^-396, 2^396).  The scale c of the bands then
-    # lies within the window, and with P = |x0||y0|, M = max(|x0|^2, |y0|^2)
-    # and M/n <= c^2 <= 4M the orthogonal band |<x0,y0>| <= orth (c^2 + P)
-    # is settled outside the sliver (orth (M + P)/(2n), 8 orth (M + P)], with
-    # room for rounding.  The rest of the classification is homogeneous (see
-    # _roots), so it runs on the raw reductions.  Every other input takes the
-    # scaled route of _unit; so do other views, as ndarray.dot sums reversed
-    # or broadcast ones in an order that np.vdot, which copies them, does not.
-    x0 = np.asarray(x0, dtype=float)
+    # <x0,y0>, |x0|^2 and |y0|^2 decide the input through the homogeneous bands
+    # (see Tolerances): as they are where the raw sums of squares lie in
+    # (n 2^-396, 2^396) and both bands are at least 2^-300, else after validation
+    # and division by c.  The contiguous copy gives a view a fresh array's sums.
+    x0 = np.ascontiguousarray(x0, dtype=float)
     try:
-        y0 = np.asarray(y0, dtype=float)
+        y0 = np.ascontiguousarray(y0, dtype=float)
     except Exception:
         _check_input(x0, y0)  # validation raises for x0 first, as it should
         raise
-    decided = False
-    if (x0.strides == (8,) == y0.strides and x0.size == (n := y0.size)
+    if (x0.ndim == 1 == y0.ndim and x0.size == (n := y0.size)
             and tols.orth >= _TOL_MIN and tols.deg >= _TOL_MIN
             and (xx := float(_vdot(x0, x0))) < _SQ_HI
             and (yy := float(_vdot(y0, y0))) < _SQ_HI
-            and (m := xx if xx > yy else yy) > n * _SQ_LO):
-        q = float(_vdot(x0, y0))
-        nx, ny = math.sqrt(xx), math.sqrt(yy)
-        band = tols.orth * (m + nx * ny)
-        orthogonal = abs(q) * (2 * n) <= band
-        decided = orthogonal or abs(q) > 8.0 * band
-        s, xs, ys, g, k, f = xx + yy, x0, y0, 1.0, 1.0, 1.0
-    if not decided:
-        x0, y0, g, k, xs, ys, f, q, s, nx, ny, orthogonal = _unit(x0, y0, tols)
-    if orthogonal:
-        return _result(_ORTHOGONAL, x0, y0, 0.0, 0.0, g, xs, ys, k)
-    tag, lam, _, half = _roots(q, s, tols.deg * (nx + ny), xs, ys, f)
-    return _result(tag, x0, y0, lam, half, g, xs, ys, k)
+            and (xx if xx > yy else yy) > n * _SQ_LO):
+        q, k, xs, ys = float(_vdot(x0, y0)), 1.0, x0, y0
+    else:
+        x0, y0, k, xs, ys, q, xx, yy = _scaled(x0, y0)
+    nx, ny = math.sqrt(xx), math.sqrt(yy)
+    if not abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
+        return _result(_ORTHOGONAL, x0, y0, 0.0, 0.0, k, xs, ys)
+    tag, lam, _, half = _roots(q, xx + yy, tols.deg * (nx + ny), xs, ys)
+    return _result(tag, x0, y0, lam, half, k, xs, ys)
 
 
-def _result(tag, x0, y0, lam, half, g, xs, ys, k) -> ProjectionResult:
-    """The result of project from its classification at working scale g: half
-    the squared distance half g^2, the distance g sqrt(2 half) (finite where
-    its square overflows), and the generic point formed on (xs, ys) = (x0, y0)/k."""
+def _result(tag, x0, y0, lam, half, k, xs, ys) -> ProjectionResult:
+    """The result of project from its classification on (xs, ys) = (x0, y0)/k:
+    half the squared distance half k^2, the distance (finite where its square
+    overflows) and the generic point, each scaled back by k."""
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
-    dist = g * math.sqrt(2.0 * half)
     if tag is not _GENERIC:
         zero = np.zeros_like(x0)
         canonical = (Pair(zero, y0), Pair(x0, zero))
-        return FamilyProjection(tag, x0, y0, canonical, half * g * g, dist, k)
+        return FamilyProjection(tag, x0, y0, canonical, half * k * k, k * math.sqrt(2.0 * half), k)
     # project's two-norm form; p/a = +-m/b = +-1 at n = 1 keeps the point exact
     p, m = xs + ys, xs - ys
     a, b = math.sqrt(float(p.dot(p))), math.sqrt(float(m.dot(m)))
@@ -407,13 +373,17 @@ def _result(tag, x0, y0, lam, half, g, xs, ys, k) -> ProjectionResult:
     if k != 1.0:  # apart from t, as t k may overflow or underflow
         x *= k
         p *= k
-    return SingletonProjection(tag, Pair(x, p), lam, half * g * g, dist)
+    if half >= 2.0**-1022:
+        return SingletonProjection(tag, Pair(x, p), lam, half * k * k, k * math.sqrt(2.0 * half))
+    # half is subnormal: 2 half = lam^2 (S + P)/2 with S + P = (a + b)^2/2 = 8 t^2
+    dist = k * (2.0 * t * abs(lam))
+    return SingletonProjection(tag, Pair(x, p), lam, 0.5 * dist * dist, dist)
 
 
 def _assemble(core: _Reduction) -> ProjectionResult:
     # the result of project on an input already reduced
     lam = core.lams.lambda_minus if core.lams else 0.0
-    return _result(core.tag, core.x0, core.y0, lam, core.half, core.c, core.xs, core.ys, core.k)
+    return _result(core.tag, core.x0, core.y0, lam, core.half, core.c, core.xs, core.ys)
 
 
 def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
@@ -455,7 +425,7 @@ def family_samples(
                 break
             if mode == "injective" and float(u.dot(core.xs)) <= 0.0:
                 continue
-            point = _family_member(core.xs, core.ys, u, core.k)
+            point = _family_member(core.xs, core.ys, u, core.c)
             if mode == "injective":
                 # + 0.0 turns -0.0 into 0.0, so equal keys mean equal points
                 key = (point.x + 0.0).tobytes() + (point.y + 0.0).tobytes()
@@ -485,4 +455,4 @@ def project_1d(x0: float, y0: float, tols: Tolerances = DEFAULT_TOLS) -> Project
     on length-1 arrays, whose unit direction is exactly +-1 at n = 1, so a
     generic point lies exactly on its axis.
     """
-    return project(np.array([float(x0)]), np.array([float(y0)]), tols)
+    return project(float(x0), float(y0), tols)

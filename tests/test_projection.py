@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -744,23 +745,54 @@ class TestOverflowOrder:
 
 
 def _bits(res) -> tuple:
-    # tag, lam, half_dist_sq, dist, every selection and a family's scale
-    # window, as exact bytes
+    # tag, lam, half_dist_sq, dist, every selection and a family's working
+    # scale, as exact bytes
     extra = [res.lam] if hasattr(res, "lam") else [res._k]
     floats = [res.half_dist_sq, res.dist] + extra
     return (res.tag, [float(v).hex() for v in floats],
             [p.x.tobytes() + p.y.tobytes() for p in res.selections()])
 
 
-def _scaled_route(x0, y0, tols):
-    return projection_mod._assemble(projection_mod._reduce(x0, y0, tols))
+def _assert_scales(x0, y0, tols, j: int) -> None:
+    """project(2^j x0, 2^j y0) keeps the tag of project(x0, y0); for |j| <= 900
+    it keeps lam bit for bit, and every selection, a family's member on the
+    diagonal and dist are 2^j times those of (x0, y0), rounded once where one
+    side is subnormal.  Every nonzero coordinate of 2^j (x0, y0) must be
+    normal, so the scaled input is exact."""
+    base = project(x0, y0, tols)
+    scaled = project(np.ldexp(x0, j), np.ldexp(y0, j), tols)
+    assert scaled.tag is base.tag, j
+
+    def same(big, small):  # at scales 2^j and 1; the larger side is scaled down
+        if j >= 0:
+            np.testing.assert_array_equal(np.ldexp(big, -j), small)
+        else:
+            np.testing.assert_array_equal(big, np.ldexp(small, j))
+
+    if abs(j) > 900:
+        return
+    if isinstance(base, SingletonProjection):
+        assert scaled.lam.hex() == base.lam.hex(), j
+    else:
+        u = np.full(base.x0.size, 1.0 / math.sqrt(base.x0.size))
+        for a, b in zip(scaled.member(u), base.member(u)):
+            same(a, b)
+    same(scaled.dist, base.dist)
+    for a, b in zip(scaled.selections(), base.selections(), strict=True):
+        same(a.x, b.x)
+        same(a.y, b.y)
 
 
-def _sliver_pair(rng, n: int, r: float, orth: float, flat: bool = False):
+def _exact_range(*vs) -> tuple[int, int]:
+    # the j with every nonzero coordinate of 2^j v normal and finite
+    exps = [math.frexp(float(c))[1] for v in vs for c in v if c != 0.0] or [0]
+    return -1021 - min(exps), 1024 - max(exps)
+
+
+def _band_pair(rng, n: int, r: float, orth: float, flat: bool = False):
     """(x, y) with |<x, y>| about r orth (M + P), M = max(|x|^2, |y|^2) and
-    P = |x||y|: the ratio the c-free orthogonal band rule of project reads.
-    A flat x (every |x_i| = 0.99) with a short y puts M/n near c^2 and P near
-    0, the lower end of the bracket M/n <= c^2 <= 4M."""
+    P = |x||y|: r = 1 is the edge of the orthogonal band.  A flat x (every
+    |x_i| = 0.99) with a short y makes P small against M."""
     signs = rng.choice([-1.0, 1.0], n)
     x = 0.99 * signs if flat else rng.uniform(0.5, 1.5, n) * signs
     w = np.zeros(n) if n == 1 else rng.standard_normal(n)
@@ -775,90 +807,165 @@ def _sliver_pair(rng, n: int, r: float, orth: float, flat: bool = False):
     return x, w + alpha * x
 
 
+def _in_orthogonal_band(x, y, tols) -> bool:
+    # |<x, y>| <= orth (M + P), read off the raw reductions
+    xx, yy = float(x @ x), float(y @ y)
+    return abs(float(x @ y)) <= tols.orth * (max(xx, yy) + math.sqrt(xx) * math.sqrt(yy))
+
+
+def _spread_vector(rng, n: int, spread: int, zeros: float) -> np.ndarray:
+    # signed mantissas in [0.5, 1) at exponents 0 down to -spread; some zeros
+    v = rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    v = np.ldexp(v, -rng.integers(0, spread + 1, n))
+    v[rng.random(n) < zeros] = 0.0
+    return v
+
+
+def _frac_sqrt(r: Fraction, bits: int = 4000) -> Fraction:
+    # sqrt(r) to within 2^-bits
+    return Fraction(math.isqrt(r.numerator * 4**bits // r.denominator), 2**bits)
+
+
 class TestOnePass:
-    """project decides an in-window input from <x0,y0>, |x0|^2 and |y0|^2 alone.
-    Its orthogonal band orth (c^2 + P) lies within [orth (M + P)/(2n),
-    8 orth (M + P)], so project settles it without c outside that sliver and
-    takes the scaled route inside it.  Either way every bit must be that of
-    the scaled route, _assemble(_reduce(...)), which applies the band at unit
-    scale; a wrong c-free rule changes the tag of inputs inside the band."""
+    """project decides an input whose raw sums of squares lie in
+    (n 2^-396, 2^396) from <x0,y0>, |x0|^2 and |y0|^2 as they are, and every
+    other input at unit scale.  Both bands are homogeneous, so the routes
+    agree: a scaled input gives the scaled result, with the same tag."""
 
     WIDE = Tolerances(orth=1e-3)
+    ZERO = Tolerances(orth=0.0, deg=0.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tols=st.sampled_from([DEFAULT_TOLS, WIDE, ZERO]),
+        n=st.sampled_from([1, 2, 3, 8, 50]),
+        kind=st.sampled_from(["random", "plus", "minus", "near_orthogonal"]),
+        spread=st.integers(0, 900),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_power_of_two_scaling(self, tols, n, kind, spread, seed, data):
+        rng = np.random.default_rng(seed)
+        x = _spread_vector(rng, n, spread, 0.2)
+        if kind == "random":
+            y = _spread_vector(rng, n, spread, 0.2)
+        elif kind == "near_orthogonal":
+            y = _spread_vector(rng, n, spread, 0.0)
+            if x @ x > 0.0:
+                y = y - (x @ y) / (x @ x) * x
+        else:
+            y = x.copy() if kind == "plus" else -x
+            if n > 1:
+                y[0] = np.nextafter(y[0], 2.0)  # just off the ray
+        lo, hi = _exact_range(x, y)
+        j = data.draw(st.integers(max(lo, -1000), min(hi, 1000)), label="j")
+        _assert_scales(x, y, tols, j)
 
     @pytest.mark.parametrize("flat", [False, True], ids=["random", "flat"])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("j", [-199, -60, 0, 60, 199])
     def test_sliver_and_its_ends(self, n, j, flat):
+        # around the edge of the orthogonal band, over the ratios 1/(8n) to 32
+        # of |<x, y>| to orth (M + P) (which take in the bracket [1/(2n), 8] that
+        # the scale-dependent band orth (c^2 + P) could fall in): the tag is
+        # that of the band itself, and the input at 2^j gives the scaled result
         rng = np.random.default_rng([61, n, j + 200])
-        lo, hi = 1.0 / (2 * n), 8.0
-        ratios = list(np.geomspace(lo / 4.0, hi * 4.0, 49)) + [lo, hi]
+        ratios = list(np.geomspace(1.0 / (8 * n), 32.0, 49)) + [1.0]
         tags = set()
         for r in ratios:
-            x, y = _sliver_pair(rng, n, r, self.WIDE.orth, flat)
+            x, y = _band_pair(rng, n, r, self.WIDE.orth, flat)
             for s in (-2, -1, 0, 1, 2):  # a few ulps of y around each ratio
                 y_s = y + s * np.spacing(y)
-                x0, y0 = 2.0**j * x, 2.0**j * y_s
-                res = project(x0, y0, self.WIDE)
-                assert _bits(res) == _bits(_scaled_route(x0, y0, self.WIDE)), (r, s)
+                res = project(x, y_s, self.WIDE)
+                assert (res.tag is CaseTag.ORTHOGONAL) == _in_orthogonal_band(x, y_s, self.WIDE)
+                _assert_scales(x, y_s, self.WIDE, j)
                 tags.add(res.tag)
         assert {CaseTag.ORTHOGONAL, CaseTag.GENERIC} <= tags
 
     def test_band_edge_of_unit_scale(self):
-        # n = 1, x = 1: c = 2, so the band |q| <= orth (1 + |q|) of unit scale
-        # sits at |<x, y>| = orth (4 + P), inside the sliver [orth/2, 8 orth] (M = 1)
+        # n = 1, x = 1: M = 1 and P = |y|, so the edge sits at |y| = orth (1 + |y|)
         tols = self.WIDE
-        edge = 4.0 * tols.orth / (1.0 - tols.orth)
-        tags = []
-        for y in np.linspace(0.9 * edge, 1.1 * edge, 201):
-            res = project([1.0], [y], tols)
-            assert _bits(res) == _bits(_scaled_route([1.0], [y], tols)), y
-            tags.append(res.tag)
+        edge = tols.orth / (1.0 - tols.orth)
+        ys = np.linspace(0.9 * edge, 1.1 * edge, 201)
+        tags = [project([1.0], [y], tols).tag for y in ys]
+        for y, tag in zip(ys, tags):
+            assert (tag is CaseTag.ORTHOGONAL) == (y <= tols.orth * (1.0 + y)), y
         assert tags[0] is CaseTag.ORTHOGONAL and tags[-1] is CaseTag.GENERIC
+        assert tags.count(CaseTag.ORTHOGONAL) in (100, 101)
 
     @pytest.mark.parametrize("tols", [DEFAULT_TOLS, WIDE], ids=["default", "wide"])
     def test_views_lists_ints_and_scalars(self, tols):
+        # each gives the bits of its contiguous float64 copy
         rng = np.random.default_rng(62)
         base = rng.standard_normal(24)
         cases = [
             (base[::2], base[1::2]),  # strided views
             (base[::-3], base[1::3]),  # a reversed view
+            (base[::-1], base[::-1]),
             (list(base[:5]), list(base[5:10])),
             ([3, 4], [1, -2]),
-            (np.array([1000, 0, 0]), np.array([7, 1000, 0])),  # int arrays in the sliver
+            (np.array([1000, 0, 0]), np.array([7, 1000, 0])),
             (np.arange(1, 9), np.arange(8, 0, -1)),
             (np.float64(2.0), 1.0),
             (np.array(3.0), np.array(-3.0)),
             (2.0, 0.004),
+            (1e300 * base[::-2], base[::2]),  # scaled route
         ]
         cases += [([1000, 0, 0], [k, 1000, 0]) for k in range(0, 20, 3)]
         for x0, y0 in cases:
-            assert _bits(project(x0, y0, tols)) == _bits(_scaled_route(x0, y0, tols)), (x0, y0)
+            copies = (np.array(v, dtype=float, ndmin=1, order="C") for v in (x0, y0))
+            assert _bits(project(x0, y0, tols)) == _bits(project(*copies, tols)), (x0, y0)
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_window_edges(self, n):
-        # a family keeps the scale window k of its input, 1 only for c within 2^+-200
+        # across the edges of the raw route, for a generic pair, both rays and an axis pair
         rng = np.random.default_rng([64, n])
         x, y = rng.uniform(0.5, 1.5, n), rng.standard_normal(n)
         for j in (-206, -201, -200, -199, -198, -197, 196, 197, 198, 199, 200, 205):
             for x0, y0 in ((x, y), (x, x), (x, -x), (x, np.zeros(n))):
-                x0, y0 = 2.0**j * x0, 2.0**j * y0
-                assert _bits(project(x0, y0)) == _bits(_scaled_route(x0, y0, DEFAULT_TOLS)), j
+                _assert_scales(x0, y0, DEFAULT_TOLS, j)
 
     @pytest.mark.parametrize("j", [-60, 0, 60])
     def test_narrow_bands(self, j):
-        # with a band below 2^-300 an edge may fall among quantities that are
-        # subnormal at unit scale, where the raw ones keep bits that c^2 drops
-        t = 2.0**j
+        # bands below 2^-300 take unit scale: their edge may fall among products
+        # that underflow in the raw reductions but not at unit scale
         cases = [
             ([1.0], [1e-310]),
             ([1.0, 1e-310], [1e-310, 1.0]),
             ([2.0**100, 0.0], [2.0**100, 2.0**-537]),
             ([1.0, 2.0**-600], [1.0, 0.0]),
+            ([2.0**-199, 2.0**-900], [0.0, 2.0**-200]),
         ]
-        for tols in (Tolerances(orth=0.0, deg=0.0), Tolerances(orth=1e-300, deg=1e-300)):
+        for tols in (self.ZERO, Tolerances(orth=1e-300, deg=1e-300)):
             for x, y in cases:
-                x0, y0 = t * np.array(x), t * np.array(y)
-                assert _bits(project(x0, y0, tols)) == _bits(_scaled_route(x0, y0, tols)), (x, y)
+                x, y = np.array(x), np.array(y)
+                lo, hi = _exact_range(x, y)
+                for k in range(lo + max(-j, 0), hi - max(j, 0) + 1, 97):
+                    _assert_scales(np.ldexp(x, k), np.ldexp(y, k), tols, j)
+
+    def test_tag_of_an_underflowing_product(self):
+        # at scale 1 the raw <x, y> = 2^-199 0 + 2^-900 2^-200 underflows to 0;
+        # at unit scale it is 2^-704
+        x, y = np.array([2.0**-199, 2.0**-900]), np.array([0.0, 2.0**-200])
+        for j in (0, 100, 400):
+            assert project(np.ldexp(x, j), np.ldexp(y, j), self.ZERO).tag is CaseTag.GENERIC
+
+    @pytest.mark.parametrize("j", [0, 100, 400, 900])
+    def test_distance_where_half_underflows(self, j):
+        # half the squared distance underflows at unit scale, where the
+        # distance does not: dist^2 = 2 q^2 / (S + sqrt(S^2 - 4 q^2))
+        x, y = np.ldexp([2.0**-199, 2.0**-900], j), np.ldexp([0.0, 2.0**-200], j)
+        res = project(x, y, self.ZERO)
+        assert res.tag is CaseTag.GENERIC
+        fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+        q = sum(a * b for a, b in zip(fx, fy))
+        s = sum(a * a for a in fx) + sum(b * b for b in fy)
+        want_sq = 2 * q * q / (s + _frac_sqrt(s * s - 4 * q * q))
+        want = _frac_sqrt(want_sq)
+        assert abs(Fraction(res.dist) - want) <= want * Fraction(1, 2**50)
+        assert res.dist > 0.0
+        if want_sq / 2 > Fraction(2.0**-1022):  # half_dist_sq is normal
+            assert abs(Fraction(res.half_dist_sq) - want_sq / 2) <= want_sq * Fraction(1, 2**49)
 
     def test_in_window_reads_no_inf_norm(self, monkeypatch):
         # an in-window input outside the sliver is decided without the inf-norm pass
