@@ -34,14 +34,11 @@ from .projection import (
     ProjectionResult,
     SingletonProjection,
     Tolerances,
-    candidate,
     classify,
-    family_enumerate,
     family_samples,
     membership_residual,
     objective,
     project,
-    project_1d,
     solve_lambda,
 )
 from .oracle import (
@@ -89,14 +86,11 @@ __all__ = [
     "ProjectionResult",
     "SingletonProjection",
     "Tolerances",
-    "candidate",
     "classify",
-    "family_enumerate",
     "family_samples",
     "membership_residual",
     "objective",
     "project",
-    "project_1d",
     "solve_lambda",
     # oracle
     "CheckReport",

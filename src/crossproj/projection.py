@@ -36,8 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
-from .linalg import Pair, as_vector, block_solve, inner
-from .linalg import norm  # noqa: F401 -- stays bound for bench/tracing.py
+from .linalg import Pair, as_pair, as_vector, inner
+from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
 from .linalg import _positive_int, _pow2_scale, _require_unit, _sphere_lattice, _vector_inf
 
 
@@ -56,13 +56,16 @@ class CaseTag(Enum):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative classification bands, each finite and at least 0.
+    """Relative classification bands: 0 <= orth < 0.5 and 0 <= deg < 1.
 
     ``orth``: |<x0,y0>| <= orth * (M + |x0||y0|), M = max(|x0|^2, |y0|^2),
     classifies as orthogonal.
     ``deg``:  min(|x0-y0|, |x0+y0|) <= deg * (|x0|+|y0|) classifies as
     degenerate (checked after the orthogonal band; precedence resolves the
     overlap at the origin).
+
+    The limits keep each band from holding every input: |<x0,y0>| <= |x0||y0|
+    <= (M + |x0||y0|)/2 and min(|x0-y0|, |x0+y0|) <= |x0|+|y0| always hold.
 
     Both bands are homogeneous: scaling the input by t scales both sides of
     each by t^2 (orthogonal) or t (degenerate), so tags are invariant under
@@ -73,9 +76,9 @@ class Tolerances:
     deg: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("orth", "deg"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"tolerance {name} must be finite and >= 0")
+        for name, top in (("orth", 0.5), ("deg", 1.0)):
+            if not 0.0 <= getattr(self, name) < top:
+                raise DomainError(f"tolerance {name} must be finite, >= 0 and < {top:g}")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -88,12 +91,6 @@ class LambdaPair(NamedTuple):
     lambda_plus: float
 
 
-def _fill_dist(self) -> None:
-    # a result built without its distance takes it from half_dist_sq
-    if self.dist is None:
-        object.__setattr__(self, "dist", math.sqrt(max(2.0 * self.half_dist_sq, 0.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class SingletonProjection:
     """Unique nearest point, its multiplier, half the squared distance, and
@@ -104,9 +101,7 @@ class SingletonProjection:
     point: Pair
     lam: float
     half_dist_sq: float
-    dist: float | None = None
-
-    __post_init__ = _fill_dist
+    dist: float
 
     @property
     def is_set_valued(self) -> bool:
@@ -122,7 +117,7 @@ class FamilyProjection:
 
     The full set is {(0, y0)} | {(<u,x0> u, y0 - <u,y0> u) : |u| = 1}; it is
     stored lazily (materialize members with :meth:`member` or
-    :func:`family_enumerate`).  ``canonical`` holds the two standard
+    :func:`family_samples`).  ``canonical`` holds the two standard
     selections (0, y0) and (x0, 0), in that order.
     """
 
@@ -131,10 +126,8 @@ class FamilyProjection:
     y0: np.ndarray
     canonical: tuple[Pair, Pair]
     half_dist_sq: float
-    dist: float | None = None
+    dist: float
     _k: float = field(default=1.0, repr=False)  # the scale its reductions were taken at
-
-    __post_init__ = _fill_dist
 
     @property
     def is_set_valued(self) -> bool:
@@ -249,10 +242,10 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
 
 
 def membership_residual(p: Pair) -> float:
-    """|<p.x, p.y>|, the amount by which a pair misses the cross.  Outside
+    """|<p.x, p.y>|, the amount by which a finite pair misses the cross.  Outside
     2^+-200 it is taken at the pair's power-of-two scale, then scaled back."""
-    x, y = np.asarray(p.x, dtype=float), np.asarray(p.y, dtype=float)
-    c = _pow2_scale(max(float(np.abs(v).max(initial=0.0)) for v in (x, y)))
+    x, y = as_pair(*p)
+    c = _pow2_scale(max(float(np.abs(v).max()) for v in (x, y)))
     k = 1.0 if 2.0**-200 < c < 2.0**200 else c
     return abs(inner(x / k, y / k)) * k * k
 
@@ -277,19 +270,14 @@ def solve_lambda(x0, y0) -> LambdaPair:
     return lams
 
 
-def candidate(lam: float, x0, y0) -> Pair:
-    """Stationary pair for a given multiplier.
-
-    Solves x + lam*y = x0 and y + lam*x = y0; for |lam| != 1 this has the
-    unique solution ((x0 - lam*y0)/(1 - lam^2), (y0 - lam*x0)/(1 - lam^2)).
-    """
-    x0, y0, _ = _check_input(x0, y0)
-    return block_solve(lam, Pair(x0, y0))
-
-
 def objective(p: Pair, x0, y0) -> float:
-    """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2."""
-    return float(_objective(p, *_check_input(x0, y0)[:2]))
+    """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2, for p of
+    the input's dimension."""
+    x0, y0, _ = _check_input(x0, y0)
+    if (np.shape(p.x), np.shape(p.y)) != (x0.shape, x0.shape):
+        raise DimensionMismatch(
+            f"p has shapes {np.shape(p.x)} and {np.shape(p.y)}, the input {x0.shape}")
+    return float(_objective(p, x0, y0))
 
 
 def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float:
@@ -314,6 +302,8 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     cases and a :class:`FamilyProjection` in the degenerate case
     (x0 = +-y0 up to the classification band), where half the squared
     distance is (|x0|^2 + |y0|^2)/4 independently of the selected member.
+    Two floats are an input at n = 1, where the cross is the two axes: a
+    generic point keeps the longer part exactly and zeroes the other.
 
     In the generic case the solution is the multiplier candidate at the
     small root lam; half the squared distance is lam*<x0,y0>/2, which also
@@ -380,17 +370,6 @@ def _result(tag, x0, y0, lam, half, k, xs, ys) -> ProjectionResult:
     return SingletonProjection(tag, Pair(x, p), lam, 0.5 * dist * dist, dist)
 
 
-def _assemble(core: _Reduction) -> ProjectionResult:
-    # the result of project on an input already reduced
-    lam = core.lams.lambda_minus if core.lams else 0.0
-    return _result(core.tag, core.x0, core.y0, lam, core.half, core.c, core.xs, core.ys)
-
-
-def _distance(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> float:
-    # the distance itself, finite where its square overflows
-    return project(x0, y0, tols).dist
-
-
 def family_samples(
     x0, y0, count: int, mode: str = "grid", tols: Tolerances = DEFAULT_TOLS
 ) -> list[tuple[np.ndarray, Pair]]:
@@ -437,22 +416,3 @@ def family_samples(
             break
         per_angle *= 2
     return out
-
-
-def family_enumerate(
-    x0, y0, count: int, mode: str = "grid", tols: Tolerances = DEFAULT_TOLS
-) -> list[Pair]:
-    """Members of the degenerate family: (0, y0) plus sphere samples."""
-    return [point for _, point in family_samples(x0, y0, count, mode, tols)]
-
-
-def project_1d(x0: float, y0: float, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
-    """Scalar form of :func:`project` for n = 1, where the cross is the two axes.
-
-    The nearest point is (0, y0) when |x0| < |y0| and (x0, 0) when
-    |x0| > |y0|; for |x0| = |y0| != 0 both axes are equally close and the
-    result is the two-point family {(x0, 0), (0, y0)}.  It is :func:`project`
-    on length-1 arrays, whose unit direction is exactly +-1 at n = 1, so a
-    generic point lies exactly on its axis.
-    """
-    return project(float(x0), float(y0), tols)

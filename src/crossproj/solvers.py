@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _positive_int, as_pair
-from .projection import SingletonProjection, _distance, project
+from .projection import SingletonProjection, project
 
 _SELECTIONS = ("first", "second", "alternate")
 
@@ -285,7 +285,7 @@ def douglas_rachford(
     """
     return _run(
         "douglas_rachford", "dr", problem, start, max_iter, tol, selection,
-        monitor=lambda z, s, pc: (s, _distance(s.x, s.y)),
+        monitor=lambda z, s, pc: (s, project(s.x, s.y).dist),
         update=_reflect_step,
     )
 

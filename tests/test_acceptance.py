@@ -16,10 +16,11 @@ from crossproj import (
     Pair,
     SingletonProjection,
     alternating_projections,
-    candidate,
+    as_pair,
+    block_solve,
     classify,
     default_start,
-    family_enumerate,
+    family_samples,
     generate_instance,
     inner,
     lagrangian_oracle,
@@ -27,7 +28,6 @@ from crossproj import (
     norm,
     objective,
     project,
-    project_1d,
     solve_lambda,
     subspace_oracle,
 )
@@ -73,8 +73,8 @@ def test_criterion_1_golden_1d_table():
     failures = []
     for x0, y0, expected in GOLDEN_1D:
         for label, res in (
-            ("project_1d", project_1d(x0, y0)),
-            ("project", project(np.array([x0]), np.array([y0]))),
+            ("floats", project(x0, y0)),
+            ("arrays", project(np.array([x0]), np.array([y0]))),
         ):
             got = res.selections()
             if len(expected) == 1:
@@ -142,7 +142,7 @@ def test_criterion_4_degenerate_independence():
         y0 = x0.copy() if i % 2 == 0 else -x0
         half = 0.25 * float(np.dot(x0, x0) + np.dot(y0, y0))
         mem_tol = 1e-9 * (1.0 + norm(x0) * norm(y0))
-        for p in family_enumerate(x0, y0, 64, mode="grid"):
+        for _, p in family_samples(x0, y0, 64, mode="grid"):
             if membership_residual(p) > mem_tol:
                 failures.append((i, n, "membership", membership_residual(p)))
                 break
@@ -182,7 +182,7 @@ def test_criterion_5_identity_suite():
             if abs(1.0 - lam_r * lam_r) < 0.15:
                 continue
             checked += 1
-            cand = candidate(lam_r, x0, y0)
+            cand = block_solve(lam_r, as_pair(x0, y0))
             den2 = (1.0 - lam_r * lam_r) ** 2
             formula = lam_r * lam_r / (2.0 * den2) * ((1.0 + lam_r * lam_r) * s - 4.0 * lam_r * q)
             if abs(objective(cand, x0, y0) - formula) > 1e-10 * (1.0 + abs(formula)):

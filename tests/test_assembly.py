@@ -21,7 +21,7 @@ import pytest
 
 import crossproj.linalg as linalg_mod
 import crossproj.projection as projection_mod
-from crossproj import CaseTag, norm, project, project_1d
+from crossproj import CaseTag, norm, project
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402
@@ -98,7 +98,7 @@ class TestReferee:
     def test_axis_point_is_exact(self):
         # at n = 1 the exact point is (x0, 0) or (0, y0), and so is project's
         for x0, y0 in [(2.0, 1.0), (0.3, -0.7), (-1e-3, 5.0)]:
-            res = project_1d(x0, y0)
+            res = project(x0, y0)
             assert point_error(res, [x0], [y0]) == 0.0
 
     def test_frozen_generic_point(self):
@@ -153,7 +153,7 @@ def test_project_makes_no_block_solve_call(monkeypatch):
         for x0, y0 in [generic_pair(rng, n), near_ray_pair(rng, n, 1e-8)]:
             assert project(x0, y0).tag is CaseTag.GENERIC
             assert project(1e300 * x0, 1e300 * y0).tag is CaseTag.GENERIC
-    assert project_1d(3.0, -1.0).tag is CaseTag.GENERIC
+    assert project(3.0, -1.0).tag is CaseTag.GENERIC
     assert calls == []
 
 

@@ -64,7 +64,7 @@ def _large_root(res, x0, y0):
     lam = solve_lambda(x0, y0).lambda_plus
     point = block_solve(lam, Pair(x0, y0))
     half = 0.5 * lam * float(x0.dot(y0))
-    return replace(res, point=point, lam=lam, half_dist_sq=half, dist=None)
+    return replace(res, point=point, lam=lam, half_dist_sq=half, dist=math.sqrt(2.0 * half))
 
 
 # defects of a generic result, given the result and the input

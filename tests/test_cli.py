@@ -1,10 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
-import crossproj.projection as projection_mod
 from crossproj import CaseTag, classify, generate_instance, instance_to_dict, project
 from crossproj.cli import main
 
@@ -172,6 +172,8 @@ class TestProjectCommand:
             ("--x0", "1,0", "--y0", "0,1", "--tol-orth=-1"),
             ("--x0", "1,2", "--y0", "1,2", "--tol-deg=-1"),
             ("--x0", "1,2", "--y0", "3,1", "--tol-orth=nan"),
+            ("--x0", "1,1", "--y0", "1,1", "--tol-orth", "0.5"),
+            ("--x0", "1,2", "--y0", "3,1", "--tol-deg", "1"),
         ],
     )
     def test_invalid_band_is_domain_error(self, capsys, argv):
@@ -257,24 +259,22 @@ class TestCheckCommand:
         assert "expected a non-negative integer" in capsys.readouterr().err
 
     def test_corrupted_build_detected(self, capsys, monkeypatch):
-        from crossproj.projection import SingletonProjection, candidate, solve_lambda
+        # every generic projection check makes takes the large root
+        from crossproj.linalg import as_pair, block_solve
+        from crossproj.projection import SingletonProjection, solve_lambda
 
-        real_assemble = projection_mod._assemble
+        real = oracle_mod.project
 
-        def corrupted(core):
-            res = real_assemble(core)
+        def corrupted(x0, y0, tols):
+            res = real(x0, y0, tols)
             if res.tag is CaseTag.GENERIC:
-                x0, y0 = core.x0, core.y0
-                lams = solve_lambda(x0, y0)
-                bad = candidate(lams.lambda_plus, x0, y0)
-                q = float(np.dot(x0, y0))
-                return SingletonProjection(
-                    res.tag, bad, lams.lambda_plus, 0.5 * lams.lambda_plus * q
-                )
+                lam = solve_lambda(x0, y0).lambda_plus
+                half = 0.5 * lam * float(np.dot(x0, y0))
+                bad = block_solve(lam, as_pair(x0, y0))
+                return SingletonProjection(res.tag, bad, lam, half, math.sqrt(2.0 * half))
             return res
 
-        monkeypatch.setattr(projection_mod, "_assemble", corrupted)
-        monkeypatch.setattr(oracle_mod, "_assemble", corrupted)
+        monkeypatch.setattr(oracle_mod, "project", corrupted)
         code, out, _ = run(capsys, "check", "--dims", "2", "--trials", "3", "--seed", "0")
         assert code == 1
         assert "FAIL" in out

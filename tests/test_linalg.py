@@ -137,6 +137,11 @@ class TestBlockSolve:
         with pytest.raises(DomainError):
             block_solve(float("nan"), as_pair([1.0], [1.0]))
 
+    def test_parts_of_different_shapes(self):
+        # numpy would broadcast the shorter part
+        with pytest.raises(DimensionMismatch):
+            block_solve(0.5, Pair(np.array([1.0, 2.0]), np.array([1.0])))
+
 
 def lattice(n, r):
     return np.concatenate(list(_sphere_lattice(n, r)))

@@ -1,16 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
-import crossproj.projection as projection_mod
 from crossproj import (
     DEFAULT_TOLS,
     CaseTag,
     DomainError,
+    SingletonProjection,
     Tolerances,
-    candidate,
+    as_pair,
+    block_solve,
     check,
     classify,
     lagrangian_oracle,
@@ -30,6 +32,22 @@ from crossproj.oracle import (
     _subspace_objectives,
 )
 from crossproj.projection import _reduce
+
+
+def large_root_project(real):
+    """``real`` with every generic result replaced by the stationary pair at the
+    large multiplier root."""
+
+    def project(x0, y0, tols=DEFAULT_TOLS):
+        res = real(x0, y0, tols)
+        if res.tag is not CaseTag.GENERIC:
+            return res
+        lam = solve_lambda(x0, y0).lambda_plus
+        half = 0.5 * lam * float(np.dot(x0, y0))
+        point = block_solve(lam, as_pair(x0, y0))
+        return SingletonProjection(res.tag, point, lam, half, math.sqrt(2.0 * half))
+
+    return project
 
 
 def random_generic(rng, n):
@@ -302,7 +320,7 @@ class TestCheck:
             zero = np.zeros(n)
             lams = solve_lambda(x0, y0)
             axis = [objective(Pair(zero, y0), x0, y0), objective(Pair(x0, zero), x0, y0)]
-            cands = [objective(candidate(lam, x0, y0), x0, y0) for lam in lams]
+            cands = [objective(block_solve(lam, as_pair(x0, y0)), x0, y0) for lam in lams]
             assert _lagrangian(_reduce(x0, y0, DEFAULT_TOLS))[1] == cands + axis
             item = check(x0, y0).items["plus_branch_larger"]
             assert item.residual == project(x0, y0).half_dist_sq - cands[1]
@@ -315,29 +333,12 @@ class TestCheck:
         assert item.residual == objective(project(x0, y0).point, x0, y0) - min(axis)
 
     def test_detects_wrong_branch(self, monkeypatch):
-        """A corrupted projection (large root chosen) must be flagged."""
-        from crossproj.projection import SingletonProjection
-
-        real_assemble = projection_mod._assemble
-
-        def corrupted(core):
-            res = real_assemble(core)
-            if res.tag is CaseTag.GENERIC:
-                x0, y0 = core.x0, core.y0
-                lams = solve_lambda(x0, y0)
-                bad = candidate(lams.lambda_plus, x0, y0)
-                q = float(np.dot(x0, y0))
-                return SingletonProjection(
-                    res.tag, bad, lams.lambda_plus, 0.5 * lams.lambda_plus * q
-                )
-            return res
-
-        # project and check's own result both assemble through _assemble
-        monkeypatch.setattr(projection_mod, "_assemble", corrupted)
-        monkeypatch.setattr(oracle_mod, "_assemble", corrupted)
+        """A projection that takes the large root must be flagged, even when
+        every projection check makes, of the input and of its moves, is wrong
+        alike."""
+        monkeypatch.setattr(oracle_mod, "project", large_root_project(oracle_mod.project))
         rep = check([1.0, 2.0], [3.0, 1.0])
-        assert not rep.ok
-        assert "lagrangian_match" in rep.failures() or "point_match" in rep.failures()
+        assert {"lagrangian_match", "point_match"} <= set(rep.failures())
 
 
 class TestSymmetryItemsCanFail:
@@ -361,9 +362,11 @@ class TestSymmetryItemsCanFail:
         return np.array_equal(x0, self.Y0) and np.array_equal(y0, self.X0)
 
     def is_rotated(self, x0, y0):
-        # the only moved input of the same length that is not the swap
+        # the only moved input of the same length that is neither the swap nor
+        # the unmoved input, which check projects through oracle_mod.project too
         same_norm = abs(np.linalg.norm(x0) - np.linalg.norm(self.X0)) < 1e-12
-        return same_norm and not self.is_swapped(x0, y0)
+        unmoved = np.array_equal(x0, self.X0) and np.array_equal(y0, self.Y0)
+        return same_norm and not self.is_swapped(x0, y0) and not unmoved
 
     def test_uncorrupted_passes(self):
         assert check(self.X0, self.Y0).ok
@@ -472,17 +475,20 @@ class TestCheckAtScale:
     def test_feasible_catches_a_point_off_the_cross(self, monkeypatch):
         # at t = 1e200 the raw <x, y> and its band both overflow to inf; at unit
         # scale the shifted point misses the cross by about 0.01 |y0/c|^2
-        real = oracle_mod._assemble
+        x0, y0 = 1e200 * SCALE_X, 1e200 * SCALE_Y
+        real = oracle_mod.project
 
-        def shifted(core):
-            res = real(core)
+        def shifted(a, b, tols=DEFAULT_TOLS):
+            res = real(a, b, tols)
+            if not (np.array_equal(a, x0) and np.array_equal(b, y0)):
+                return res  # a moved input
             x, y = res.point
             return replace(res, point=Pair(x + 0.01 * y, y))
 
-        monkeypatch.setattr(oracle_mod, "_assemble", shifted)
+        monkeypatch.setattr(oracle_mod, "project", shifted)
         # other items still overflow at this scale
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = check(1e200 * SCALE_X, 1e200 * SCALE_Y)
+            rep = check(x0, y0)
         assert rep.case is CaseTag.GENERIC
         assert not rep.items["feasible"].passed
 

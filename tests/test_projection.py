@@ -19,18 +19,16 @@ from crossproj import (
     NotUnitNorm,
     Pair,
     SingletonProjection,
-    SingularSystem,
     Tolerances,
-    candidate,
+    as_pair,
+    block_solve,
     classify,
-    family_enumerate,
     family_samples,
     inner,
     membership_residual,
     norm,
     objective,
     project,
-    project_1d,
     solve_lambda,
 )
 import crossproj.projection as projection_mod
@@ -98,6 +96,17 @@ class TestMembership:
             r = membership_residual(pair([1e160, 1e160], [1e160, -1e160]))
         assert r / 1e160 / 1e160 <= 2.0 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_pair_rejected(self, bad):
+        # a silent inf or nan residual would read as a miss, or as no verdict
+        for p in (pair([bad], [1.0]), pair([1.0, 2.0], [0.5, bad])):
+            with pytest.raises(DomainError, match="non-finite"):
+                membership_residual(p)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            membership_residual(pair([1.0, 2.0], [1.0]))
+
     def test_raw_product_at_unit_scale(self):
         rng = np.random.default_rng(11)
         for n in range(1, 9):
@@ -125,6 +134,23 @@ class TestTolerances:
 
     def test_zero_bands_accepted(self):
         assert classify([1.0, 2.0], [3.0, 1.0], Tolerances(orth=0.0, deg=0.0)) is CaseTag.GENERIC
+
+    @pytest.mark.parametrize("band, limit", [("orth", 0.5), ("deg", 1.0)])
+    def test_band_below_its_limit(self, band, limit):
+        # at its limit a band holds every input: |<x0,y0>| <= (M + |x0||y0|)/2
+        # and min |x0 +- y0| <= |x0| + |y0| always
+        widest = math.nextafter(limit, 0.0)
+        assert getattr(Tolerances(**{band: widest}), band) == widest
+        message = f"^tolerance {band} must be finite, >= 0 and < {limit:g}$"
+        for value in (limit, 2.0 * limit):
+            with pytest.raises(DomainError, match=message):
+                Tolerances(**{band: value})
+
+    def test_widest_orthogonal_band_leaves_the_ray(self):
+        # orth = 0.5 would tag this pair, at distance sqrt 2, orthogonal at distance 0
+        res = project([1.0, 1.0], [1.0, 1.0], Tolerances(orth=math.nextafter(0.5, 0.0)))
+        assert res.tag is CaseTag.DEGENERATE_PLUS
+        assert res.dist == math.sqrt(2.0)
 
 
 class TestClassify:
@@ -195,35 +221,18 @@ class TestSolveLambda:
 
 
 class TestCandidate:
-    def test_zero_multiplier_returns_input(self):
-        out = candidate(0.0, [1.0, 2.0], [3.0, 4.0])
-        np.testing.assert_array_equal(out.x, [1.0, 2.0])
-        np.testing.assert_array_equal(out.y, [3.0, 4.0])
-
+    # the stationary pair at a multiplier root of the input ((2), (1)); the solve
+    # itself is pinned in tests/test_linalg.py::TestBlockSolve
     def test_small_root_scalar(self):
-        out = candidate(0.5, [2.0], [1.0])
+        out = block_solve(0.5, as_pair([2.0], [1.0]))
         np.testing.assert_allclose(out.x, [2.0])
         np.testing.assert_allclose(out.y, [0.0], atol=1e-15)
         assert membership_residual(out) == 0.0
 
     def test_large_root_scalar(self):
-        out = candidate(2.0, [2.0], [1.0])
+        out = block_solve(2.0, as_pair([2.0], [1.0]))
         np.testing.assert_allclose(out.x, [0.0], atol=1e-15)
         np.testing.assert_allclose(out.y, [1.0])
-
-    def test_stationarity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            x0, y0 = rng.standard_normal((2, 4))
-            lam = rng.uniform(-0.9, 0.9)
-            out = candidate(lam, x0, y0)
-            scale = 1e-10 * (1.0 + norm(x0) + norm(y0))
-            np.testing.assert_allclose(out.x + lam * out.y, x0, atol=scale)
-            np.testing.assert_allclose(out.y + lam * out.x, y0, atol=scale)
-
-    def test_singular_multiplier(self):
-        with pytest.raises(SingularSystem):
-            candidate(1.0, [1.0], [2.0])
 
 
 class TestObjective:
@@ -237,6 +246,20 @@ class TestObjective:
     def test_large_branch_value(self):
         # equals lam_plus*q/2 = 2*2/2, strictly above the small branch
         assert objective(pair([0.0], [1.0]), [2.0], [1.0]) == 2.0
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            pair([1.0], [1.0]),
+            pair([1.0, 2.0, 3.0], [1.0]),
+            pair([[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0]),
+        ],
+        ids=["shorter", "parts_differ", "two_dimensional"],
+    )
+    def test_shape_mismatch_rejected(self, p):
+        # numpy would broadcast each of these against the input
+        with pytest.raises(DimensionMismatch):
+            objective(p, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 class TestProject:
@@ -357,13 +380,13 @@ class TestDegenerateFamily:
 
 class TestFamilyEnumerate:
     def test_count_one_is_base(self):
-        out = family_enumerate([1.0], [1.0], 1)
+        out = [p for _, p in family_samples([1.0], [1.0], 1)]
         assert len(out) == 1
         np.testing.assert_array_equal(out[0].x, [0.0])
         np.testing.assert_array_equal(out[0].y, [1.0])
 
     def test_scalar_injective_exhausts(self):
-        out = family_enumerate([1.0], [1.0], 3, mode="injective")
+        out = [p for _, p in family_samples([1.0], [1.0], 3, mode="injective")]
         assert len(out) == 2
         np.testing.assert_array_equal(out[0].x, [0.0])
         np.testing.assert_array_equal(out[0].y, [1.0])
@@ -372,7 +395,7 @@ class TestFamilyEnumerate:
 
     def test_plane_grid_objectives_constant(self):
         x0 = np.array([1.0, 1.0])
-        out = family_enumerate(x0, x0, 5, mode="grid")
+        out = [p for _, p in family_samples(x0, x0, 5, mode="grid")]
         assert len(out) == 5
         for p in out:
             assert membership_residual(p) <= feas_tol(x0, x0)
@@ -418,21 +441,20 @@ class TestFamilyEnumerate:
 
     def test_wrong_case_rejected(self):
         with pytest.raises(CaseError):
-            family_enumerate([1.0, 2.0], [3.0, 1.0], 4)
+            family_samples([1.0, 2.0], [3.0, 1.0], 4)
 
     def test_bad_mode_and_count(self):
         with pytest.raises(DomainError):
-            family_enumerate([1.0], [1.0], 2, mode="fancy")
+            family_samples([1.0], [1.0], 2, mode="fancy")
         with pytest.raises(DomainError):
-            family_enumerate([1.0], [1.0], 0)
+            family_samples([1.0], [1.0], 0)
 
     @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"], ids=repr)
     def test_non_integer_count_rejected(self, count):
         # a fractional count never equals the sample count reached, so it
         # would run the whole lattice-doubling loop
-        for sample in (family_samples, family_enumerate):
-            with pytest.raises(DomainError, match="count must be an integer"):
-                sample([1.0, 1.0], [1.0, 1.0], count)
+        with pytest.raises(DomainError, match="count must be an integer"):
+            family_samples([1.0, 1.0], [1.0, 1.0], count)
 
     def test_numpy_integer_count(self):
         for count in (np.int64(5), np.int32(5), np.uint8(5)):
@@ -440,36 +462,38 @@ class TestFamilyEnumerate:
 
 
 class TestProject1d:
+    """project on two floats: n = 1, where the cross is the two axes."""
+
     def test_dominant_x(self):
-        res = project_1d(2.0, 1.0)
+        res = project(2.0, 1.0)
         np.testing.assert_array_equal(res.point.x, [2.0])
         np.testing.assert_array_equal(res.point.y, [0.0])
 
     def test_dominant_y(self):
-        res = project_1d(1.0, -3.0)
+        res = project(1.0, -3.0)
         np.testing.assert_array_equal(res.point.x, [0.0])
         np.testing.assert_array_equal(res.point.y, [-3.0])
 
     def test_tied_magnitudes_split(self):
-        res = project_1d(1.0, -1.0)
+        res = project(1.0, -1.0)
         assert isinstance(res, FamilyProjection)
         assert res.tag is CaseTag.DEGENERATE_MINUS
         points = {(float(p.x[0]), float(p.y[0])) for p in res.selections()}
         assert points == {(1.0, 0.0), (0.0, -1.0)}
 
     def test_origin_fixed(self):
-        res = project_1d(0.0, 0.0)
+        res = project(0.0, 0.0)
         assert res.tag is CaseTag.ORTHOGONAL
         np.testing.assert_array_equal(res.point.x, [0.0])
         np.testing.assert_array_equal(res.point.y, [0.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(DomainError):
-            project_1d(math.nan, 1.0)
+            project(math.nan, 1.0)
 
     @pytest.mark.parametrize("t", [1e-300, 1e300])
     def test_extreme_scale(self, t):
-        res = project_1d(-3.0 * t, t)
+        res = project(-3.0 * t, t)
         assert res.tag is CaseTag.GENERIC
         assert res.lam == pytest.approx(-1.0 / 3.0, rel=1e-15)
         np.testing.assert_array_equal(res.point.x, [-3.0 * t])
@@ -482,7 +506,7 @@ class TestProject1d:
         for _ in range(500):
             x0 = float(rng.uniform(-2.0, 2.0))
             y0 = float(rng.uniform(-2.0, 2.0))
-            res = project_1d(x0, y0)
+            res = project(x0, y0)
             assert res.tag is CaseTag.GENERIC
             expected = (x0, 0.0) if abs(x0) > abs(y0) else (0.0, y0)
             assert (float(res.point.x[0]), float(res.point.y[0])) == expected
@@ -521,8 +545,8 @@ class TestInvariants:
         for _ in range(200):
             x0, y0 = random_generic(rng, 4)
             lams = solve_lambda(x0, y0)
-            f_minus = objective(candidate(lams.lambda_minus, x0, y0), x0, y0)
-            f_plus = objective(candidate(lams.lambda_plus, x0, y0), x0, y0)
+            f_minus = objective(block_solve(lams.lambda_minus, as_pair(x0, y0)), x0, y0)
+            f_plus = objective(block_solve(lams.lambda_plus, as_pair(x0, y0)), x0, y0)
             assert f_plus > f_minus
 
     def test_closed_form_objective_any_multiplier(self):
@@ -535,7 +559,7 @@ class TestInvariants:
                 lam = float(rng.uniform(-3.0, 3.0))
                 if abs(1.0 - lam * lam) < 0.15:
                     continue
-                cand = candidate(lam, x0, y0)
+                cand = block_solve(lam, as_pair(x0, y0))
                 formula = (
                     lam * lam / (2.0 * (1.0 - lam * lam) ** 2)
                     * ((1.0 + lam * lam) * s - 4.0 * lam * q)
@@ -551,14 +575,14 @@ class TestInvariants:
             s = float(np.dot(x0, x0) + np.dot(y0, y0))
             # candidates at the roots are orthogonal pairs
             for lam in solve_lambda(x0, y0):
-                cand = candidate(lam, x0, y0)
+                cand = block_solve(lam, as_pair(x0, y0))
                 assert membership_residual(cand) <= feas_tol(x0, y0)
             # at any multiplier the constraint value matches the quadratic residual
             for _ in range(20):
                 lam = float(rng.uniform(-3.0, 3.0))
                 if abs(1.0 - lam * lam) < 0.15:
                     continue
-                cand = candidate(lam, x0, y0)
+                cand = block_solve(lam, as_pair(x0, y0))
                 lhs = inner(cand.x, cand.y) * (1.0 - lam * lam) ** 2
                 rhs = (1.0 + lam * lam) * q - lam * s
                 assert abs(lhs - rhs) <= 1e-10 * (1.0 + s)
@@ -721,15 +745,15 @@ class TestOverflowOrder:
         c, half_u, _ = reference.unit_scale(x0, y0)
         assert res.dist == pytest.approx(c * math.sqrt(2.0 * half_u), rel=1e-14)
         # n = 1: the nearest point is (x0, 0), at distance |y0|
-        assert project_1d(1e308, 5e307).dist == pytest.approx(5e307, rel=1e-15)
+        assert project(1e308, 5e307).dist == pytest.approx(5e307, rel=1e-15)
 
     def test_distance_is_root_of_twice_half(self):
         for x0, y0 in [([2.0], [1.0]), ([1.0, 1.0], [1.0, 1.0]), ([1.0, 0.0], [0.0, 2.0])]:
             res = project(x0, y0)
             assert res.dist == math.sqrt(2.0 * res.half_dist_sq)
-        # a result built without its distance takes it from half_dist_sq
-        built = SingletonProjection(CaseTag.GENERIC, pair([2.0], [0.0]), 0.5, 0.5)
-        assert built.dist == 1.0
+        # every result is built with its distance: the field has no default
+        with pytest.raises(TypeError):
+            SingletonProjection(CaseTag.GENERIC, pair([2.0], [0.0]), 0.5, 0.5)
 
     def test_fallback_where_norm_sum_overflows(self):
         # near-degenerate, inside the band where the raw multiplier candidates

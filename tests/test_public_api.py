@@ -29,14 +29,11 @@ PUBLIC = [
     "ProjectionResult",
     "SingletonProjection",
     "Tolerances",
-    "candidate",
     "classify",
-    "family_enumerate",
     "family_samples",
     "membership_residual",
     "objective",
     "project",
-    "project_1d",
     "solve_lambda",
     # oracle
     "CheckReport",
@@ -68,14 +65,11 @@ SIGNATURES = {
     "inner": ["x", "y"],
     "norm": ["x"],
     # projection
-    "candidate": ["lam", "x0", "y0"],
     "classify": ["x0", "y0", "tols"],
-    "family_enumerate": ["x0", "y0", "count", "mode", "tols"],
     "family_samples": ["x0", "y0", "count", "mode", "tols"],
     "membership_residual": ["p"],
     "objective": ["p", "x0", "y0"],
     "project": ["x0", "y0", "tols"],
-    "project_1d": ["x0", "y0", "tols"],
     "solve_lambda": ["x0", "y0"],
     # oracle
     "check": ["x0", "y0", "seed", "tols"],
