@@ -14,9 +14,9 @@ Exit codes are stable contracts:
   also an output file (``--output``, ``--trace``, ``--summary``) that
   cannot be written
 * 3 -- numeric-domain error raised while computing (non-finite inline
-  coordinates, mismatched inline dimensions, an instance file
-  (``--instance``) that breaks the field rule or its constraint's rules,
-  a solver iterate that became non-finite, ...)
+  coordinates, mismatched inline dimensions, a ``--start`` of the wrong
+  dimension, an instance file (``--instance``) that breaks the field rule
+  or its constraint's rules, a solver iterate that became non-finite, ...)
 * 4 -- ``family`` invoked on an input that is not degenerate
 * 5 -- solver exhausted max_iter without converging
 
@@ -48,7 +48,6 @@ from .projection import (
     DEFAULT_TOLS,
     SingletonProjection,
     Tolerances,
-    classify,
     family_samples,
     objective,
     project,
@@ -250,12 +249,8 @@ def cmd_family(args) -> int:
     tols = _tols(args)
     try:
         samples = family_samples(x0, y0, args.count, args.mode, tols)
-    except CaseError:
-        tag = classify(x0, y0, tols)
-        sys.stderr.write(
-            f"error: family requires a degenerate input; this one classifies as "
-            f"{tag.value}\n"
-        )
+    except CaseError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         return 4
     n = len(x0)
     head = [f"u_{i}" for i in range(n)] + [f"x_{i}" for i in range(n)]
@@ -371,8 +366,6 @@ def cmd_solve(args) -> int:
         seed = _integer(doc, "seed", 0) if "seed" in doc else args.seed
 
     start = args.start if args.start is not None else default_start(problem.kind, problem.dim, seed)
-    if len(start.x) != problem.dim or len(start.y) != problem.dim:
-        raise PointFileError(f"--start must have dimension {problem.dim}")
 
     runner = alternating_projections if args.method == "ap" else douglas_rachford
     # a non-finite iterate raises DivergenceError, so its overflow is not warned

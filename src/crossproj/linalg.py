@@ -123,12 +123,10 @@ def block_solve(lam: float, rhs: Pair) -> Pair:
 
     The system operator [[I, lam*I], [lam*I, I]] has the explicit inverse
     (1 - lam^2)^{-1} [[I, -lam*I], [-lam*I, I]]; multipliers within the
-    relative guard band of +-1 are rejected rather than amplified, as are
-    parts of different shapes.
+    relative guard band of +-1 are rejected rather than amplified; ``rhs``
+    is validated as by :func:`as_pair`.
     """
-    if np.shape(rhs.x) != np.shape(rhs.y):
-        raise DimensionMismatch(
-            f"block_solve: shapes {np.shape(rhs.x)} and {np.shape(rhs.y)} differ")
+    rhs = as_pair(*rhs)
     lam = float(lam)
     if not math.isfinite(lam):
         raise DomainError("multiplier must be finite")

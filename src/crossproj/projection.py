@@ -21,9 +21,9 @@ survive floating point); the band widths live in :class:`Tolerances` and
 every result carries its tag so callers can re-classify.  Both bands are
 homogeneous, so they are read at whatever scale the reductions are taken:
 :func:`project` reads an in-window input's raw reductions and divides every
-other input by its power-of-two scale c first, both through :func:`_roots`
-and :func:`_result`; :func:`_reduce` keeps the unit-scale record for the
-callers that need c itself.
+other input by its power-of-two scale c first; :func:`_roots` decides both
+bands and :func:`_result` builds the answer.  :func:`_reduce` keeps the
+unit-scale record for the callers that need c itself.
 """
 
 from __future__ import annotations
@@ -205,24 +205,29 @@ def _scaled(x0, y0):
     return x0, y0, c, xs, ys, float(xs.dot(ys)), float(xs.dot(xs)), float(ys.dot(ys))
 
 
-def _roots(q: float, s: float, band: float, xs: np.ndarray, ys: np.ndarray):
-    """Tag, both multiplier roots and half the squared distance of an input
-    outside the orthogonal band, all at the scale g of (xs, ys) = (x0, y0)/g:
-    q = <xs, ys>, s = |xs|^2 + |ys|^2 and band = deg (|xs| + |ys|).  Every step
-    is homogeneous, so the raw scale g = 1 gives the bits of unit scale times
+def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys: np.ndarray):
+    """Tag, both multiplier roots and half the squared distance, all at the
+    scale g of (xs, ys) = (x0, y0)/g: q = <xs, ys>, xx = |xs|^2, yy = |ys|^2.
+    Both bands (see :class:`Tolerances`) are decided here; inside the
+    orthogonal band the roots are undefined and read 0.  Every step is
+    homogeneous, so the raw scale g = 1 gives the bits of unit scale times
     powers of two wherever no quantity is subnormal.
 
     The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
     d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
     arrays where the subtraction would lose more than a bit, below S/2.
     """
+    nx, ny = math.sqrt(xx), math.sqrt(yy)
+    if not abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
+        return _ORTHOGONAL, 0.0, 0.0, 0.0
+    s = xx + yy
     d2 = s - 2.0 * abs(q)
     if d2 < 0.5 * s:
         d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v))
     d = math.sqrt(d2)
     sp = s + d * math.sqrt(s + 2.0 * abs(q))
     lam, lam_plus = 2.0 * q / sp, sp / (2.0 * q)
-    if d <= band:
+    if d <= tols.deg * (nx + ny):
         tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
         return tag, lam, lam_plus, 0.25 * s
     return _GENERIC, lam, lam_plus, 0.5 * lam * q
@@ -233,11 +238,9 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     record ``check``, the oracles and :func:`family_samples` read, as they
     need the exact scale c."""
     x0, y0, c, xs, ys, q, xx, yy = _scaled(x0, y0)
+    tag, lam, lam_plus, half = _roots(q, xx, yy, tols, xs, ys)
+    lams = None if tag is _ORTHOGONAL else LambdaPair(lam, lam_plus)
     nx, ny = math.sqrt(xx), math.sqrt(yy)
-    tag, lams, half = CaseTag.ORTHOGONAL, None, 0.0
-    if abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
-        tag, lam, lam_plus, half = _roots(q, xx + yy, tols.deg * (nx + ny), xs, ys)
-        lams = LambdaPair(lam, lam_plus)
     return _Reduction(x0, y0, tag, lams, half, c, q, xx + yy, nx, ny, xs, ys)
 
 
@@ -271,13 +274,13 @@ def solve_lambda(x0, y0) -> LambdaPair:
 
 
 def objective(p: Pair, x0, y0) -> float:
-    """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2, for p of
-    the input's dimension."""
+    """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2, for a
+    finite p of the input's dimension."""
     x0, y0, _ = _check_input(x0, y0)
     if (np.shape(p.x), np.shape(p.y)) != (x0.shape, x0.shape):
         raise DimensionMismatch(
             f"p has shapes {np.shape(p.x)} and {np.shape(p.y)}, the input {x0.shape}")
-    return float(_objective(p, x0, y0))
+    return float(_objective(as_pair(*p), x0, y0))
 
 
 def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float:
@@ -333,10 +336,7 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
         q, k, xs, ys = float(_vdot(x0, y0)), 1.0, x0, y0
     else:
         x0, y0, k, xs, ys, q, xx, yy = _scaled(x0, y0)
-    nx, ny = math.sqrt(xx), math.sqrt(yy)
-    if not abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
-        return _result(_ORTHOGONAL, x0, y0, 0.0, 0.0, k, xs, ys)
-    tag, lam, _, half = _roots(q, xx + yy, tols.deg * (nx + ny), xs, ys)
+    tag, lam, _, half = _roots(q, xx, yy, tols, xs, ys)
     return _result(tag, x0, y0, lam, half, k, xs, ys)
 
 

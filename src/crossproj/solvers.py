@@ -304,7 +304,7 @@ def _complementary_witness(rng: np.random.Generator, dim: int, nonneg: bool) -> 
 def _kind_index(kind) -> int:
     """Position of ``kind`` in ``_CONSTRAINTS``, which seeds instances and starts."""
     if not isinstance(kind, str) or kind not in _CONSTRAINTS:
-        raise DomainError(f"instance kind must be one of {tuple(_CONSTRAINTS)}")
+        raise DomainError(f"instance kind must be one of {tuple(_CONSTRAINTS)}, not {kind!r}")
     return list(_CONSTRAINTS).index(kind)
 
 
@@ -407,8 +407,7 @@ def instance_from_dict(doc: dict):
     """Inverse of :func:`instance_to_dict`, reading the lists it writes (not numpy arrays):
     ``dim`` finite numbers per vector and per basis row, no rows for a missing basis."""
     kind = _field(doc, "kind")
-    if not isinstance(kind, str) or kind not in _CONSTRAINTS:
-        raise DomainError(f"unknown instance kind {kind!r}")
+    _kind_index(kind)
     dim = _integer(doc, "dim", 1)
     witness = Pair(*(_numbers(_field(doc, "witness", a), f"witness.{a}", dim) for a in "xy"))
     data = doc.get("constraint", {})

@@ -138,8 +138,8 @@ def _install(mp, name):
     elif name in REDUCE:
         real, (applies, change) = projection_mod._roots, REDUCE[name]
 
-        def roots(q, s, band, xs, ys):
-            out = real(q, s, band, xs, ys)
+        def roots(q, xx, yy, tols, xs, ys):
+            out = real(q, xx, yy, tols, xs, ys)
             # (xs, ys) = (x0, y0)/k has the power-of-two scale c/k, and q = <xs, ys>
             ck = _pow2_scale(max(float(np.abs(xs).max()), float(np.abs(ys).max())))
             return change(*out) if applies(out[0], q / (ck * ck)) else out

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
-from crossproj import CaseTag, classify, generate_instance, instance_to_dict, project
+from crossproj import CaseError, CaseTag, classify, family_samples, generate_instance
+from crossproj import instance_to_dict, project
 from crossproj.cli import main
 
 
@@ -182,6 +183,27 @@ class TestProjectCommand:
         assert out == ""
         assert err.startswith("error: tolerance ")
 
+    @pytest.mark.parametrize("text", ["1,a", ","], ids=["not_a_number", "empty"])
+    def test_bad_coordinates_is_parse_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["project", "--x0", text, "--y0", "1"])
+        assert exc.value.code == 2
+        assert "coordinate" in capsys.readouterr().err
+
+    def test_point_file_not_an_object_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1.0, 2.0]")
+        code, out, err = run(capsys, "project", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "top-level value must be an object" in err
+
+    def test_input_with_inline_point_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"dim": 1, "x0": [1.0], "y0": [2.0]}))
+        code, out, err = run(capsys, "project", "--input", str(path), "--x0", "1")
+        assert (code, out) == (2, "")
+        assert "either --input or --x0/--y0" in err
+
     def test_unknown_flag_is_parse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["project", "--x0", "1", "--y0", "1", "--frobnicate"])
@@ -224,6 +246,12 @@ class TestFamilyCommand:
         assert len(rows) == 3
         assert all(row.endswith(",inf") for row in rows)
 
+    def test_non_degenerate_message_from_library(self, capsys):
+        with pytest.raises(CaseError) as exc:
+            family_samples([1.0, 2.0], [3.0, 1.0], 8)
+        code, out, err = run(capsys, "family", "--x0", "1,2", "--y0", "3,1")
+        assert (code, out, err) == (4, "", f"error: {exc.value}\n")
+
     def test_non_degenerate_exits_4(self, capsys):
         code, _, err = run(capsys, "family", "--x0", "1,2", "--y0", "3,1")
         assert code == 4
@@ -257,6 +285,13 @@ class TestCheckCommand:
             main(["check", "--dims", "1", "--trials", "1", *argv])
         assert exc.value.code == 2
         assert "expected a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["a", "0"], ids=["not_a_number", "zero"])
+    def test_bad_dims_is_parse_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--dims", text, "--trials", "1"])
+        assert exc.value.code == 2
+        assert "dims" in capsys.readouterr().err
 
     def test_corrupted_build_detected(self, capsys, monkeypatch):
         # every generic projection check makes takes the large root
@@ -374,11 +409,13 @@ class TestSolveCommand:
             (lambda d: d.update(seed="abc"), "'seed' must be a non-negative integer"),
             (lambda d: d.update(seed=-1), "'seed' must be a non-negative integer"),
             (lambda d: d.update(seed=True), "'seed' must be a non-negative integer"),
+            (lambda d: d.update(kind="cube"), "not 'cube'"),
+            (lambda d: d["witness"].update(x=1.5), "'witness.x' must be an array"),
         ],
         ids=[
             "swapped_bounds", "dim_string", "dim_fraction", "witness_number",
             "constraint_number", "string_coordinate", "bool_coordinate", "int_beyond_float",
-            "seed_string", "seed_negative", "seed_bool",
+            "seed_string", "seed_negative", "seed_bool", "kind_unknown", "vector_not_list",
         ],
     )
     def test_invalid_instance_data_exits_3(self, capsys, tmp_path, edit, message):
@@ -394,6 +431,23 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--generate", "orthant,3,-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--generate", "orthant,3"), ("--generate", "orthant,x,0"),
+         ("--generate", "orthant,3,0", "--start", "1,2")],
+        ids=["generate_two_fields", "generate_dim_not_int", "start_without_semicolon"],
+    )
+    def test_bad_generate_or_start_is_parse_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *argv])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("start", ["1,2;3,4", "1,2,3;4,5"], ids=["both_short", "parts_differ"])
+    def test_start_of_wrong_dimension_exits_3(self, capsys, start):
+        code, out, err = run(capsys, "solve", "--generate", "orthant,3,0", "--start", start)
+        assert (code, out, err.count("\n")) == (3, "", 1)
+        assert err.startswith("error: ") and "dimension" in err
 
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "solve")

@@ -142,6 +142,16 @@ class TestBlockSolve:
         with pytest.raises(DimensionMismatch):
             block_solve(0.5, Pair(np.array([1.0, 2.0]), np.array([1.0])))
 
+    def test_plain_lists(self):
+        out = block_solve(0.5, Pair([2.0, 4.0], [1.0, 2.0]))
+        np.testing.assert_array_equal(out.x, [2.0, 4.0])
+        np.testing.assert_array_equal(out.y, [0.0, 0.0])
+
+    def test_non_finite_coordinate(self):
+        # numpy would return inf and nan
+        with pytest.raises(DomainError, match="^x has non-finite"):
+            block_solve(0.5, Pair(np.array([1.0, np.inf]), np.array([1.0, 2.0])))
+
 
 def lattice(n, r):
     return np.concatenate(list(_sphere_lattice(n, r)))

@@ -261,6 +261,14 @@ class TestObjective:
         with pytest.raises(DimensionMismatch):
             objective(p, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_point_rejected(self, bad):
+        # numpy would return inf or nan
+        with pytest.raises(DomainError):
+            objective(Pair(np.array([bad]), np.array([0.0])), [1.0], [1.0])
+        with pytest.raises(DomainError):
+            objective(Pair(np.array([0.0]), np.array([bad])), [1.0], [1.0])
+
 
 class TestProject:
     def test_orthogonal_input_fixed(self):

@@ -16,6 +16,7 @@ from crossproj import (
     OrthantPairConstraint,
     Pair,
     SingletonProjection,
+    SolverTrace,
     alternating_projections,
     default_start,
     douglas_rachford,
@@ -120,6 +121,11 @@ class TestConstraints:
         assert tr.residuals_c == [math.sqrt(2.0) * 1e308]
         assert tr.summary()["final_residual_C"] == tr.residuals_c[0]
 
+    def test_empty_trace_has_infinite_residual(self):
+        trace = SolverTrace(method="ap")
+        assert trace.final_residual() == math.inf
+        assert trace.summary()["final_residual"] is None
+
 
 class TestGenerateInstance:
     @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
@@ -186,6 +192,18 @@ class TestInstanceValidation:
             trace = solver(loaded, default_start("affine", 3, seed=4), max_iter=50)
             assert trace.iterations >= 1
             assert all(map(math.isfinite, trace.residuals))
+
+    def test_unknown_kind_named(self):
+        doc = instance_to_dict(*generate_instance("box", 2, seed=0), seed=0)
+        doc["kind"] = "cube"
+        with pytest.raises(DomainError, match="instance kind must be one of .*, not 'cube'"):
+            instance_from_dict(doc)
+
+    def test_vector_field_not_a_list(self):
+        doc = instance_to_dict(*generate_instance("box", 2, seed=0), seed=0)
+        doc["constraint"]["lo_y"] = 1.5
+        with pytest.raises(DomainError, match="field 'lo_y' must be an array"):
+            instance_from_dict(doc)
 
     def test_non_finite_basis_entry(self):
         doc = self._affine_doc()

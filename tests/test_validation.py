@@ -16,6 +16,7 @@ from crossproj import (
     alternating_projections,
     as_pair,
     as_vector,
+    block_solve,
     check,
     classify,
     douglas_rachford,
@@ -49,6 +50,7 @@ PAIR_ENTRIES = {
     "classify": (classify, ("x0", "y0")),
     "check": (check, ("x0", "y0")),
     "as_pair": (as_pair, ("x", "y")),
+    "block_solve": (lambda x, y: block_solve(0.5, (x, y)), ("x", "y")),
     "alternating_projections": (_ap, ("x", "y")),
     "douglas_rachford": (_dr, ("x", "y")),
 }
@@ -96,6 +98,12 @@ def test_nan_in_second_vector_below_first_norm(bad):
         project(x, y)
     with pytest.raises(DomainError, match="^y has non-finite"):
         as_pair(x, y)
+
+
+def test_x0_named_before_y0_that_is_not_numeric():
+    # y0 fails conversion to floats, yet the error is x0's, as validation orders them
+    with pytest.raises(DomainError, match="^x0 has non-finite"):
+        project(np.array([np.inf]), ["a"])
 
 
 SHAPE_ERRORS = {
