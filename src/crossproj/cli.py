@@ -48,8 +48,8 @@ from .projection import (
     DEFAULT_TOLS,
     SingletonProjection,
     Tolerances,
+    _objective,
     family_samples,
-    objective,
     project,
 )
 from .solvers import _field, _integer, _numbers
@@ -259,7 +259,7 @@ def cmd_family(args) -> int:
     for u, point in samples:
         row = [_fmt(v) for v in u] + [_fmt(v) for v in point.x] + [_fmt(v) for v in point.y]
         with np.errstate(over="ignore"):  # an overflowed objective is written as inf
-            row.append(_fmt(objective(point, x0, y0)))
+            row.append(_fmt(_objective(point, x0, y0)))
         lines.append(",".join(row))
     _emit("\n".join(lines), args.output)
     return 0

@@ -153,13 +153,14 @@ def _sphere_lattice(n: int, r: int, poles_once: bool = False):
     (cos t1, sin t1 cos t2, ..., sin t1 ... sin t_{n-2} cos a,
     sin t1 ... sin t_{n-2} sin a).  The r^(n-1) directions come in
     lexicographic order, in (r, n) blocks that fix the polar angles and sweep
-    the azimuth.  At the poles several angle tuples give the same direction:
-    below a polar angle 0 every later coordinate is a signed zero.  With
-    ``poles_once`` each such subtree is yielded as its first row alone, a
-    (1, n) block with +0.0 after the zero angle, so the first direction off
-    the poles comes after n - 2 rows instead of r^(n-2) copies of the first
-    pole.  The walk is iterative, so its depth n - 2 is not bounded by the
-    interpreter's recursion limit.
+    the azimuth.  At the poles several angle tuples give one direction:
+    below a polar angle 0 every later coordinate is a signed zero, and below
+    pi a multiple of sin(pi) = 1.2e-16, as numpy rounds it.  With
+    ``poles_once`` each such subtree is yielded as one row, a (1, n) block
+    with +0.0 after the pole's angle, so each direction comes once and the
+    first one off the poles comes after n - 2 rows instead of r^(n-2) copies
+    of the first pole.  The walk is iterative, so its depth n - 2 is not
+    bounded by the interpreter's recursion limit.
     """
     azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
     tail = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=1)
@@ -171,14 +172,14 @@ def _sphere_lattice(n: int, r: int, poles_once: bool = False):
         i = len(js)
         if i < n - 2:
             head[i] = cp[j] * pres[i]
-            if not (poles_once and j == 0):
+            if not (poles_once and j in (0, r - 1)):
                 js.append(j)
                 pres.append(pres[i] * sp[j])
                 j = 0
                 continue
-            us = np.zeros((1, n))  # cos 0 = 1, so head[i] is the pole's last entry
+            us = np.zeros((1, n))  # cos t = +-1 at a pole: head[i] is its last entry
             us[0, : i + 1] = head[: i + 1]
-            j = 1
+            j += 1
         else:
             us = np.empty((r, n))
             us[:, :i] = head[:i]

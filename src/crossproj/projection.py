@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -235,8 +236,8 @@ def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys:
 
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     """Validate, then classify and solve at unit scale, on (x0/c, y0/c): the
-    record ``check``, the oracles and :func:`family_samples` read, as they
-    need the exact scale c."""
+    record ``check``, the oracles, :func:`classify` and :func:`solve_lambda`
+    read, as they need the exact scale c."""
     x0, y0, c, xs, ys, q, xx, yy = _scaled(x0, y0)
     tag, lam, lam_plus, half = _roots(q, xx, yy, tols, xs, ys)
     lams = None if tag is _ORTHOGONAL else LambdaPair(lam, lam_plus)
@@ -291,11 +292,7 @@ def _objective(p: Pair, x0: np.ndarray, y0: np.ndarray) -> float:
 
 def _family_member(xs: np.ndarray, ys: np.ndarray, u: np.ndarray, k: float = 1.0) -> Pair:
     # (<u,x0> u, y0 - <u,y0> u) from (xs, ys) = (x0, y0)/k; orthogonal for unit u
-    x, y = float(u.dot(xs)) * u, ys - float(u.dot(ys)) * u
-    if k != 1.0:  # in place: fresh arrays here made malloc re-fault heap pages at n = 10^4
-        x *= k
-        y *= k
-    return Pair(x, y)
+    return Pair(float(u.dot(xs)) * u * k, (ys - float(u.dot(ys)) * u) * k)
 
 
 def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
@@ -373,46 +370,37 @@ def _result(tag, x0, y0, lam, half, k, xs, ys) -> ProjectionResult:
 def family_samples(
     x0, y0, count: int, mode: str = "grid", tols: Tolerances = DEFAULT_TOLS
 ) -> list[tuple[np.ndarray, Pair]]:
-    """(direction, member) samples of the degenerate family.
+    """(direction, member) samples of the degenerate family of
+    ``project(x0, y0, tols)``; each member is its :meth:`FamilyProjection.member`.
 
     The selection (0, y0) always comes first and carries the zero
     vector as its direction (it corresponds to the trivial subspace).
     Remaining members use sphere directions from a uniform angle lattice.
-    In ``injective`` mode only directions with <u, x0> > 0 are emitted and
-    exact duplicate points are dropped, so fewer than ``count`` samples
-    may come back when the family is finite (n = 1).
+    In ``injective`` mode only directions with <u, x0> > 0 are emitted, each
+    lattice direction at most once (both poles collapsed), so fewer than
+    ``count`` samples may come back when the family is finite (n = 1).
     """
-    core = _reduce(x0, y0, tols)
+    res = project(x0, y0, tols)
     if mode not in ("grid", "injective"):
         raise DomainError(f"unknown sampling mode {mode!r}")
     count = _positive_int(count, "count")
-    if not core.tag.is_degenerate:
-        raise CaseError(f"input is not degenerate (classified {core.tag.value})")
+    if not res.tag.is_degenerate:
+        raise CaseError(f"input is not degenerate (classified {res.tag.value})")
 
-    n = core.x0.size
+    n, k = res.x0.size, res._k
+    xs, ys = res.x0 / k, res.y0 / k
     per_angle = 2 if n == 1 else max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
     for _ in range(8):  # double the lattice resolution until count is reached
-        out: list[tuple[np.ndarray, Pair]] = [(np.zeros(n), Pair(np.zeros(n), core.y0))]
-        seen: set[bytes] = set()  # the members kept after (0, y0), as exact keys
-        # injective mode visits each pole once: its repeats give the same member
         lattice = (
             [np.array([[1.0], [-1.0]])] if n == 1
             else _sphere_lattice(n, per_angle, poles_once=mode == "injective")
         )
-        for u in (u for us in lattice for u in us):
-            if len(out) == count:
-                break
-            if mode == "injective" and float(u.dot(core.xs)) <= 0.0:
-                continue
-            point = _family_member(core.xs, core.ys, u, core.c)
-            if mode == "injective":
-                # + 0.0 turns -0.0 into 0.0, so equal keys mean equal points
-                key = (point.x + 0.0).tobytes() + (point.y + 0.0).tobytes()
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append((u, point))
-        if len(out) == count or n == 1:
+        us = (u for rows in lattice for u in rows)
+        if mode == "injective":
+            us = (u for u in us if float(u.dot(xs)) > 0.0)
+        picked = list(islice(us, count - 1))
+        if len(picked) == count - 1 or n == 1:
             break
         per_angle *= 2
-    return out
+    base = (np.zeros(n), Pair(np.zeros(n), res.y0))
+    return [base] + [(u, _family_member(xs, ys, u, k)) for u in picked]

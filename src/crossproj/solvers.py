@@ -317,9 +317,7 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
     affine targets pass through the witness, and the boxes contain it.
     Returns ``(problem, witness)``.
     """
-    index = _kind_index(kind)
-    if dim < 1:
-        raise DomainError("dim must be >= 1")
+    index, dim = _kind_index(kind), _positive_int(dim, "dim")
     rng = np.random.default_rng([seed, dim, index])
 
     if kind == "orthant":
@@ -352,7 +350,8 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
 
 def default_start(kind: str, dim: int, seed: int = 0) -> Pair:
     """Deterministic random starting point matched to an instance seed."""
-    rng = np.random.default_rng([seed, dim, _kind_index(kind), 997])
+    index, dim = _kind_index(kind), _positive_int(dim, "dim")
+    rng = np.random.default_rng([seed, dim, index, 997])
     return Pair(rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim))
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import crossproj.oracle as oracle_mod
 from crossproj import CaseError, CaseTag, classify, family_samples, generate_instance
-from crossproj import instance_to_dict, project
+from crossproj import Pair, instance_to_dict, objective, project
 from crossproj.cli import main
 
 
@@ -245,6 +245,33 @@ class TestFamilyCommand:
         rows = out.strip().splitlines()[1:]
         assert len(rows) == 3
         assert all(row.endswith(",inf") for row in rows)
+
+    def _rows(self, capsys, *argv):
+        code, out, err = run(capsys, "family", *argv)
+        assert (code, err) == (0, "")
+        return np.array([[float(v) for v in line.split(",")] for line in out.splitlines()[1:]])
+
+    @pytest.mark.parametrize("x0, y0", [
+        ("1,2,3,4", "1,2,3,4"),
+        ("3e150,-1e-3,0,7e149", "-3e150,1e-3,0,-7e149"),
+        ("0.3,-0.7,1.1", "0.3,-0.7,1.1"),
+    ])
+    def test_objective_column_is_objective_of_each_row(self, capsys, x0, y0):
+        rows = self._rows(capsys, "--mode", "injective", "--count", "50", f"--x0={x0}", f"--y0={y0}")
+        n = (rows.shape[1] - 1) // 3
+        x0, y0 = ([float(v) for v in t.split(",")] for t in (x0, y0))
+        for row in rows:
+            point = Pair(row[n:2 * n], row[2 * n:3 * n])
+            assert row[-1] == objective(point, x0, y0)
+
+    def test_injective_directions_pairwise_distinct(self, capsys):
+        rows = self._rows(
+            capsys, "--mode", "injective", "--count", "50", "--x0", "1,2,3,4", "--y0", "1,2,3,4"
+        )
+        assert len(rows) == 50
+        us = rows[:, :4]
+        for i in range(len(us) - 1):
+            assert np.abs(us[i + 1:] - us[i]).max(axis=1).min() > 1e-12, i
 
     def test_non_degenerate_message_from_library(self, capsys):
         with pytest.raises(CaseError) as exc:

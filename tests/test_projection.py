@@ -432,18 +432,77 @@ class TestFamilyEnumerate:
         assert len(family_samples(x0, x0, 8, mode="injective")) == 8
         assert len(calls) <= 2 * 8
 
+    def test_injective_builds_only_returned_members(self, monkeypatch):
+        # 2,000 directions at n = 4 take a doubling of the first lattice, and
+        # no member is built for a direction that is not returned
+        calls, lattices = [], []
+        member, lattice = projection_mod._family_member, projection_mod._sphere_lattice
+        monkeypatch.setattr(
+            projection_mod, "_family_member", lambda *a: calls.append(1) or member(*a)
+        )
+        monkeypatch.setattr(
+            projection_mod, "_sphere_lattice", lambda *a, **k: lattices.append(a) or lattice(*a, **k)
+        )
+        x0 = np.ones(4)
+        assert len(family_samples(x0, x0, 2000, mode="injective")) == 2000
+        assert len(lattices) >= 2
+        assert len(calls) == 1999
+
+    @pytest.mark.parametrize("mode", ["grid", "injective"])
+    def test_members_are_project_members(self, monkeypatch, mode):
+        # the family comes from project alone, so every sample is its member
+        def reduce(*args):
+            raise AssertionError("family_samples classified its input again")
+
+        monkeypatch.setattr(projection_mod, "_reduce", reduce)
+        v = np.array([1.0, -2.0, 0.0, 0.5])
+        back = np.linspace(-1.0, 2.0, 9)[::-2]
+        inputs = [
+            (v, v, DEFAULT_TOLS),  # in the window
+            (1e200 * v, -1e200 * v, DEFAULT_TOLS),  # scaled by c
+            (back, back, DEFAULT_TOLS),  # a reversed view
+            (v, -v, Tolerances(orth=0.0, deg=0.0)),
+            (np.array([3.0]), np.array([3.0]), DEFAULT_TOLS),
+        ]
+        for x0, y0, tols in inputs:
+            res = project(x0, y0, tols)
+            (u, first), *rest = family_samples(x0, y0, 40, mode, tols)
+            assert not u.any()
+            assert first.x.tobytes() == np.zeros(x0.size).tobytes()
+            assert first.y.tobytes() == res.y0.tobytes()
+            for u, p in rest:
+                m = res.member(u)
+                assert (p.x.tobytes(), p.y.tobytes()) == (m.x.tobytes(), m.y.tobytes())
+
+    def test_pole_walk_directions_pairwise_distinct(self):
+        # sin(pi) is 1.2e-16 in numpy, so the rows below a polar angle pi
+        # differ only in their last bits; the walk keeps one of them
+        for n in range(2, 7):
+            for r in range(1, 7):
+                us = np.concatenate(list(_sphere_lattice(n, r, poles_once=True)))
+                for i in range(len(us) - 1):
+                    assert np.abs(us[i + 1:] - us[i]).max(axis=1).min() > 1e-12, (n, r, i)
+
     def test_pole_walk_drops_only_repeats(self):
-        # each row the pole walk skips repeats the row it kept last, up to
-        # the signs of zeros
+        # each full-lattice row lies within 4 eps of the row the pole walk
+        # keeps for it; a row below a polar angle 0 equals that row up to the
+        # signs of zeros, and a row below no pole is kept as it is
+        tol = 4 * np.finfo(float).eps
         for n in range(2, 6):
             for r in range(1, 5):
                 full = [u for us in _sphere_lattice(n, r) for u in us]
                 once = [u for us in _sphere_lattice(n, r, poles_once=True) for u in us]
                 kept = 0
-                for u in full:
-                    if kept < len(once) and u.tobytes() == once[kept].tobytes():
+                for m, u in enumerate(full):
+                    polar = [m // r ** (n - 2 - i) % r for i in range(n - 2)]
+                    pole = next((j for j in polar if j in (0, r - 1)), None)
+                    if kept < len(once) and np.abs(u - once[kept]).max() <= tol:
                         kept += 1
                     else:
+                        assert pole is not None and np.abs(u - once[kept - 1]).max() <= tol
+                    if pole is None:
+                        assert u.tobytes() == once[kept - 1].tobytes()
+                    elif pole == 0:
                         assert (u + 0.0).tobytes() == (once[kept - 1] + 0.0).tobytes()
                 assert kept == len(once)
 

@@ -165,6 +165,25 @@ class TestGenerateInstance:
         with pytest.raises(DomainError):
             instance_from_dict({"kind": "orthant", "dim": 2, "witness": {"x": [1.0], "y": [0.0, 0.0]}})
 
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 3.0, True, np.True_, "3"], ids=repr)
+    def test_dim_must_be_a_positive_integer(self, dim):
+        # the rule of count, resolution and max_iter: a float once reached numpy's
+        # seed check, and dim 0 gave default_start an empty pair
+        for make in (generate_instance, default_start):
+            with pytest.raises(DomainError, match="^dim must be an integer >= 1$"):
+                make("orthant", dim)
+
+    def test_kind_is_checked_before_dim(self):
+        for make in (generate_instance, default_start):
+            with pytest.raises(DomainError, match="instance kind must be one of"):
+                make("bogus", 0)
+
+    def test_numpy_integer_dim(self):
+        problem, _ = generate_instance("box", np.int64(3), seed=2)
+        assert problem.dim == 3 and type(problem.dim) is int
+        start = default_start("box", np.int32(3), seed=2)
+        np.testing.assert_array_equal(start.x, default_start("box", 3, seed=2).x)
+
 
 class TestInstanceValidation:
     def test_every_generated_instance_roundtrips(self):
