@@ -2,10 +2,10 @@
 
 Validation, inner products and a norm accurate at every float64 scale, the
 two-by-two block solve behind the multiplier stationarity system, the
-angle lattice on the unit sphere that every sphere sweep uses, and the one
-sampler of random orthonormal frames.  Everything
-operates on float64 numpy arrays; all functions are pure and never mutate
-arguments.
+angle lattice on the unit sphere that ``family_samples`` draws its
+directions from, and the one sampler of random orthonormal frames.
+Everything operates on float64 numpy arrays; all functions are pure and
+never mutate arguments.
 """
 
 from __future__ import annotations

@@ -5,18 +5,18 @@ Two oracles cross-check :func:`crossproj.projection.project`:
 * :func:`lagrangian_oracle` sweeps the complete finite candidate set (the
   two multiplier candidates plus the axis selections) and picks the
   objective minimizer; away from the degenerate ray this is exact.
-* :func:`subspace_oracle` sweeps pairs (P_U x0, P_{U-perp} y0) over
-  U = {0} and lines U = span{u} on a uniform angle lattice of the unit
-  sphere.  Every such pair lies in the cross, so the best value found is
-  an upper bound on half the squared distance that tightens with the
-  lattice.
+* :func:`subspace_oracle` returns the best pair (P_U x0, P_{U-perp} y0)
+  over U = {0} and the lines U = span{u}.  The cross is the union of those
+  products U x U-perp, so the best pair is a nearest point: the line along
+  the top eigenvector of the rank-2 M = x0 x0^T - y0 y0^T, or U = {0} where
+  lambda_max(M) <= 0, and half the squared distance is
+  |x0|^2/2 - lambda_max(M)^+/2.
 
-The cross is the union of those products U x U-perp, so their exact
-minimum is half the squared distance: |x0|^2/2 - lambda_max(M)^+/2 for the
-rank-2 M = x0 x0^T - y0 y0^T.  :func:`check` takes it by QR and a 2x2
-``eigvalsh`` on span{x0, y0} and bundles it with the Lagrangian sweep and
-the module invariants into a pass/fail battery for one input; failures are
-data, not exceptions.  The sweep scores each candidate once: its report
+Both that oracle and :func:`check` take the eigenpair from one routine,
+:func:`_spectral`: QR and a 2x2 ``eigh`` on span{x0, y0}.  :func:`check`
+bundles the exact subspace minimum with the Lagrangian sweep and the module
+invariants into a pass/fail battery for one input; failures are data, not
+exceptions.  The sweep scores each candidate once: its report
 feeds ``lagrangian_*`` and ``point_match``, its objectives ``stability``
 and ``plus_branch_larger``.  Every item of the battery tests the answer
 :func:`project` gave for that input; the paper's identities that hold at
@@ -25,7 +25,6 @@ any multiplier are pinned by the test suite, not re-derived per input.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -33,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystem
-from .linalg import Pair, _haar_columns, _positive_int, _sphere_lattice, block_solve, norm
+from .linalg import Pair, _haar_columns, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
     CaseTag,
@@ -58,10 +57,6 @@ TIE_TOL = 1e-12
 #: (1 + |x0/c||y0/c|), c the input's power-of-two scale (:func:`_membership`).
 MEMBERSHIP_TOL = 1e-9
 
-#: Grid sweeps up to this many lattice points are evaluated directly; for
-#: n = 3 beyond it the separable row reduction kicks in.
-_DIRECT_GRID_LIMIT = 2_000_000
-
 
 @dataclass(eq=False)
 class OracleReport:
@@ -71,8 +66,9 @@ class OracleReport:
     half squared distance; it is never materially negative (the formula is
     a lower envelope) and shrinks to zero as the oracle tightens.
     ``tie_count`` counts candidates within ``TIE_TOL`` of the minimum
-    (1 means the minimizer was unique at that granularity); ``ties`` holds
-    the non-selected tied points, capped at 16 entries.
+    (1 means the minimizer was unique at that granularity), or, for the
+    subspace oracle, 2 on the degenerate rays; ``ties`` holds the
+    non-selected tied points, capped at 16 entries.
     """
 
     mode: str
@@ -82,15 +78,6 @@ class OracleReport:
     candidates_examined: int
     tie_count: int = 1
     ties: list = field(default_factory=list)
-
-
-def _lex_min_rows(us: np.ndarray) -> np.ndarray:
-    """Lexicographically smallest row of a 2-D array, the first of equal rows.
-
-    ``lexsort`` takes its last key as primary, hence the reversed columns;
-    it is stable and compares -0.0 equal to 0.0.
-    """
-    return us[np.lexsort(us.T[::-1])[0]].copy()
 
 
 def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
@@ -140,114 +127,53 @@ def _lagrangian(core: _Reduction) -> tuple[OracleReport, list[float]]:
     ), objs
 
 
-def _subspace_objectives(x0, y0, us: np.ndarray) -> np.ndarray:
-    # f(P_U x0, P_{U-perp} y0) = |x0|^2/2 - <u,x0>^2/2 + <u,y0>^2/2
-    sx = us @ x0
-    sy = us @ y0
-    return 0.5 * float(np.dot(x0, x0)) - 0.5 * sx * sx + 0.5 * sy * sy
+def subspace_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
+    """Exact best subspace pair (P_U x0, P_{U-perp} y0) over U = {0} and all lines.
 
-
-def _grid3_row_candidates(x0, y0, r: int) -> np.ndarray:
-    """Per-azimuth-row minimizers of the lattice sweep in R^3.
-
-    With u = (cos t1, sin t1 cos t2, sin t1 sin t2), the subspace objective
-    restricted to a fixed azimuth t2 is a pure sinusoid in 2*t1, so its
-    minimum over the uniform t1 lattice sits at the lattice point nearest
-    the sinusoid's trough.  Locating that index per row shrinks the r^2
-    sweep to r direct evaluations without changing the lattice minimum.
-    """
-    th1 = np.linspace(0.0, np.pi, r)
-    th2 = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
-    ax = x0[1] * np.cos(th2) + x0[2] * np.sin(th2)
-    ay = y0[1] * np.cos(th2) + y0[2] * np.sin(th2)
-    # objective along a row: const + A*cos(2 t1) + B*sin(2 t1), up to 1/2
-    alpha = y0[0] ** 2 - x0[0] ** 2
-    a_coef = 0.5 * (alpha - (ay * ay - ax * ax))
-    b_coef = y0[0] * ay - x0[0] * ax
-    phi = np.arctan2(b_coef, a_coef)
-    h = 2.0 * np.pi / (r - 1)
-    k = np.rint(np.mod(phi + np.pi, 2.0 * np.pi) / h).astype(np.intp)
-    t1 = th1[k]
-    s1 = np.sin(t1)
-    return np.stack([np.cos(t1), s1 * np.cos(th2), s1 * np.sin(th2)], axis=1)
-
-
-def subspace_oracle(
-    x0, y0, resolution: int, tols: Tolerances = DEFAULT_TOLS
-) -> OracleReport:
-    """Best subspace pair (P_U x0, P_{U-perp} y0) over an angle lattice.
-
-    The lattice has ``resolution`` points per angle, so resolution^(n-1)
-    directions: exact in R^1, cheap through R^3 thanks to a separable
-    per-row reduction, combinatorial beyond.  The trivial subspace U = {0}
-    (candidate (0, y0)) is always included.  Ties within ``TIE_TOL`` are
-    resolved toward the lexicographically smallest direction; in the
-    separable fast path tie accounting happens at row-representative
-    granularity.
+    The two candidates are the line along the top eigenvector u of M from
+    :func:`_spectral`, the pair (<u,x0> u, y0 - <u,y0> u), and the trivial
+    subspace, the pair (0, y0), which wins where lambda_max(M) <= 0.  On the
+    degenerate rays M = 0, so every U ties: there the report has
+    ``tie_count`` 2 and the other candidate in ``ties``, (x0, 0) on the exact
+    rays, as :func:`lagrangian_oracle` reports them.
     """
     core = _reduce(x0, y0, tols)
     x0, y0 = core.x0, core.y0
-    resolution = _positive_int(resolution, "resolution")
-    n = x0.size
-
-    # (directions, lattice points they stand for)
-    if n == 3 and resolution**2 > _DIRECT_GRID_LIMIT:
-        lattice = [(_grid3_row_candidates(x0, y0, resolution), resolution**2)]
-    else:
-        # R^1 has one line; u and -u span the same subspace
-        rows = [np.array([[1.0]])] if n == 1 else _sphere_lattice(n, resolution)
-        lattice = ((us, len(us)) for us in rows)
-
-    # streaming minimum from the zero direction (U = {0}) on, with a banded tie
-    # count; ties go to the lexicographically smallest direction, so the
-    # selected minimizer does not depend on evaluation order
-    best, u, tie_count, examined = math.inf, None, 0, 0
-    for us, count in itertools.chain([(np.zeros((1, n)), 1)], lattice):
-        examined += count
-        fs = _subspace_objectives(x0, y0, us)
-        m = float(fs.min())
-        if m < best - TIE_TOL:
-            tie_count, u = 0, None
-        best = min(best, m)
-        mask = fs <= best + TIE_TOL
-        hits = int(np.count_nonzero(mask))
-        if hits:
-            tie_count += hits
-            tied = _lex_min_rows(us[mask])
-            if u is None or tuple(tied) < tuple(u):
-                u = tied
-
-    if u is None or not np.any(u):
-        best = Pair(np.zeros_like(x0), y0)
-    else:
-        best = _family_member(core.xs, core.ys, u, core.c)
+    top, u = _spectral(core)
+    line = _family_member(core.xs, core.ys, u, core.c)
+    zero = Pair(np.zeros_like(x0), y0)
+    best, other = (line, zero) if top > 0.0 else (zero, line)
+    ties = [other] if core.tag.is_degenerate else []
     best_obj = float(_objective(best, x0, y0))
     return OracleReport(
-        mode="subspace_grid",
+        mode="subspace_spectral",
         best_point=best,
         best_objective=best_obj,
         gap_vs_formula=best_obj - core.half_dist_sq,
-        candidates_examined=examined,
-        tie_count=max(tie_count, 1),
+        candidates_examined=2,
+        tie_count=1 + len(ties),
+        ties=ties,
     )
 
 
-def _spectral(core: _Reduction) -> float:
-    """Exact minimum of the subspace objective over U = {0} and all lines,
-    at unit scale.
+def _spectral(core: _Reduction) -> tuple[float, np.ndarray]:
+    """Top eigenpair of M = x0 x0^T - y0 y0^T at unit scale: lambda_max(M)
+    for (x0/c, y0/c) and a unit eigenvector of R^n for it.
 
-    Over lines the objective is |x0|^2/2 - (u^T M u)/2 with
-    M = x0 x0^T - y0 y0^T, so its minimum is |x0|^2/2 - lambda_max(M)^+/2
+    Over lines U = span{u} the subspace objective is |x0|^2/2 - (u^T M u)/2,
+    so its minimum over U = {0} and all lines is |x0|^2/2 - lambda_max(M)^+/2
     (Courant-Fischer).  M has rank at most 2 and its range lies in
-    span{x0, y0}, so lambda_max is that of the 2x2 B^T M B for a QR basis B
-    of [x0 y0].  Kept as LAPACK QR and eigvalsh: the 2x2 root written out by
-    hand is the formula that :func:`check` tests.
+    span{x0, y0}, so its eigenpairs are those of the 2x2 B^T M B for a QR
+    basis B of [x0 y0], mapped back by B.  Kept as LAPACK QR and eigh: the
+    2x2 root written out by hand is the formula that :func:`check` tests.
+    ``eigh`` takes -M, whose first eigenvector is B e1, along x0, where
+    M = 0 (the degenerate rays), so the line there gives (x0, 0).
     """
     x0, y0 = core.xs, core.ys
     b = np.linalg.qr(np.stack((x0, y0), axis=1))[0]
     bx, by = x0 @ b, y0 @ b
-    top = np.linalg.eigvalsh(np.outer(bx, bx) - np.outer(by, by))[-1]
-    return 0.5 * float(x0.dot(x0)) - 0.5 * max(float(top), 0.0)
+    w, v = np.linalg.eigh(np.outer(by, by) - np.outer(bx, bx))
+    return -float(w[0]), b @ v[:, 0]
 
 
 class CheckItem(NamedTuple):
@@ -283,8 +209,11 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     """Run projection, the oracles, and the module invariants on one input.
 
     Every verdict is a (passed, residual, tol) triple; nothing raises on a
-    failed invariant.  ``subspace_lower`` compares the formula with the
-    exact subspace minimum of :func:`_spectral`, in every dimension.  Five
+    failed invariant.  ``subspace_lower`` compares half the squared
+    distance :func:`project` gave with the exact subspace minimum from
+    :func:`_spectral`, in every dimension, both at unit scale (over c^2 for
+    the input's power-of-two scale c), so its residual is finite at every
+    finite input.  Five
     items read the one Lagrangian sweep: ``lagrangian_lower``,
     ``lagrangian_match`` and ``point_match`` its report, ``stability`` and
     ``plus_branch_larger`` its axis and large-root objectives.  One regime
@@ -349,7 +278,9 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     if safe_generic:
         record("point_match", _pair_diff(lag.best_point, res.point), 1e-8 * scale)
 
-    record("subspace_lower", (core.half - _spectral(core)) * c * c, 1e-9)
+    top = _spectral(core)[0]
+    low = 0.5 * float(core.xs.dot(core.xs)) - 0.5 * max(top, 0.0)
+    record("subspace_lower", 0.5 * (res.dist / c) ** 2 - low, 1e-9)
 
     if tag is not CaseTag.ORTHOGONAL:
         record("vieta", abs(lams.lambda_minus * lams.lambda_plus - 1.0), 1e-10)

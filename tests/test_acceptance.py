@@ -119,17 +119,20 @@ def test_criterion_2_generic_formula_vs_lagrangian_oracle():
 
 
 def test_criterion_3_subspace_grid_upper_bound():
+    # the subspace oracle is exact (the top eigenvector of x0 x0^T - y0 y0^T),
+    # so its gap to the formula is round-off in every dimension
     t0 = time.perf_counter()
     failures = []
-    for n in (2, 3):
+    for n in (2, 3, 8, 50):
         rng = np.random.default_rng([7003, n])
         for _ in range(50):
             x0 = rng.uniform(-1.0, 1.0, n)
             y0 = rng.uniform(-1.0, 1.0, n)
-            rep = subspace_oracle(x0, y0, resolution=10_000)
-            if not (-1e-9 <= rep.gap_vs_formula <= 1e-6):
+            rep = subspace_oracle(x0, y0)
+            half = project(x0, y0).half_dist_sq
+            if not abs(rep.gap_vs_formula) <= 1e-12 * (1.0 + half):
                 failures.append((n, list(x0), list(y0), rep.gap_vs_formula))
-    _finish(3, "subspace-grid upper bound", t0, 60.0, failures)
+    _finish(3, "exact subspace oracle", t0, 60.0, failures)
 
 
 def test_criterion_4_degenerate_independence():

@@ -8,6 +8,7 @@ import crossproj.oracle as oracle_mod
 from crossproj import (
     DEFAULT_TOLS,
     CaseTag,
+    DimensionMismatch,
     DomainError,
     SingletonProjection,
     Tolerances,
@@ -16,7 +17,6 @@ from crossproj import (
     check,
     classify,
     lagrangian_oracle,
-    membership_residual,
     norm,
     objective,
     project,
@@ -24,14 +24,10 @@ from crossproj import (
     subspace_oracle,
 )
 from crossproj.linalg import Pair, _sphere_lattice
-from crossproj.oracle import (
-    CheckReport,
-    _grid3_row_candidates,
-    _lagrangian,
-    _spectral,
-    _subspace_objectives,
-)
+from crossproj.oracle import CheckReport, _lagrangian, _spectral
 from crossproj.projection import _reduce
+
+EPS = np.finfo(float).eps
 
 
 def large_root_project(real):
@@ -116,77 +112,114 @@ class TestLagrangianOracle:
             assert lagrangian_oracle(x0, y0).gap_vs_formula >= -1e-9
 
 
+def lattice_best(x0, y0, r):
+    """Brute force over U = {0} and the lines of the angle lattice: the least
+    subspace objective |x0|^2/2 - <u,x0>^2/2 + <u,y0>^2/2."""
+    best = 0.5 * float(x0 @ x0)
+    for us in _sphere_lattice(x0.size, r):
+        best = min(best, float((0.5 * (x0 @ x0 - (us @ x0) ** 2 + (us @ y0) ** 2)).min()))
+    return best
+
+
+def pair_gap(a, b):
+    return norm(a.x - b.x) + norm(a.y - b.y)
+
+
 class TestSubspaceOracle:
     def test_scalar_exhaustive(self):
-        rep = subspace_oracle([2.0], [1.0], resolution=1)
-        assert rep.best_objective == pytest.approx(0.5, rel=1e-14)
-        assert abs(rep.gap_vs_formula) <= 1e-12
+        # in R^1 the line is the x axis: the longer part stays, exactly
+        rep = subspace_oracle([2.0], [1.0])
+        assert rep.mode == "subspace_spectral"
+        assert rep.best_objective == 0.5
+        assert rep.gap_vs_formula == 0.0
         assert rep.candidates_examined == 2  # the trivial subspace and the line
+        assert (rep.best_point.x.tolist(), rep.best_point.y.tolist()) == ([2.0], [0.0])
+        rep = subspace_oracle([1.0], [-3.0])
+        assert (rep.best_point.x.tolist(), rep.best_point.y.tolist()) == ([0.0], [-3.0])
+        assert rep.gap_vs_formula == 0.0
 
-    def test_plane_grid_tightens(self):
-        x0 = np.array([1.0, 2.0])
-        y0 = np.array([3.0, 1.0])
-        rep = subspace_oracle(x0, y0, resolution=10_000)
-        assert 0.0 - 1e-9 <= rep.gap_vs_formula <= 1e-6
-        coarse = subspace_oracle(x0, y0, resolution=100)
-        assert coarse.gap_vs_formula >= rep.gap_vs_formula - 1e-12
+    @pytest.mark.parametrize("a", [0.5, -0.25, 0.0])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_shorter_parallel_x_gives_trivial_subspace(self, a, n):
+        # x0 = a y0 with |a| < 1: lambda_max(M) <= 0 (up to round-off), so the
+        # answer is (0, y0), the nearest point project gives too
+        y0 = np.array([0.3, -0.7, 0.5][:n])
+        rep = subspace_oracle(a * y0, y0)
+        assert norm(rep.best_point.x) <= 4 * EPS * norm(y0)
+        np.testing.assert_allclose(rep.best_point.y, y0, rtol=0, atol=4 * EPS)
+        assert abs(rep.gap_vs_formula) <= 4 * EPS
+        assert rep.tie_count == 1
 
     def test_degenerate_constant_objective(self):
-        x0 = np.array([1.0, 1.0])
-        rep = subspace_oracle(x0, x0, resolution=64)
-        assert rep.best_objective == pytest.approx(1.0, rel=1e-12)
-        # every direction candidate ties at the common value
-        assert rep.tie_count == rep.candidates_examined
-
-    def test_upper_bound_property(self):
-        rng = np.random.default_rng(42)
-        for n in (1, 2, 3, 4):
-            for _ in range(25):
-                x0 = rng.uniform(-1.0, 1.0, n)
-                y0 = rng.uniform(-1.0, 1.0, n)
-                rep = subspace_oracle(x0, y0, resolution=20)
-                assert rep.gap_vs_formula >= -1e-9
-                assert membership_residual(rep.best_point) <= 1e-9 * (
-                    1.0 + norm(x0) * norm(y0)
-                )
+        # on both rays M = 0, so every U ties: the report selects (0, y0) and
+        # names (x0, 0), as the Lagrangian sweep does
+        for x0 in (np.array([1.0, -0.5, 2.0]), np.array([3.0])):
+            half = 0.5 * float(x0 @ x0)
+            for y0 in (x0, -x0):
+                rep = subspace_oracle(x0, y0)
+                assert rep.best_objective == half
+                assert rep.tie_count == 2
+                assert len(rep.ties) == 1
+                np.testing.assert_array_equal(rep.best_point.x, 0.0 * x0)
+                np.testing.assert_array_equal(rep.best_point.y, y0)
+                tie = rep.ties[0]
+                np.testing.assert_allclose(tie.x, x0, rtol=0, atol=4 * EPS * norm(x0))
+                np.testing.assert_allclose(tie.y, 0.0 * x0, rtol=0, atol=4 * EPS * norm(x0))
+                assert objective(tie, x0, y0) == pytest.approx(half, rel=1e-15)
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            subspace_oracle([1.0], [1.0], resolution=0)
+            subspace_oracle([1.0, np.inf], [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            subspace_oracle([1.0, 2.0], [1.0])
 
-    @pytest.mark.parametrize("resolution", [2.5, 3.0, True, "3"], ids=repr)
-    def test_non_integer_resolution_rejected(self, resolution):
-        with pytest.raises(DomainError, match="resolution must be an integer"):
-            subspace_oracle([1.0, 2.0], [3.0, 1.0], resolution=resolution)
+    def test_upper_bound_property(self):
+        # the pair lies in the cross at every scale (<x/t, y/t> is round-off),
+        # and its objective never undercuts the formula by more than round-off
+        rng = np.random.default_rng(42)
+        for n in (1, 2, 3, 4, 50):
+            for _ in range(25):
+                x0 = rng.uniform(-1.0, 1.0, n)
+                y0 = rng.uniform(-1.0, 1.0, n)
+                assert subspace_oracle(x0, y0).gap_vs_formula >= -1e-15
+                for t in (1e-300, 1.0, 1e300):
+                    with np.errstate(over="ignore"):  # the objective overflows at 1e300
+                        p = subspace_oracle(t * x0, t * y0).best_point
+                    assert np.isfinite(p.x).all() and np.isfinite(p.y).all()
+                    bound = 8 * EPS * norm(x0) * norm(y0)
+                    assert abs(float((p.x / t) @ (p.y / t))) <= bound
 
-    def test_numpy_integer_resolution(self):
-        x0, y0 = [1.0, 2.0], [3.0, 1.0]
-        rep = subspace_oracle(x0, y0, resolution=np.int64(20))
-        assert rep.best_objective == subspace_oracle(x0, y0, resolution=20).best_objective
+    def test_plane_grid_tightens(self):
+        # a finer lattice closes in on the oracle's objective from above
+        x0 = np.array([1.0, 2.0])
+        y0 = np.array([3.0, 1.0])
+        best = subspace_oracle(x0, y0).best_objective
+        coarse, fine = lattice_best(x0, y0, 100), lattice_best(x0, y0, 10_000)
+        assert best - 1e-14 <= fine <= coarse
+        assert fine - best <= 1e-6
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
+    def test_matches_project(self, n):
+        rng = np.random.default_rng([51, n])
+        for _ in range(100):
+            x0, y0 = random_generic(rng, n)
+            res = project(x0, y0)
+            rep = subspace_oracle(x0, y0)
+            assert abs(rep.gap_vs_formula) <= 1e-12 * (1.0 + res.half_dist_sq)
+            assert pair_gap(rep.best_point, res.point) <= 1e-14 * (norm(x0) + norm(y0))
 
-class TestSeparableGridReduction:
-    """The per-row reduction must reproduce the direct lattice sweep in R^3."""
-
-    @pytest.mark.parametrize("r", [37, 101, 250])
-    def test_matches_direct_sweep(self, r):
-        rng = np.random.default_rng(44)
-        for _ in range(20):
-            x0 = rng.uniform(-1.0, 1.0, 3)
-            y0 = rng.uniform(-1.0, 1.0, 3)
-            best_direct = np.inf
-            for us in _sphere_lattice(3, r):
-                best_direct = min(best_direct, _subspace_objectives(x0, y0, us).min())
-            reps = _grid3_row_candidates(x0, y0, r)
-            best_reduced = _subspace_objectives(x0, y0, reps).min()
-            assert best_reduced == pytest.approx(best_direct, rel=1e-12, abs=1e-12)
-
-    def test_large_resolution_uses_reduction(self):
-        x0 = np.array([1.0, 2.0, 0.5])
-        y0 = np.array([3.0, 1.0, -0.2])
-        rep = subspace_oracle(x0, y0, resolution=10_000)
-        assert rep.candidates_examined == 10_000 ** 2 + 1
-        assert -1e-9 <= rep.gap_vs_formula <= 1e-6
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_matches_project_near_the_ray(self, eps):
+        # the top eigenvector is fixed only to about eps_mach / |x0 - y0| relative
+        rng = np.random.default_rng(52)
+        for n in (2, 3, 8, 50):
+            for _ in range(25):
+                y0 = rng.uniform(-1.0, 1.0, n)
+                w = rng.standard_normal(n)
+                x0 = y0 + eps * w / np.linalg.norm(w)
+                s = norm(x0) + norm(y0)
+                gap = pair_gap(subspace_oracle(x0, y0).best_point, project(x0, y0).point)
+                assert gap <= 4 * EPS * s * s / norm(x0 - y0)
 
 
 def spectral_inputs(rng, n):
@@ -206,22 +239,32 @@ def spectral_inputs(rng, n):
 class TestSpectralBound:
     """The exact subspace minimum behind check's ``subspace_lower`` item."""
 
+    @staticmethod
+    def spectral_min(core):
+        # |x0|^2/2 - lambda_max(M)^+/2 at unit scale
+        return 0.5 * float(core.xs @ core.xs) - 0.5 * max(_spectral(core)[0], 0.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 1000])
     @pytest.mark.parametrize("t", [1.0, 2.0**520, 2.0**-520, 1e300, 1e-300])
     def test_matches_formula(self, n, t):
         rng = np.random.default_rng([47, n])
         for kind, x0, y0 in spectral_inputs(rng, n):
             core = _reduce(t * x0, t * y0, DEFAULT_TOLS)
-            assert abs(_spectral(core) - core.half) <= 1e-14 * core.s, kind
+            assert abs(self.spectral_min(core) - core.half) <= 1e-14 * core.s, kind
+            top, u = _spectral(core)
+            assert abs(np.linalg.norm(u) - 1.0) <= 4 * EPS, kind
+            m_u = float(u @ core.xs) ** 2 - float(u @ core.ys) ** 2  # u^T M u
+            assert abs(m_u - top) <= 1e-14 * core.s, kind
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_below_grid_best(self, n):
+        # the oracle's objective is at most any lattice direction's, up to round-off
         rng = np.random.default_rng([48, n])
         for _ in range(10):
             for kind, x0, y0 in spectral_inputs(rng, n):
-                core = _reduce(x0, y0, DEFAULT_TOLS)
-                grid = subspace_oracle(x0, y0, resolution=10_000).best_objective
-                assert _spectral(core) * core.c**2 <= grid + 1e-14 * core.s, kind
+                best = subspace_oracle(x0, y0).best_objective
+                grid = lattice_best(x0, y0, 200)
+                assert best <= grid + 1e-14 * (x0 @ x0 + y0 @ y0), kind
 
     def test_check_item_is_exact(self):
         rng = np.random.default_rng(49)
@@ -455,8 +498,18 @@ class TestCheckAtScale:
             if oracle == "lagrangian":
                 rep = lagrangian_oracle(x0, y0)
             else:
-                rep = subspace_oracle(x0, y0, resolution=20)
+                rep = subspace_oracle(x0, y0)
         assert np.isfinite(rep.gap_vs_formula)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-8, 1e8, 1e150, 1e200, 1e300])
+    def test_subspace_lower_at_scale(self, t):
+        # project's distance and the spectral minimum are compared at the
+        # input's power-of-two scale, where neither square overflows
+        with np.errstate(all="ignore"):  # other items overflow at the largest t
+            item = check(t * SCALE_X, t * SCALE_Y).items["subspace_lower"]
+        assert item.passed, item
+        assert np.isfinite(item.residual)
+        assert abs(item.residual) <= 1e-14
 
     @pytest.mark.parametrize(
         "x0, y0",

@@ -74,7 +74,7 @@ SIGNATURES = {
     # oracle
     "check": ["x0", "y0", "seed", "tols"],
     "lagrangian_oracle": ["x0", "y0", "tols"],
-    "subspace_oracle": ["x0", "y0", "resolution", "tols"],
+    "subspace_oracle": ["x0", "y0", "tols"],
     # solvers
     "alternating_projections": ["problem", "start", "max_iter", "tol", "selection"],
     "default_start": ["kind", "dim", "seed"],
