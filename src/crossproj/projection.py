@@ -39,7 +39,8 @@ import numpy as np
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_pair, as_vector, inner
 from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _positive_int, _pow2_scale, _require_unit, _sphere_lattice, _vector_inf
+from .linalg import _over_pow2, _positive_int, _pow2_scale, _require_unit, _sphere_lattice
+from .linalg import _vector_inf
 
 
 class CaseTag(Enum):
@@ -140,7 +141,7 @@ class FamilyProjection:
         if u.size != n:
             raise DimensionMismatch(f"u has dimension {u.size}, expected {n}")
         _require_unit(u)
-        return _family_member(self.x0 / k, self.y0 / k, u, k)
+        return _family_member(_over_pow2(self.x0, k), _over_pow2(self.y0, k), u, k)
 
     def selections(self) -> list[Pair]:
         return list(self.canonical)
@@ -202,36 +203,41 @@ def _scaled(x0, y0):
     arrays, c, (xs, ys) = (x0, y0)/c and <xs, ys>, |xs|^2, |ys|^2."""
     x0, y0, m = _check_input(x0, y0)
     c = _pow2_scale(m)
-    xs, ys = x0 / c, y0 / c
+    xs, ys = _over_pow2(x0, c), _over_pow2(y0, c)
     return x0, y0, c, xs, ys, float(xs.dot(ys)), float(xs.dot(xs)), float(ys.dot(ys))
 
 
 def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys: np.ndarray):
-    """Tag, both multiplier roots and half the squared distance, all at the
+    """Tag, both multiplier roots, half the squared distance, a = |xs+ys|,
+    b = |xs-ys| and the array d^2 was summed from (else None), all at the
     scale g of (xs, ys) = (x0, y0)/g: q = <xs, ys>, xx = |xs|^2, yy = |ys|^2.
     Both bands (see :class:`Tolerances`) are decided here; inside the
-    orthogonal band the roots are undefined and read 0.  Every step is
-    homogeneous, so the raw scale g = 1 gives the bits of unit scale times
+    orthogonal band the roots and norms are undefined and read 0.  Every step
+    is homogeneous, so the raw scale g = 1 gives the bits of unit scale times
     powers of two wherever no quantity is subnormal.
 
     The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
     d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
-    arrays where the subtraction would lose more than a bit, below S/2.
+    arrays where the subtraction would lose more than a bit, below S/2.  That
+    array is xs - ys if q > 0, else xs + ys, and d is its norm.
     """
     nx, ny = math.sqrt(xx), math.sqrt(yy)
     if not abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
-        return _ORTHOGONAL, 0.0, 0.0, 0.0
+        return _ORTHOGONAL, 0.0, 0.0, 0.0, 0.0, 0.0, None
     s = xx + yy
     d2 = s - 2.0 * abs(q)
+    v = None
     if d2 < 0.5 * s:
         d2 = float((v := xs - ys if q > 0.0 else xs + ys).dot(v))
     d = math.sqrt(d2)
-    sp = s + d * math.sqrt(s + 2.0 * abs(q))
+    r = math.sqrt(s + 2.0 * abs(q))
+    sp = s + d * r
     lam, lam_plus = 2.0 * q / sp, sp / (2.0 * q)
+    a, b = (r, d) if q > 0.0 else (d, r)
     if d <= tols.deg * (nx + ny):
         tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
-        return tag, lam, lam_plus, 0.25 * s
-    return _GENERIC, lam, lam_plus, 0.5 * lam * q
+        return tag, lam, lam_plus, 0.25 * s, a, b, v
+    return _GENERIC, lam, lam_plus, 0.5 * lam * q, a, b, v
 
 
 def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
@@ -239,7 +245,7 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
     record ``check``, the oracles, :func:`classify` and :func:`solve_lambda`
     read, as they need the exact scale c."""
     x0, y0, c, xs, ys, q, xx, yy = _scaled(x0, y0)
-    tag, lam, lam_plus, half = _roots(q, xx, yy, tols, xs, ys)
+    tag, lam, lam_plus, half, *_ = _roots(q, xx, yy, tols, xs, ys)
     lams = None if tag is _ORTHOGONAL else LambdaPair(lam, lam_plus)
     nx, ny = math.sqrt(xx), math.sqrt(yy)
     return _Reduction(x0, y0, tag, lams, half, c, q, xx + yy, nx, ny, xs, ys)
@@ -303,7 +309,8 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     (x0 = +-y0 up to the classification band), where half the squared
     distance is (|x0|^2 + |y0|^2)/4 independently of the selected member.
     Two floats are an input at n = 1, where the cross is the two axes: a
-    generic point keeps the longer part exactly and zeroes the other.
+    generic point is read from the input, the longer part kept exactly and
+    the other zeroed.
 
     In the generic case the solution is the multiplier candidate at the
     small root lam; half the squared distance is lam*<x0,y0>/2, which also
@@ -311,9 +318,10 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     the cross is the cone |u| = |v|, so the point scales p = x0 + y0 and
     m = x0 - y0 to the mean of their norms A and B: x, y = (A + B)/4
     (p/A +- m/B), with m exact near the ray, where the quotient by 1 - lam^2
-    is ill-conditioned.  Formed at unit scale where the raw sums of squares
-    leave (n 2^-396, 2^396), each coordinate is finite even where the
-    point's norm is not.
+    is ill-conditioned.  A and B are the norms the classifying reductions
+    already give, so the point takes no reduction of its own.  Formed at
+    unit scale where the raw sums of squares leave (n 2^-396, 2^396), each
+    coordinate is finite even where the point's norm is not.
     """
     # <x0,y0>, |x0|^2 and |y0|^2 decide the input through the homogeneous bands
     # (see Tolerances): as they are where the raw sums of squares lie in
@@ -333,38 +341,44 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
         q, k, xs, ys = float(_vdot(x0, y0)), 1.0, x0, y0
     else:
         x0, y0, k, xs, ys, q, xx, yy = _scaled(x0, y0)
-    tag, lam, _, half = _roots(q, xx, yy, tols, xs, ys)
-    return _result(tag, x0, y0, lam, half, k, xs, ys)
+    tag, lam, _, half, a, b, v = _roots(q, xx, yy, tols, xs, ys)
+    return _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v)
 
 
-def _result(tag, x0, y0, lam, half, k, xs, ys) -> ProjectionResult:
+def _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v) -> ProjectionResult:
     """The result of project from its classification on (xs, ys) = (x0, y0)/k:
     half the squared distance half k^2, the distance (finite where its square
-    overflows) and the generic point, each scaled back by k."""
+    overflows) and the generic point, each scaled back by k.  The point takes
+    a = |xs+ys| and b = |xs-ys| from :func:`_roots`, which also hands over the
+    array it summed d^2 from, v = xs - ys if lam > 0 (so q > 0) else xs + ys,
+    or None: no reduction is taken again and no array divided.  At n = 1 the
+    point is read from the input."""
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     if tag is not _GENERIC:
         zero = np.zeros_like(x0)
         canonical = (Pair(zero, y0), Pair(x0, zero))
         return FamilyProjection(tag, x0, y0, canonical, half * k * k, k * math.sqrt(2.0 * half), k)
-    # project's two-norm form; p/a = +-m/b = +-1 at n = 1 keeps the point exact
-    p, m = xs + ys, xs - ys
-    a, b = math.sqrt(float(p.dot(p))), math.sqrt(float(m.dot(m)))
-    p /= a
-    m /= b
-    x = p + m
-    p -= m  # now y
     t = 0.25 * (a + b)
-    x *= t
-    p *= t
-    if k != 1.0:  # apart from t, as t k may overflow or underflow
-        x *= k
-        p *= k
+    if x0.size == 1:  # the cross is the two axes: the longer part stays, exactly
+        zero = np.zeros_like(x0)
+        point = Pair(x0, zero) if abs(x0[0]) > abs(y0[0]) else Pair(zero, y0)
+    else:  # project's two-norm form, t (p/a +- m/b), with v for p or m where it is one
+        p = v if v is not None and lam < 0.0 else xs + ys
+        m = v if v is not None and lam > 0.0 else xs - ys
+        p *= t / a
+        m *= t / b
+        x = p + m
+        p -= m  # now y
+        if k != 1.0:  # apart from t, as t k may overflow or underflow
+            x *= k
+            p *= k
+        point = Pair(x, p)
     if half >= 2.0**-1022:
-        return SingletonProjection(tag, Pair(x, p), lam, half * k * k, k * math.sqrt(2.0 * half))
+        return SingletonProjection(tag, point, lam, half * k * k, k * math.sqrt(2.0 * half))
     # half is subnormal: 2 half = lam^2 (S + P)/2 with S + P = (a + b)^2/2 = 8 t^2
     dist = k * (2.0 * t * abs(lam))
-    return SingletonProjection(tag, Pair(x, p), lam, 0.5 * dist * dist, dist)
+    return SingletonProjection(tag, point, lam, 0.5 * dist * dist, dist)
 
 
 def family_samples(
@@ -388,7 +402,7 @@ def family_samples(
         raise CaseError(f"input is not degenerate (classified {res.tag.value})")
 
     n, k = res.x0.size, res._k
-    xs, ys = res.x0 / k, res.y0 / k
+    xs, ys = _over_pow2(res.x0, k), _over_pow2(res.y0, k)
     per_angle = 2 if n == 1 else max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
     for _ in range(8):  # double the lattice resolution until count is reached
         lattice = (

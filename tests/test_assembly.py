@@ -3,12 +3,14 @@
 With u = (x + y)/sqrt2 and v = (x - y)/sqrt2 the cross is the cone
 |u| = |v|, so ``project`` scales p = x0 + y0 and m = x0 - y0 to the mean
 of their norms, x, y = (|p| + |m|)/4 (p/|p| +- m/|m|), and never forms the
-quotient by 1 - lam^2.  Near the ray x0 = y0 the difference m is exact
-(each coordinate pair lies within a factor 2), so the point is as accurate
-there as anywhere.  Points are compared with a referee that evaluates the
-closed form in ``decimal`` at 60 digits from the exact binary values of the
-input, so an error of about 1e-16 relative to sqrt(S) is resolved with some
-40 digits to spare, even where 1 - lam^2 is 1e-11.
+quotient by 1 - lam^2.  The norms come from the reductions that classify
+the input, not from p and m again.  Near the ray x0 = y0 the difference m
+is exact (each coordinate pair lies within a factor 2), so the point is as
+accurate there as anywhere.  At n = 1 the point is read from the input.
+Points are compared with a referee that evaluates the closed form in
+``decimal`` at 60 digits from the exact binary values of the input, so an
+error of about 1e-16 relative to sqrt(S) is resolved with some 40 digits to
+spare, even where 1 - lam^2 is 1e-11.
 """
 
 import math
@@ -62,13 +64,28 @@ def unit(rng, n):
     return v / np.linalg.norm(v)
 
 
-def generic_pair(rng, n):
+def well_generic(x0, y0) -> bool:
     # well inside the generic case: |q| >= 0.1 |x0||y0| and x0 far from +-y0
+    nx, ny = np.linalg.norm(x0), np.linalg.norm(y0)
+    gap = min(np.linalg.norm(x0 - y0), np.linalg.norm(x0 + y0))
+    return abs(x0 @ y0) >= 0.1 * nx * ny and gap >= 0.1 * (nx + ny)
+
+
+def generic_pair(rng, n):
     while True:
         x0, y0 = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-        nx, ny = np.linalg.norm(x0), np.linalg.norm(y0)
-        gap = min(np.linalg.norm(x0 - y0), np.linalg.norm(x0 + y0))
-        if abs(x0 @ y0) >= 0.1 * nx * ny and gap >= 0.1 * (nx + ny):
+        if well_generic(x0, y0):
+            return x0, y0
+
+
+def mixed_generic_pair(rng, n):
+    # uniform pairs are nearly orthogonal at large n (|q| ~ 0.01 |x0||y0| at
+    # n = 10^4), so y0 takes a share of x0, as the benchmark's generic pairs do
+    while True:
+        x0, w = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        share = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 1.5)
+        y0 = share * x0 + rng.uniform(0.3, 1.5) * (np.linalg.norm(x0) / np.linalg.norm(w)) * w
+        if well_generic(x0, y0):
             return x0, y0
 
 
@@ -124,6 +141,26 @@ class TestPointAccuracy:
     def test_near_ray_as_accurate_as_generic(self, delta, n):
         rng = np.random.default_rng([n, 2])
         assert worst_error(near_ray_pair(rng, n, delta) for _ in range(40)) <= 4.0 * EPS
+
+
+#: (n, pairs per test): the referee takes about 0.1 s a pair at n = 10^4
+LARGE_N = [(1000, 12), (10_000, 4)]
+
+
+class TestPointAccuracyLargeN:
+    """The norms _roots summed at large n keep the bound of small n."""
+
+    @pytest.mark.parametrize("n, count", LARGE_N)
+    @pytest.mark.parametrize("make", [mixed_generic_pair, near_orthogonal_pair])
+    def test_generic_and_near_orthogonal(self, n, count, make):
+        rng = np.random.default_rng([n, 5])
+        assert worst_error(make(rng, n) for _ in range(count)) <= 4.0 * EPS
+
+    @pytest.mark.parametrize("n, count", LARGE_N)
+    @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9, 1e-11])
+    def test_near_ray(self, n, count, delta):
+        rng = np.random.default_rng([n, 6])
+        assert worst_error(near_ray_pair(rng, n, delta) for _ in range(count)) <= 4.0 * EPS
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])

@@ -86,20 +86,22 @@ def _generic(tag, q):
 
 
 # defects of the classification and roots (tag, small root, large root, half
-# the squared distance): (the inputs they apply to, given the tag and
-# <x0, y0> at unit scale, the defect)
+# the squared distance; the norms and array _roots also returns pass through
+# unchanged): (the inputs they apply to, given the tag and <x0, y0> at unit
+# scale, the defect)
 REDUCE = {
-    "scaled_half": (_generic, lambda tag, lam, lam_plus, half: (
-        tag, lam, lam_plus, half * (1.0 + 1e-6))),
-    "scaled_lam": (_generic, lambda tag, lam, lam_plus, half: (
-        tag, lam * (1.0 + 1e-6), lam_plus, half)),
+    "scaled_half": (_generic, lambda tag, lam, lam_plus, half, *rest: (
+        tag, lam, lam_plus, half * (1.0 + 1e-6), *rest)),
+    "scaled_lam": (_generic, lambda tag, lam, lam_plus, half, *rest: (
+        tag, lam * (1.0 + 1e-6), lam_plus, half, *rest)),
     "orthogonal_below_0.1": (
         lambda tag, q: _generic(tag, q) and abs(q) < 0.1,
-        lambda tag, lam, lam_plus, half: (CaseTag.ORTHOGONAL, None, None, 0.0),
+        lambda tag, lam, lam_plus, half, *rest: (CaseTag.ORTHOGONAL, None, None, 0.0, *rest),
     ),
     "scaled_degenerate_half": (
         lambda tag, q: tag.is_degenerate,
-        lambda tag, lam, lam_plus, half: (tag, lam, lam_plus, half * (1.0 + 1e-6)),
+        lambda tag, lam, lam_plus, half, *rest: (
+            tag, lam, lam_plus, half * (1.0 + 1e-6), *rest),
     ),
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from crossproj import (
     inner,
     norm,
 )
-from crossproj.linalg import _sphere_lattice
+from crossproj.linalg import _over_pow2, _sphere_lattice
 from crossproj.projection import _family_member
 
 finite_coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -29,6 +30,20 @@ def vectors(n):
 def unit(v):
     v = np.asarray(v, dtype=float)
     return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("exps", [range(-1074, -999), range(-60, 61), range(1000, 1024)])
+def test_over_pow2_keeps_the_bits_of_division(exps):
+    # the product by 1/c rounds the same real as v/c, subnormal results included;
+    # below 2^-1023, where 1/c overflows, the quotient itself is taken
+    rng = np.random.default_rng(exps.start + 1074)
+    mant = rng.uniform(0.5, 1.0, 2000) * rng.choice([-1.0, 1.0], 2000)
+    v = np.ldexp(mant, rng.integers(-1074, 1024, 2000))
+    v = np.concatenate([v, [0.0, -0.0, 5e-324, 2.0**-1022, np.finfo(float).max]])
+    with np.errstate(over="ignore"):
+        for e in exps:
+            c = math.ldexp(1.0, e)
+            assert _over_pow2(v, c).tobytes() == (v / c).tobytes(), e
 
 
 class TestInner:
