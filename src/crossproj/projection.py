@@ -22,8 +22,9 @@ every result carries its tag so callers can re-classify.  Both bands are
 homogeneous, so they are read at whatever scale the reductions are taken:
 :func:`project` reads an in-window input's raw reductions and divides every
 other input by its power-of-two scale c first; :func:`_roots` decides both
-bands and :func:`_result` builds the answer.  :func:`_reduce` keeps the
-unit-scale record for the callers that need c itself.
+bands, :func:`_classified` gathers what they decide and :func:`_result`
+builds the answer from it.  :func:`_reduce` keeps the unit-scale record for
+the callers that need c itself.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
-from .linalg import Pair, as_pair, as_vector, inner
-from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
+from .linalg import Pair, as_pair, as_vector
+from .linalg import block_solve, inner, norm  # noqa: F401 -- stays bound for bench/tracing.py
 from .linalg import _over_pow2, _positive_int, _pow2_scale, _require_unit, _sphere_lattice
 from .linalg import _vector_inf
 
@@ -254,10 +255,15 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
 def membership_residual(p: Pair) -> float:
     """|<p.x, p.y>|, the amount by which a finite pair misses the cross.  Outside
     2^+-200 it is taken at the pair's power-of-two scale, then scaled back."""
-    x, y = as_pair(*p)
-    c = _pow2_scale(max(float(np.abs(v).max()) for v in (x, y)))
-    k = 1.0 if 2.0**-200 < c < 2.0**200 else c
-    return abs(inner(x / k, y / k)) * k * k
+    px, py = p
+    x, mx = _vector_inf(px, "x")
+    y, my = _vector_inf(py, "y")
+    if x.size != y.size:
+        raise DimensionMismatch(f"pair components differ in dimension: {x.size} != {y.size}")
+    c = _pow2_scale(max(mx, my))
+    if 2.0**-200 < c < 2.0**200:  # summed contiguous, as the sum's order follows the stride
+        return abs(float(_vdot(np.ascontiguousarray(x), np.ascontiguousarray(y))))
+    return abs(float(_vdot(_over_pow2(x, c), _over_pow2(y, c)))) * c * c
 
 
 def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
@@ -323,6 +329,13 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     unit scale where the raw sums of squares leave (n 2^-396, 2^396), each
     coordinate is finite even where the point's norm is not.
     """
+    return _result(*_classified(x0, y0, tols))
+
+
+def _classified(x0, y0, tols: Tolerances):
+    """The half of :func:`project` that decides the input: the validated arrays
+    (x0, y0), their scale k, (xs, ys) = (x0, y0)/k and what :func:`_roots` reads
+    from them, in the order :func:`_result` takes them."""
     # <x0,y0>, |x0|^2 and |y0|^2 decide the input through the homogeneous bands
     # (see Tolerances): as they are where the raw sums of squares lie in
     # (n 2^-396, 2^396) and both bands are at least 2^-300, else after validation
@@ -342,7 +355,23 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     else:
         x0, y0, k, xs, ys, q, xx, yy = _scaled(x0, y0)
     tag, lam, _, half, a, b, v = _roots(q, xx, yy, tols, xs, ys)
-    return _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v)
+    return tag, x0, y0, lam, half, k, xs, ys, a, b, v
+
+
+def _dist(tag, half, k, lam, a, b) -> float:
+    """The distance to the cross from :func:`_classified`'s record: k sqrt(2 half),
+    finite where its square overflows.  Where a generic half is subnormal it is
+    read from 2 half = lam^2 (S + P)/2, with S + P = (a + b)^2/2 = 8 t^2 and
+    t = (a + b)/4, as k 2 t |lam|."""
+    if tag is _GENERIC and half < 2.0**-1022:
+        return k * (2.0 * (0.25 * (a + b)) * abs(lam))
+    return k * math.sqrt(2.0 * half)
+
+
+def _cross_distance(x0, y0) -> float:
+    """``project(x0, y0).dist``, with no result built."""
+    tag, _, _, lam, half, k, _, _, a, b, _ = _classified(x0, y0, DEFAULT_TOLS)
+    return _dist(tag, half, k, lam, a, b)
 
 
 def _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v) -> ProjectionResult:
@@ -355,10 +384,11 @@ def _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v) -> ProjectionResult:
     point is read from the input."""
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
+    dist = _dist(tag, half, k, lam, a, b)
     if tag is not _GENERIC:
         zero = np.zeros_like(x0)
         canonical = (Pair(zero, y0), Pair(x0, zero))
-        return FamilyProjection(tag, x0, y0, canonical, half * k * k, k * math.sqrt(2.0 * half), k)
+        return FamilyProjection(tag, x0, y0, canonical, half * k * k, dist, k)
     t = 0.25 * (a + b)
     if x0.size == 1:  # the cross is the two axes: the longer part stays, exactly
         zero = np.zeros_like(x0)
@@ -374,11 +404,8 @@ def _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v) -> ProjectionResult:
             x *= k
             p *= k
         point = Pair(x, p)
-    if half >= 2.0**-1022:
-        return SingletonProjection(tag, point, lam, half * k * k, k * math.sqrt(2.0 * half))
-    # half is subnormal: 2 half = lam^2 (S + P)/2 with S + P = (a + b)^2/2 = 8 t^2
-    dist = k * (2.0 * t * abs(lam))
-    return SingletonProjection(tag, point, lam, 0.5 * dist * dist, dist)
+    half_dist_sq = half * k * k if half >= 2.0**-1022 else 0.5 * dist * dist  # see _dist
+    return SingletonProjection(tag, point, lam, half_dist_sq, dist)
 
 
 def family_samples(

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _positive_int, as_pair
-from .projection import SingletonProjection, project
+from .projection import SingletonProjection, _cross_distance, project
 
 _SELECTIONS = ("first", "second", "alternate")
 
@@ -42,6 +42,8 @@ class OrthantPairConstraint:
     """x and y each in the nonnegative orthant."""
 
     kind: ClassVar[str] = "orthant"
+    #: np.maximum(v, 0.0) is never below 0.0, so the distance of P_B's output is 0.0
+    _idempotent: ClassVar[bool] = True
 
     def project(self, p: Pair) -> Pair:
         return Pair(np.maximum(p.x, 0.0), np.maximum(p.y, 0.0))
@@ -70,6 +72,8 @@ class AffinePairConstraint:
     basis_y: np.ndarray
 
     kind: ClassVar[str] = "affine"
+    #: a re-projection moves P_B's output by round-off (up to about 8e-15)
+    _idempotent: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -100,6 +104,8 @@ class BoxPairConstraint:
     hi_y: np.ndarray
 
     kind: ClassVar[str] = "box"
+    #: with lo <= hi, np.clip's output lies in [lo, hi], so its distance is 0.0
+    _idempotent: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         _check_fields(self)
@@ -211,13 +217,21 @@ def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, 
     return z, SolverTrace(method=method, config=config)
 
 
-def _run(name, method, problem, start, max_iter, tol, selection, monitor, update) -> SolverTrace:
+def _run(name, method, problem, start, max_iter, tol, selection, monitor, update,
+         update_in_b=False) -> SolverTrace:
     """The loop both solvers share.  With s = select(P_C(z)), ``monitor(z, s, pc)``
     gives the point to record and its distance to the cross, and
     ``update(constraint, z, s)`` the next z.  The next step's projection
-    validates each update, so only the last update is checked on its own."""
+    validates each update, so only the last update is checked on its own.
+
+    The distance to B is measured by ``constraint.distance``, except where
+    ``update_in_b`` says the recorded point is the update itself, P_B's own
+    output, and the constraint's kind states that P_B is idempotent in
+    floating point (``_idempotent``): there every step after the first
+    records the 0.0 that the measurement would return."""
     z, trace = _start_run(method, problem, start, max_iter, tol, selection)
     constraint = problem.constraint
+    exact_b = update_in_b and getattr(constraint, "_idempotent", False)
     for k in range(max_iter):
         try:
             pc = project(z.x, z.y)
@@ -226,7 +240,7 @@ def _run(name, method, problem, start, max_iter, tol, selection, monitor, update
         except DomainError:
             raise _diverged(name, trace) from None
         trace.iterations = k + 1
-        d_b = constraint.distance(point)
+        d_b = 0.0 if k and exact_b else constraint.distance(point)
         trace.iterates.append(point)
         trace.residuals_c.append(d_c)
         trace.residuals_b.append(d_b)
@@ -254,11 +268,17 @@ def alternating_projections(
     d_C(z) + d_B(z) (recording it) and, if above ``tol``, updates
     z <- P_B(select(P_C(z))).  Stopping on the combined residual makes both
     set distances individually meet ``tol`` at convergence.
+
+    d_C(z) is the distance of the step's own cross projection of z.  d_B(z)
+    is measured at the start; after it z is P_B's output, which lies exactly
+    in an orthant or a box, so there it is 0.0 without a measurement, and
+    an affine set (or any constraint that does not state it) measures it.
     """
     return _run(
         "alternating_projections", "ap", problem, start, max_iter, tol, selection,
         monitor=lambda z, s, pc: (z, pc.dist),
         update=lambda constraint, z, s: constraint.project(s),
+        update_in_b=True,
     )
 
 
@@ -280,12 +300,14 @@ def douglas_rachford(
     The governing sequence z is monitored through its shadow s (the
     selected cross projection); residuals and the stopping rule use the
     shadow's combined distance d_C(s) + d_B(s), the same merit as
-    :func:`alternating_projections`.  A shadow that overflows from a finite
-    iterate also ends the run as divergent.
+    :func:`alternating_projections`.  d_C(s) is the distance the cross
+    projection of s would report, read from its classification alone, with
+    no result built; d_B(s) is measured by the constraint.  A shadow that
+    overflows from a finite iterate also ends the run as divergent.
     """
     return _run(
         "douglas_rachford", "dr", problem, start, max_iter, tol, selection,
-        monitor=lambda z, s, pc: (s, project(s.x, s.y).dist),
+        monitor=lambda z, s, pc: (s, _cross_distance(s.x, s.y)),
         update=_reflect_step,
     )
 

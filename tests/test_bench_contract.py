@@ -4,7 +4,8 @@ module attributes of the library; each name it patches must stay bound.
 ``project`` decides an in-window input from its three reductions alone; the
 scaled route, which every other input takes, validates each vector once
 through ``_vector_inf`` (which the tracer does not patch).  These tests count
-its calls themselves."""
+its calls themselves, and the solvers' calls of the constraint's ``project``
+and ``distance``, which the tracer folds into one span."""
 
 import sys
 from pathlib import Path
@@ -117,3 +118,55 @@ def test_solver_step_validates_iterate_once(monkeypatch):
     # no projection follows, is measured apart
     assert validations == []
     assert norms == [50, 50]
+
+
+def _count_constraint_calls(monkeypatch, cls) -> list:
+    """Record each call of the constraint class's ``project`` and ``distance``."""
+    calls = []
+    for name in ("project", "distance"):
+        real = getattr(cls, name)
+
+        def counted(self, p, real=real, name=name):
+            calls.append(name)
+            return real(self, p)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def _traced_run(method, kind, max_iter):
+    """One run on the benchmark's n = 50 instance of seed 0, and the tracer's totals."""
+    problem, _ = solvers_mod.generate_instance(kind, 50, 0)
+    start = solvers_mod.default_start(kind, 50, 0)
+    solver = {"ap": solvers_mod.alternating_projections, "dr": solvers_mod.douglas_rachford}
+    tracer = Tracer()
+    tracer.install()
+    try:
+        trace = solver[method](problem, start, max_iter=max_iter, tol=1e-8)
+        snap = tracer.snapshot()
+    finally:
+        tracer.remove()
+    return trace, snap
+
+
+def test_ap_measures_orthant_and_box_once(monkeypatch):
+    # after the start the iterate is P_B's own output, which these kinds hold
+    # exactly: the run takes one distance, at the start (the box's goes through
+    # its own projection), and one P_B per step
+    for kind, cls, start in (("orthant", solvers_mod.OrthantPairConstraint, ["distance"]),
+                             ("box", solvers_mod.BoxPairConstraint, ["distance", "project"])):
+        calls = _count_constraint_calls(monkeypatch, cls)
+        trace, snap = _traced_run("ap", kind, 6)
+        assert not trace.converged and trace.iterations == 6
+        assert calls == start + ["project"] * 6
+        assert snap["calls", "solvers.p_c"] == 6
+
+
+def test_dr_shadow_takes_no_projection(monkeypatch):
+    # the shadow's distance to the cross comes from its classification, not
+    # from a second project; one P_C and two P_B (reflection, d_B) per step
+    calls = _count_constraint_calls(monkeypatch, solvers_mod.OrthantPairConstraint)
+    trace, snap = _traced_run("dr", "orthant", 5)
+    assert trace.iterations == 5
+    assert snap["calls", "solvers.p_c"] == snap["calls", "projection.project"] == 5
+    assert calls == ["distance", "project"] * 5

@@ -125,6 +125,21 @@ class TestMembership:
             assert membership_residual(pair(t * x, t * y)) == r * t * t
 
 
+    @pytest.mark.parametrize("j", [-300, 0, 300])
+    def test_bits_of_the_scaled_product(self, j):
+        # |<x/k, y/k>| k^2 with k = 1 inside 2^+-200 and the pair's power-of-two
+        # scale outside, summed contiguous: strided views keep the bits too
+        rng = np.random.default_rng(j + 2000)
+        t = 2.0**j
+        k = 1.0 if j == 0 else 2.0**j
+        for n in (1, 2, 3, 8, 50, 1000, 10**4):
+            for _ in range(3):
+                xy = t * rng.uniform(-1.0, 1.0, (2, 2 * n))
+                for x, y in ((xy[0, :n], xy[1, :n]), (xy[0, ::2], xy[1, ::2])):
+                    want = abs(float(np.dot(x / k, y / k))) * k * k
+                    assert membership_residual(pair(x, y)) == want
+
+
 class TestTolerances:
     @pytest.mark.parametrize("band", ["orth", "deg"])
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossproj import (
     AffinePairConstraint,
@@ -125,6 +127,87 @@ class TestConstraints:
         trace = SolverTrace(method="ap")
         assert trace.final_residual() == math.inf
         assert trace.summary()["final_residual"] is None
+
+
+#: Finite floats with the edges of the range drawn often: signed zeros,
+#: subnormals and +-1.7e308.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.0**-1022, 1.7e308, -1.7e308])
+
+
+def _vectors(n):
+    return st.lists(_FINITE, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def _box_and_point(draw):
+    """A box (some coordinates with lo == hi) and a pair of its dimension."""
+    n = draw(st.integers(1, 6))
+    a, b = draw(_vectors(2 * n)), draw(_vectors(2 * n))
+    lo = np.minimum(a, b)
+    hi = np.where(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)), lo,
+                  np.maximum(a, b))
+    box = BoxPairConstraint(lo[:n], hi[:n], lo[n:], hi[n:])
+    return box, Pair(draw(_vectors(n)), draw(_vectors(n)))
+
+
+class TestProjectionIsExact:
+    """AP records d_B = 0.0 for P_B's output without measuring it wherever
+    the kind states ``_idempotent``; this pins that the measurement gives
+    exactly that 0.0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(_vectors(n), _vectors(n))))
+    def test_orthant(self, xy):
+        c = OrthantPairConstraint()
+        assert c._idempotent
+        assert c.distance(c.project(Pair(*xy))) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(_box_and_point())
+    def test_box(self, box_and_point):
+        box, p = box_and_point
+        assert box._idempotent
+        assert box.distance(box.project(p)) == 0.0
+
+    def test_affine_does_not_state_it(self):
+        assert AffinePairConstraint._idempotent is False
+
+    @pytest.mark.parametrize("solver", [alternating_projections, douglas_rachford])
+    def test_duck_typed_measured_every_step(self, solver):
+        measured = []
+
+        class Orthant:
+            """The orthant's P_B, duck-typed, without the class-level statement."""
+
+            kind = "orthant"
+
+            def project(self, p):
+                return OrthantPairConstraint().project(p)
+
+            def distance(self, p):
+                measured.append(d := OrthantPairConstraint().distance(p))
+                return d
+
+        problem = FeasibilityProblem(50, Orthant())
+        tr = solver(problem, default_start("orthant", 50, 0), max_iter=7, tol=1e-300)
+        assert tr.iterations == len(measured) == 7
+        assert tr.residuals_b == measured
+
+    @pytest.mark.parametrize("solver", [alternating_projections, douglas_rachford])
+    def test_affine_measured_every_step(self, solver, monkeypatch):
+        measured = []
+        distance = AffinePairConstraint.distance
+
+        def counted(self, p):
+            measured.append(d := distance(self, p))
+            return d
+
+        monkeypatch.setattr(AffinePairConstraint, "distance", counted)
+        problem, _ = generate_instance("affine", 50, 0)
+        tr = solver(problem, default_start("affine", 50, 0), max_iter=7, tol=1e-300)
+        assert tr.iterations == len(measured) == 7
+        assert tr.residuals_b == measured
 
 
 class TestGenerateInstance:
@@ -504,7 +587,11 @@ def _bits(values) -> bytes:
 
 
 class TestReferenceLoop:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    """The library's traces keep the bits of a loop that measures every
+    residual, on the benchmark's instance set (n = 50, seeds 0-9, the cap of
+    1000 iterations at which most AP orthant runs stop) and at n = 1 and 3."""
+
+    @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("dim", [1, 3, 50])
     @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
     @pytest.mark.parametrize("method", ["ap", "dr"])
@@ -512,9 +599,9 @@ class TestReferenceLoop:
         problem, _ = generate_instance(kind, dim, seed)
         start = default_start(kind, dim, seed)
         solver = alternating_projections if method == "ap" else douglas_rachford
-        tr = solver(problem, start, max_iter=300, tol=1e-8)
+        tr = solver(problem, start, max_iter=1000, tol=1e-8)
         iterates, res_c, res_b, tags, converged = _reference_run(
-            method, problem, start, 300, 1e-8
+            method, problem, start, 1000, 1e-8
         )
         assert (tr.converged, tr.iterations) == (converged, len(iterates))
         assert tr.case_tags == tags
