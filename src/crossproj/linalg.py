@@ -59,24 +59,39 @@ class Pair(NamedTuple):
     y: np.ndarray
 
 
+def _pair(x, y, names: tuple[str, str] = ("x", "y")):
+    """The validated parts of a pair and their inf-norms, (x, y, |x|_inf, |y|_inf):
+    each part as by :func:`as_vector`, then equal dimension."""
+    x, mx = _vector_inf(x, names[0])
+    y, my = _vector_inf(y, names[1])
+    if x.size != y.size:
+        raise DimensionMismatch(
+            f"{names[0]} and {names[1]} differ in dimension: {x.size} != {y.size}"
+        )
+    return x, y, mx, my
+
+
 def as_pair(x, y) -> Pair:
     """Validated :class:`Pair`: both components finite, equal dimension."""
-    xv = as_vector(x, "x")
-    yv = as_vector(y, "y")
-    if xv.size != yv.size:
-        raise DimensionMismatch(
-            f"pair components differ in dimension: {xv.size} != {yv.size}"
-        )
-    return Pair(xv, yv)
+    return Pair(*_pair(x, y)[:2])
 
 
 def inner(x, y) -> float:
-    """Euclidean inner product <x, y> = sum_i x_i y_i."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"inner: shapes {x.shape} and {y.shape} differ")
-    return float(x.dot(y))
+    """Euclidean inner product <x, y> = sum_i x_i y_i of a pair validated as by
+    :func:`as_pair`, summed in contiguous order; +-inf only where the true value
+    exceeds the float range.  Where the raw sum overflows, so sum_i |x_i y_i| >=
+    2^1023, each part is divided by its own power-of-two scale and the sum scaled
+    back once: the products that underflow there lie below the sum's rounding."""
+    x, y, mx, my = _pair(x, y)
+    s = float(np.vdot(np.ascontiguousarray(x), np.ascontiguousarray(y)))
+    if math.isfinite(s):
+        return s
+    cx, cy = _pow2_scale(mx), _pow2_scale(my)
+    s = float(np.vdot(_over_pow2(x, cx), _over_pow2(y, cy)))
+    try:  # s cx cy, rounded once, as cx cy itself may leave the float range
+        return math.ldexp(s, math.frexp(cx)[1] + math.frexp(cy)[1] - 2)
+    except OverflowError:
+        return math.copysign(math.inf, s)
 
 
 def _pow2_scale(m: float) -> float:
@@ -108,7 +123,7 @@ def _joint_norm(*parts: np.ndarray) -> float:
     if 2.0**-900 < s < 2.0**900 or s == 0.0 and not any(map(np.count_nonzero, parts)):
         return math.sqrt(s)
     c = _pow2_scale(max(float(np.abs(p).max(initial=0.0)) for p in parts))
-    scaled = [p / c for p in parts]
+    scaled = [_over_pow2(p, c) for p in parts]
     return c * math.sqrt(sum(float(np.vdot(p, p)) for p in scaled))
 
 

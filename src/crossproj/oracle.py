@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystem
-from .linalg import Pair, _haar_columns, block_solve, norm
+from .linalg import Pair, _haar_columns, _over_pow2, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
     CaseTag,
@@ -68,7 +68,7 @@ class OracleReport:
     ``tie_count`` counts candidates within ``TIE_TOL`` of the minimum
     (1 means the minimizer was unique at that granularity), or, for the
     subspace oracle, 2 on the degenerate rays; ``ties`` holds the
-    non-selected tied points, capped at 16 entries.
+    non-selected tied points, at most 3 of the Lagrangian sweep's 4 candidates.
     """
 
     mode: str
@@ -123,7 +123,7 @@ def _lagrangian(core: _Reduction) -> tuple[OracleReport, list[float]]:
         gap_vs_formula=best_obj - core.half_dist_sq,
         candidates_examined=len(cands),
         tie_count=1 + len(ties),
-        ties=ties[:16],
+        ties=ties,
     ), objs
 
 
@@ -183,9 +183,10 @@ class CheckItem(NamedTuple):
 
 
 def _membership(pairs, core: _Reduction) -> CheckItem:
-    # the largest |<x/c, y/c>| against MEMBERSHIP_TOL (1 + |x0/c||y0/c|): division
-    # by the power of two c is exact, so the residual is finite where <x, y> overflows
-    residual = max(abs(float((p.x / core.c).dot(p.y / core.c))) for p in pairs)
+    # the largest |<x/c, y/c>| against MEMBERSHIP_TOL (1 + |x0/c||y0/c|), relative to
+    # the input's power-of-two scale c, so finite where <x, y> overflows; unvalidated,
+    # so a non-finite Lagrangian candidate fails the test instead of raising
+    residual = max(abs(float(_over_pow2(p.x, core.c).dot(_over_pow2(p.y, core.c)))) for p in pairs)
     tol = MEMBERSHIP_TOL * (1.0 + core.nx * core.ny)
     return CheckItem(residual <= tol, residual, tol)
 

@@ -38,10 +38,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError
-from .linalg import Pair, as_pair, as_vector
-from .linalg import block_solve, inner, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _over_pow2, _positive_int, _pow2_scale, _require_unit, _sphere_lattice
-from .linalg import _vector_inf
+from .linalg import Pair, as_pair, as_vector, inner
+from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
+from .linalg import _over_pow2, _pair, _positive_int, _pow2_scale, _require_unit, _sphere_lattice
 
 
 class CaseTag(Enum):
@@ -151,15 +150,6 @@ class FamilyProjection:
 ProjectionResult = SingletonProjection | FamilyProjection
 
 
-def _check_input(x0, y0) -> tuple[np.ndarray, np.ndarray, float]:
-    # the validated arrays and max(|x0|_inf, |y0|_inf), both norms finite
-    x0, mx = _vector_inf(x0, "x0")
-    y0, my = _vector_inf(y0, "y0")
-    if x0.size != y0.size:
-        raise DimensionMismatch(f"x0 and y0 differ in dimension: {x0.size} != {y0.size}")
-    return x0, y0, max(mx, my)
-
-
 class _Reduction(NamedTuple):
     """What the projection formula needs from one input, taken once at unit
     scale, on (x0/c, y0/c)."""
@@ -202,8 +192,8 @@ _ORTHOGONAL, _GENERIC = CaseTag.ORTHOGONAL, CaseTag.GENERIC
 def _scaled(x0, y0):
     """Validate, then divide by the power-of-two scale c of the input: the
     arrays, c, (xs, ys) = (x0, y0)/c and <xs, ys>, |xs|^2, |ys|^2."""
-    x0, y0, m = _check_input(x0, y0)
-    c = _pow2_scale(m)
+    x0, y0, mx, my = _pair(x0, y0, ("x0", "y0"))
+    c = _pow2_scale(max(mx, my))
     xs, ys = _over_pow2(x0, c), _over_pow2(y0, c)
     return x0, y0, c, xs, ys, float(xs.dot(ys)), float(xs.dot(xs)), float(ys.dot(ys))
 
@@ -253,17 +243,9 @@ def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
 
 
 def membership_residual(p: Pair) -> float:
-    """|<p.x, p.y>|, the amount by which a finite pair misses the cross.  Outside
-    2^+-200 it is taken at the pair's power-of-two scale, then scaled back."""
-    px, py = p
-    x, mx = _vector_inf(px, "x")
-    y, my = _vector_inf(py, "y")
-    if x.size != y.size:
-        raise DimensionMismatch(f"pair components differ in dimension: {x.size} != {y.size}")
-    c = _pow2_scale(max(mx, my))
-    if 2.0**-200 < c < 2.0**200:  # summed contiguous, as the sum's order follows the stride
-        return abs(float(_vdot(np.ascontiguousarray(x), np.ascontiguousarray(y))))
-    return abs(float(_vdot(_over_pow2(x, c), _over_pow2(y, c)))) * c * c
+    """|<p.x, p.y>|, the amount by which a finite pair misses the cross, as
+    :func:`inner` takes it at every scale."""
+    return abs(inner(*p))
 
 
 def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
@@ -289,7 +271,7 @@ def solve_lambda(x0, y0) -> LambdaPair:
 def objective(p: Pair, x0, y0) -> float:
     """Half squared displacement: 0.5*|p.x - x0|^2 + 0.5*|p.y - y0|^2, for a
     finite p of the input's dimension."""
-    x0, y0, _ = _check_input(x0, y0)
+    x0, y0, *_ = _pair(x0, y0, ("x0", "y0"))
     if (np.shape(p.x), np.shape(p.y)) != (x0.shape, x0.shape):
         raise DimensionMismatch(
             f"p has shapes {np.shape(p.x)} and {np.shape(p.y)}, the input {x0.shape}")
@@ -344,7 +326,7 @@ def _classified(x0, y0, tols: Tolerances):
     try:
         y0 = np.ascontiguousarray(y0, dtype=float)
     except Exception:
-        _check_input(x0, y0)  # validation raises for x0 first, as it should
+        _pair(x0, y0, ("x0", "y0"))  # validation raises for x0 first, as it should
         raise
     if (x0.ndim == 1 == y0.ndim and x0.size == (n := y0.size)
             and tols.orth >= _TOL_MIN and tols.deg >= _TOL_MIN

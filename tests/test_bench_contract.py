@@ -2,8 +2,8 @@
 module attributes of the library; each name it patches must stay bound.
 
 ``project`` decides an in-window input from its three reductions alone; the
-scaled route, which every other input takes, validates each vector once
-through ``_vector_inf`` (which the tracer does not patch).  These tests count
+scaled route, which every other input takes, validates the input once
+through ``_pair`` (which the tracer does not patch).  These tests count
 its calls themselves, and the solvers' calls of the constraint's ``project``
 and ``distance``, which the tracer folds into one span."""
 
@@ -26,15 +26,15 @@ PATCHED = [
 
 
 def _count_validations(monkeypatch) -> list:
-    """Count the core's calls to the one-pass validator."""
+    """Record the names of each of the core's calls to the one-pass pair validator."""
     calls = []
-    validate = projection_mod._vector_inf
+    validate = projection_mod._pair
 
-    def counted(v, name):
-        calls.append(name)
-        return validate(v, name)
+    def counted(x, y, names):
+        calls.append(names)
+        return validate(x, y, names)
 
-    monkeypatch.setattr(projection_mod, "_vector_inf", counted)
+    monkeypatch.setattr(projection_mod, "_pair", counted)
     return calls
 
 
@@ -59,7 +59,7 @@ def test_tracer_installs_and_removes(monkeypatch):
 def test_scaled_route_validates_each_vector_once(monkeypatch):
     validations = _count_validations(monkeypatch)
     projection_mod.project(np.array([1e300, 1.0]), np.array([1e300, -3.0]))
-    assert validations == ["x0", "y0"]
+    assert validations == [("x0", "y0")]
 
 
 def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
@@ -77,18 +77,18 @@ def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
 
 def test_check_validates_each_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, -0.5], [0.7, -0.2, 1.5])
-    # two validator calls, for check's own reduction, which the Lagrangian
+    # one validator call, for check's own reduction, which the Lagrangian
     # sweep and the spectral bound take; its six projections (the input and
     # its five moves) are in window and validate nothing
     assert projects == 6
-    assert validations == ["x0", "y0"]
+    assert validations == [("x0", "y0")]
 
 
 def test_check_validates_degenerate_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     # as above: the sampled family members reduce nothing
     assert projects == 6
-    assert validations == ["x0", "y0"]
+    assert validations == [("x0", "y0")]
 
 
 def test_member_reduces_nothing(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,10 +22,15 @@ from crossproj.linalg import _over_pow2, _sphere_lattice
 from crossproj.projection import _family_member
 
 finite_coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+EPS = np.finfo(float).eps
 
 
 def vectors(n):
     return arrays(np.float64, (n,), elements=finite_coords)
+
+
+def unit_vectors(n):
+    return arrays(np.float64, (n,), elements=st.floats(-1.0, 1.0))
 
 
 def unit(v):
@@ -69,6 +75,32 @@ class TestInner:
         assert inner(x, y) == inner(y, x)
         with pytest.raises(DimensionMismatch):
             inner([1.0, 2.0], [1.0])
+
+    @given(
+        uv=st.integers(1, 8).flatmap(lambda n: st.tuples(unit_vectors(n), unit_vectors(n))),
+        j=st.integers(-1074, 1023),
+        k=st.integers(-1074, 1023),
+    )
+    @example(uv=(np.array([1e200 / 2.0**665]), np.array([1e-200 * 2.0**664])), j=665, k=-664)
+    @example(uv=(np.array([1.0, 2.0**-540, 0.0]), np.array([0.0, -(2.0**-540), 1.0])), j=500, k=500)
+    @example(uv=(np.array([0.5, 0.5]), np.array([0.5, -0.5])), j=1023, k=1023)
+    @settings(max_examples=400, deadline=None)
+    def test_against_the_exact_sum(self, uv, j, k):
+        # parts 2^j u and 2^k v, their scales up to 2^+-2097 apart, against the
+        # exact sum: within the dot-product bound n eps sum |x_i y_i| where the
+        # result is normal, within n subnormal steps more where it is not, and
+        # +-inf only where the true value exceeds the float range
+        x, y = np.ldexp(uv[0], j), np.ldexp(uv[1], k)
+        r = inner(x, y)
+        prods = [Fraction(a) * Fraction(b) for a, b in zip(x.tolist(), y.tolist())]
+        exact, n = sum(prods), len(prods)
+        bound = n * Fraction(EPS) * sum(map(abs, prods))
+        if math.isinf(r):
+            assert (r > 0) == (exact > 0) and abs(exact) + bound >= Fraction(np.finfo(float).max)
+        elif abs(r) >= 2.0**-1022:
+            assert abs(Fraction(r) - exact) <= bound
+        else:
+            assert abs(Fraction(r) - exact) <= bound + n * Fraction(2.0**-1074)
 
 
 def split(u, z):

@@ -64,7 +64,61 @@ def random_generic(rng, n, lo=-1.0, hi=1.0):
             return x0, y0
 
 
-class TestMembership:
+class _AtEveryScale:
+    """Scale tests of ``measure``, an inner product taken at every float64
+    scale; ``sign`` maps a raw inner product to what ``measure`` returns."""
+
+    sign = staticmethod(abs)
+
+    def test_finite_where_the_raw_product_overflows(self):
+        # each product of these orthogonal pairs overflows; at the parts'
+        # power-of-two scales 2^600 is exact and 1e160 leaves only the rounding
+        # of a product, which a fused multiply-add dot keeps
+        with np.errstate(over="raise", invalid="raise"):
+            assert self.measure([2.0**600] * 2, [2.0**600, -(2.0**600)]) == 0.0
+            r = self.measure([1e160, 1e160], [1e160, -1e160])
+        assert abs(r) / 1e160 / 1e160 <= 2.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("j", [-500, -300, -201, -199, -3, 3, 199, 201, 300, 500])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # t^2 times the measure of the unscaled pair
+        rng = np.random.default_rng(j + 1000)
+        t = 2.0**j
+        for n in (1, 2, 3, 8):
+            x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+            r = self.measure(x, y)
+            assert self.measure(t * x, t * y) == r * t * t
+
+
+    @pytest.mark.parametrize("j", [-300, 0, 300])
+    def test_bits_of_the_scaled_product(self, j):
+        # <x/k, y/k> k^2 for a power of two k, summed contiguous: strided views
+        # keep the bits too
+        rng = np.random.default_rng(j + 2000)
+        t = 2.0**j
+        k = 1.0 if j == 0 else 2.0**j
+        for n in (1, 2, 3, 8, 50, 1000, 10**4):
+            for _ in range(3):
+                xy = t * rng.uniform(-1.0, 1.0, (2, 2 * n))
+                for x, y in ((xy[0, :n], xy[1, :n]), (xy[0, ::2], xy[1, ::2])):
+                    want = self.sign(float(np.dot(x / k, y / k))) * k * k
+                    assert self.measure(x, y) == want
+
+    def test_parts_at_scales_apart(self):
+        # a scale taken jointly from both parts would flush the smaller one to 0
+        assert self.measure([1e200], [1e-200]) == 1.0
+        assert self.measure([2.0**-537], [-(2.0**-537)]) == self.sign(-5e-324)
+        assert self.measure([1e300], [-1e300]) == self.sign(-math.inf)
+        # the small products stay where the large parts do not meet
+        big, small = 2.0**500, 2.0**-40
+        assert self.measure([big, small, 0.0], [0.0, -small, big]) == self.sign(-(2.0**-80))
+
+
+class TestMembership(_AtEveryScale):
+    @staticmethod
+    def measure(x, y):
+        return membership_residual(pair(x, y))
+
     def test_orthogonal_pair_tol_zero(self):
         assert membership_residual(pair([1.0, 0.0], [0.0, 1.0])) == 0.0
 
@@ -87,15 +141,6 @@ class TestMembership:
             assert membership_residual(p) == 0.0
         assert membership_residual(limit) == 0.0
 
-    def test_finite_where_the_raw_product_overflows(self):
-        # each product of these orthogonal pairs overflows; at the pair's
-        # power-of-two scale 2^600 is exact and 1e160 leaves only the rounding
-        # of a product, which a fused multiply-add dot keeps
-        with np.errstate(over="raise", invalid="raise"):
-            assert membership_residual(pair([2.0**600] * 2, [2.0**600, -(2.0**600)])) == 0.0
-            r = membership_residual(pair([1e160, 1e160], [1e160, -1e160]))
-        assert r / 1e160 / 1e160 <= 2.0 * np.finfo(float).eps
-
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_pair_rejected(self, bad):
         # a silent inf or nan residual would read as a miss, or as no verdict
@@ -114,30 +159,10 @@ class TestMembership:
                 x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
                 assert membership_residual(pair(x, y)) == abs(float(np.dot(x, y)))
 
-    @pytest.mark.parametrize("j", [-500, -300, -201, -199, -3, 3, 199, 201, 300, 500])
-    def test_power_of_two_scaling_is_exact(self, j):
-        # t^2 times the residual, inside the window of no division and outside it
-        rng = np.random.default_rng(j + 1000)
-        t = 2.0**j
-        for n in (1, 2, 3, 8):
-            x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-            r = membership_residual(pair(x, y))
-            assert membership_residual(pair(t * x, t * y)) == r * t * t
 
-
-    @pytest.mark.parametrize("j", [-300, 0, 300])
-    def test_bits_of_the_scaled_product(self, j):
-        # |<x/k, y/k>| k^2 with k = 1 inside 2^+-200 and the pair's power-of-two
-        # scale outside, summed contiguous: strided views keep the bits too
-        rng = np.random.default_rng(j + 2000)
-        t = 2.0**j
-        k = 1.0 if j == 0 else 2.0**j
-        for n in (1, 2, 3, 8, 50, 1000, 10**4):
-            for _ in range(3):
-                xy = t * rng.uniform(-1.0, 1.0, (2, 2 * n))
-                for x, y in ((xy[0, :n], xy[1, :n]), (xy[0, ::2], xy[1, ::2])):
-                    want = abs(float(np.dot(x / k, y / k))) * k * k
-                    assert membership_residual(pair(x, y)) == want
+class TestInnerAtScale(_AtEveryScale):
+    measure = staticmethod(inner)
+    sign = staticmethod(float)
 
 
 class TestTolerances:
@@ -1076,9 +1101,9 @@ class TestOnePass:
     def test_in_window_reads_no_inf_norm(self, monkeypatch):
         # an in-window input outside the sliver is decided without the inf-norm pass
         calls = []
-        real = projection_mod._vector_inf
+        real = projection_mod._pair
         monkeypatch.setattr(
-            projection_mod, "_vector_inf", lambda v, name: calls.append(name) or real(v, name)
+            projection_mod, "_pair", lambda x, y, names: calls.append(names) or real(x, y, names)
         )
         rng = np.random.default_rng(63)
         for n in (1, 2, 3, 8, 50):
@@ -1089,4 +1114,4 @@ class TestOnePass:
                 project(x0, -x0)  # degenerate
         assert calls == []
         project(np.array([1e300, 1.0]), np.array([1e300, -3.0]))
-        assert calls == ["x0", "y0"]
+        assert calls == [("x0", "y0")]

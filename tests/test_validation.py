@@ -13,6 +13,7 @@ import pytest
 from crossproj import (
     DimensionMismatch,
     DomainError,
+    Pair,
     alternating_projections,
     as_pair,
     as_vector,
@@ -20,8 +21,15 @@ from crossproj import (
     check,
     classify,
     douglas_rachford,
+    family_samples,
     generate_instance,
+    inner,
+    lagrangian_oracle,
+    membership_residual,
+    objective,
     project,
+    solve_lambda,
+    subspace_oracle,
 )
 
 N = 5
@@ -43,6 +51,11 @@ def _distance_sq(x0, y0):
     return 2.0 * project(x0, y0).half_dist_sq
 
 
+def _objective(x0, y0):
+    # the point is finite, so every error is the input's
+    return objective(Pair(np.zeros(N), np.zeros(N)), x0, y0)
+
+
 # entry point -> the names its errors give the two components
 PAIR_ENTRIES = {
     "project": (project, ("x0", "y0")),
@@ -53,6 +66,13 @@ PAIR_ENTRIES = {
     "block_solve": (lambda x, y: block_solve(0.5, (x, y)), ("x", "y")),
     "alternating_projections": (_ap, ("x", "y")),
     "douglas_rachford": (_dr, ("x", "y")),
+    "inner": (inner, ("x", "y")),
+    "membership_residual": (lambda x, y: membership_residual(Pair(x, y)), ("x", "y")),
+    "objective": (_objective, ("x0", "y0")),
+    "solve_lambda": (solve_lambda, ("x0", "y0")),
+    "lagrangian_oracle": (lagrangian_oracle, ("x0", "y0")),
+    "subspace_oracle": (subspace_oracle, ("x0", "y0")),
+    "family_samples": (lambda x, y: family_samples(x, y, 3), ("x0", "y0")),
 }
 
 
