@@ -30,7 +30,6 @@ from .projection import (
     DEFAULT_TOLS,
     CaseTag,
     FamilyProjection,
-    LambdaPair,
     ProjectionResult,
     SingletonProjection,
     Tolerances,
@@ -39,7 +38,6 @@ from .projection import (
     membership_residual,
     objective,
     project,
-    solve_lambda,
 )
 from .oracle import (
     CheckReport,
@@ -82,7 +80,6 @@ __all__ = [
     "DEFAULT_TOLS",
     "CaseTag",
     "FamilyProjection",
-    "LambdaPair",
     "ProjectionResult",
     "SingletonProjection",
     "Tolerances",
@@ -91,7 +88,6 @@ __all__ = [
     "membership_residual",
     "objective",
     "project",
-    "solve_lambda",
     # oracle
     "CheckReport",
     "OracleReport",

@@ -133,9 +133,10 @@ def _require_unit(u: np.ndarray, name: str = "u") -> None:
         raise NotUnitNorm(f"{name} must have unit norm, got |{name}| = {nu!r}")
 
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1")
+def _int_at_least(value, name: str, least: int = 1) -> int:
+    """``value`` as an int: an int or numpy integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}")
     return int(value)
 
 

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularSystem
-from .linalg import Pair, _haar_columns, _over_pow2, block_solve, norm
+from .linalg import Pair, _haar_columns, _int_at_least, _over_pow2, block_solve, norm
 from .projection import (  # noqa: F401 -- classify stays bound for bench/tracing.py
     DEFAULT_TOLS,
     CaseTag,
@@ -40,8 +40,9 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     Tolerances,
     _family_member,
     _objective,
-    _reduce,
-    _Reduction,
+    _Record,
+    _result,
+    _unit,
     classify,
     project,
 )
@@ -91,11 +92,11 @@ def lagrangian_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     close to the degenerate ray).  For generic inputs the sweep is exact:
     every nearest point is one of the multiplier candidates.
     """
-    return _lagrangian(_reduce(x0, y0, tols))[0]
+    return _lagrangian(_unit(x0, y0, tols))[0]
 
 
-def _lagrangian(core: _Reduction) -> tuple[OracleReport, list[float]]:
-    # the sweep of lagrangian_oracle on a reduced input, and every candidate's objective in
+def _lagrangian(core: _Record) -> tuple[OracleReport, list[float]]:
+    # the sweep of lagrangian_oracle on a unit-scale record, and every candidate's objective in
     # order: the input or the multiplier roots in root order, then (0, y0), then (x0, 0)
     x0, y0 = core.x0, core.y0
 
@@ -103,7 +104,7 @@ def _lagrangian(core: _Reduction) -> tuple[OracleReport, list[float]]:
     if core.tag is CaseTag.ORTHOGONAL:
         cands.append(Pair(x0, y0))
     elif core.tag is CaseTag.GENERIC:
-        for lam in core.lams:
+        for lam in (core.lam, core.lam_plus):
             try:
                 cands.append(block_solve(lam, Pair(x0, y0)))
             except SingularSystem:
@@ -120,7 +121,7 @@ def _lagrangian(core: _Reduction) -> tuple[OracleReport, list[float]]:
         mode="lagrangian",
         best_point=best,
         best_objective=best_obj,
-        gap_vs_formula=best_obj - core.half_dist_sq,
+        gap_vs_formula=best_obj - core.half * core.k * core.k,
         candidates_examined=len(cands),
         tie_count=1 + len(ties),
         ties=ties,
@@ -137,10 +138,10 @@ def subspace_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     ``tie_count`` 2 and the other candidate in ``ties``, (x0, 0) on the exact
     rays, as :func:`lagrangian_oracle` reports them.
     """
-    core = _reduce(x0, y0, tols)
+    core = _unit(x0, y0, tols)
     x0, y0 = core.x0, core.y0
     top, u = _spectral(core)
-    line = _family_member(core.xs, core.ys, u, core.c)
+    line = _family_member(core.xs, core.ys, u, core.k)
     zero = Pair(np.zeros_like(x0), y0)
     best, other = (line, zero) if top > 0.0 else (zero, line)
     ties = [other] if core.tag.is_degenerate else []
@@ -149,14 +150,14 @@ def subspace_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
         mode="subspace_spectral",
         best_point=best,
         best_objective=best_obj,
-        gap_vs_formula=best_obj - core.half_dist_sq,
+        gap_vs_formula=best_obj - core.half * core.k * core.k,
         candidates_examined=2,
         tie_count=1 + len(ties),
         ties=ties,
     )
 
 
-def _spectral(core: _Reduction) -> tuple[float, np.ndarray]:
+def _spectral(core: _Record) -> tuple[float, np.ndarray]:
     """Top eigenpair of M = x0 x0^T - y0 y0^T at unit scale: lambda_max(M)
     for (x0/c, y0/c) and a unit eigenvector of R^n for it.
 
@@ -182,12 +183,12 @@ class CheckItem(NamedTuple):
     tol: float
 
 
-def _membership(pairs, core: _Reduction) -> CheckItem:
+def _membership(pairs, core: _Record) -> CheckItem:
     # the largest |<x/c, y/c>| against MEMBERSHIP_TOL (1 + |x0/c||y0/c|), relative to
     # the input's power-of-two scale c, so finite where <x, y> overflows; unvalidated,
     # so a non-finite Lagrangian candidate fails the test instead of raising
-    residual = max(abs(float(_over_pow2(p.x, core.c).dot(_over_pow2(p.y, core.c)))) for p in pairs)
-    tol = MEMBERSHIP_TOL * (1.0 + core.nx * core.ny)
+    residual = max(abs(float(_over_pow2(p.x, core.k).dot(_over_pow2(p.y, core.k)))) for p in pairs)
+    tol = MEMBERSHIP_TOL * (1.0 + math.sqrt(core.xx) * math.sqrt(core.yy))
     return CheckItem(residual <= tol, residual, tol)
 
 
@@ -209,6 +210,10 @@ class CheckReport:
 def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport:
     """Run projection, the oracles, and the module invariants on one input.
 
+    The input is classified once, at unit scale: its result is built from
+    that record as :func:`project` builds it, bit for bit, and the oracles
+    read the same record; each move below is one :func:`project` call.
+    ``seed`` (an integer >= 0) draws the rotation and a family's members.
     Every verdict is a (passed, residual, tol) triple; nothing raises on a
     failed invariant.  ``subspace_lower`` compares half the squared
     distance :func:`project` gave with the exact subspace minimum from
@@ -235,10 +240,10 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     ``near_ray``, the moved points.  A move whose image leaves the float
     range is left out of its item; t = 0.5 always stays finite.
     """
-    core = _reduce(x0, y0, tols)
-    x0, y0, lams = core.x0, core.y0, core.lams
-    res = project(x0, y0, tols)
-    rng = np.random.default_rng(seed)
+    core = _unit(x0, y0, tols)
+    x0, y0 = core.x0, core.y0
+    res = _result(core)
+    rng = np.random.default_rng(_int_at_least(seed, "seed", 0))
     items: dict[str, CheckItem] = {}
 
     def record(name: str, residual: float, tol: float) -> None:
@@ -246,8 +251,8 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         items[name] = CheckItem(bool(residual <= tol), residual, tol)
 
     tag = res.tag
-    c = core.c
-    nx, ny = core.nx * c, core.ny * c
+    c = core.k
+    nx, ny = math.sqrt(core.xx) * c, math.sqrt(core.yy) * c
     scale = 1.0 + nx + ny
     half = res.half_dist_sq
 
@@ -284,12 +289,12 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     record("subspace_lower", 0.5 * (res.dist / c) ** 2 - low, 1e-9)
 
     if tag is not CaseTag.ORTHOGONAL:
-        record("vieta", abs(lams.lambda_minus * lams.lambda_plus - 1.0), 1e-10)
+        record("vieta", abs(core.lam * core.lam_plus - 1.0), 1e-10)
 
     if tag is CaseTag.GENERIC:
         # both roots solve the multiplier quadratic (1 + lam^2) q = lam S
-        q, s = core.q * c * c, core.s * c * c
-        root_res = max(abs((1.0 + lam * lam) * q - lam * s) for lam in lams)
+        q, s = core.q * c * c, (core.xx + core.yy) * c * c
+        root_res = max(abs((1.0 + lam * lam) * q - lam * s) for lam in (core.lam, core.lam_plus))
         record("orthogonality_quadratic", root_res / (1.0 + s), 1e-10)
         pt = res.point
         stat = (

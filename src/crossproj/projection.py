@@ -20,11 +20,11 @@ Classification uses relative tolerance bands (exact trichotomies do not
 survive floating point); the band widths live in :class:`Tolerances` and
 every result carries its tag so callers can re-classify.  Both bands are
 homogeneous, so they are read at whatever scale the reductions are taken:
-:func:`project` reads an in-window input's raw reductions and divides every
-other input by its power-of-two scale c first; :func:`_roots` decides both
-bands, :func:`_classified` gathers what they decide and :func:`_result`
-builds the answer from it.  :func:`_reduce` keeps the unit-scale record for
-the callers that need c itself.
+:func:`project` reads an in-window input's raw reductions and :func:`_unit`
+divides every other input by its power-of-two scale c first; :func:`_roots`
+decides both bands, :func:`_classified` gathers what they decide into one
+record and :func:`_result` builds the answer from it.  ``check`` and the
+oracles read the record of :func:`_unit`, as they need c itself.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_pair, as_vector, inner
 from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _over_pow2, _pair, _positive_int, _pow2_scale, _require_unit, _sphere_lattice
+from .linalg import _int_at_least, _over_pow2, _pair, _pow2_scale, _require_unit, _sphere_lattice
 
 
 class CaseTag(Enum):
@@ -84,13 +84,6 @@ class Tolerances:
 
 
 DEFAULT_TOLS = Tolerances()
-
-
-class LambdaPair(NamedTuple):
-    """Both roots of the multiplier quadratic; their product is 1."""
-
-    lambda_minus: float
-    lambda_plus: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,26 +143,26 @@ class FamilyProjection:
 ProjectionResult = SingletonProjection | FamilyProjection
 
 
-class _Reduction(NamedTuple):
-    """What the projection formula needs from one input, taken once at unit
-    scale, on (x0/c, y0/c)."""
+class _Record(NamedTuple):
+    """One input as classified, at the scale k its reductions were taken at:
+    what :func:`_classified` gathers and :func:`_result`, ``check`` and the
+    oracles read.  Inside the orthogonal band lam, lam_plus, a and b read 0."""
 
     x0: np.ndarray  # the validated input
     y0: np.ndarray
-    tag: CaseTag
-    lams: LambdaPair | None  # roots of the multiplier quadratic; None if orthogonal
-    half: float  # half the squared distance to the cross, at unit scale
-    c: float  # the power-of-two scale of the input
-    q: float  # <x0, y0> / c^2
-    s: float  # (|x0|^2 + |y0|^2) / c^2
-    nx: float  # |x0| / c
-    ny: float  # |y0| / c
-    xs: np.ndarray  # (x0, y0) / c, the arrays the reductions were taken on
+    k: float  # 1, or the power-of-two scale c of the input
+    xs: np.ndarray  # (x0, y0) / k, the arrays the reductions were taken on
     ys: np.ndarray
-
-    @property
-    def half_dist_sq(self) -> float:
-        return self.half * self.c * self.c
+    q: float  # <xs, ys>
+    xx: float  # |xs|^2
+    yy: float  # |ys|^2
+    tag: CaseTag  # then what _roots returns
+    lam: float  # the small multiplier root, which a generic result carries
+    lam_plus: float  # the large root, 1 / lam
+    half: float  # half the squared distance to the cross, at scale k
+    a: float  # |xs + ys|
+    b: float  # |xs - ys|
+    v: np.ndarray | None  # the array d^2 was summed from, if any; _result scales it
 
 
 #: project reads the raw sums of squares where both lie below _SQ_HI and the
@@ -185,17 +178,10 @@ _TOL_MIN = 2.0**-300
 # Bound once for project's path, where each lookup would cost about 1% of a
 # call: np.vdot takes the bits of ndarray.dot on contiguous vectors and is
 # silent on inf, NaN and overflow, and an enum member lookup is about 0.1 us.
+# _Record._make builds a record from one tuple, cheaper than fifteen arguments.
 _vdot = np.vdot
+_make = _Record._make
 _ORTHOGONAL, _GENERIC = CaseTag.ORTHOGONAL, CaseTag.GENERIC
-
-
-def _scaled(x0, y0):
-    """Validate, then divide by the power-of-two scale c of the input: the
-    arrays, c, (xs, ys) = (x0, y0)/c and <xs, ys>, |xs|^2, |ys|^2."""
-    x0, y0, mx, my = _pair(x0, y0, ("x0", "y0"))
-    c = _pow2_scale(max(mx, my))
-    xs, ys = _over_pow2(x0, c), _over_pow2(y0, c)
-    return x0, y0, c, xs, ys, float(xs.dot(ys)), float(xs.dot(xs)), float(ys.dot(ys))
 
 
 def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys: np.ndarray):
@@ -231,17 +217,6 @@ def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys:
     return _GENERIC, lam, lam_plus, 0.5 * lam * q, a, b, v
 
 
-def _reduce(x0, y0, tols: Tolerances) -> _Reduction:
-    """Validate, then classify and solve at unit scale, on (x0/c, y0/c): the
-    record ``check``, the oracles, :func:`classify` and :func:`solve_lambda`
-    read, as they need the exact scale c."""
-    x0, y0, c, xs, ys, q, xx, yy = _scaled(x0, y0)
-    tag, lam, lam_plus, half, *_ = _roots(q, xx, yy, tols, xs, ys)
-    lams = None if tag is _ORTHOGONAL else LambdaPair(lam, lam_plus)
-    nx, ny = math.sqrt(xx), math.sqrt(yy)
-    return _Reduction(x0, y0, tag, lams, half, c, q, xx + yy, nx, ny, xs, ys)
-
-
 def membership_residual(p: Pair) -> float:
     """|<p.x, p.y>|, the amount by which a finite pair misses the cross, as
     :func:`inner` takes it at every scale."""
@@ -254,18 +229,9 @@ def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
     Precedence: orthogonal band first (this absorbs the origin), then the
     degenerate bands, then generic.  Both bands are homogeneous (see
     :class:`Tolerances`), so (t x0, t y0) has the same tag for every t that
-    keeps it exact: taken at unit scale, on (x0/c, y0/c), as by :func:`project`.
+    keeps it exact.  It is the tag of :func:`project`, taken the same way.
     """
-    return _reduce(x0, y0, tols).tag
-
-
-def solve_lambda(x0, y0) -> LambdaPair:
-    """Both roots of q*lam^2 - S*lam + q = 0 for q = <x0,y0> != 0, taken
-    without cancellation at unit scale (see :func:`_reduce`)."""
-    lams = _reduce(x0, y0, DEFAULT_TOLS).lams
-    if lams is None:
-        raise CaseError("multiplier quadratic undefined: <x0, y0> is (numerically) zero")
-    return lams
+    return _classified(x0, y0, tols).tag
 
 
 def objective(p: Pair, x0, y0) -> float:
@@ -311,13 +277,12 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     unit scale where the raw sums of squares leave (n 2^-396, 2^396), each
     coordinate is finite even where the point's norm is not.
     """
-    return _result(*_classified(x0, y0, tols))
+    return _result(_classified(x0, y0, tols))
 
 
-def _classified(x0, y0, tols: Tolerances):
-    """The half of :func:`project` that decides the input: the validated arrays
-    (x0, y0), their scale k, (xs, ys) = (x0, y0)/k and what :func:`_roots` reads
-    from them, in the order :func:`_result` takes them."""
+def _classified(x0, y0, tols: Tolerances) -> _Record:
+    """The half of :func:`project` that decides the input: its record, taken
+    on the raw arrays (k = 1) in the window and by :func:`_unit` elsewhere."""
     # <x0,y0>, |x0|^2 and |y0|^2 decide the input through the homogeneous bands
     # (see Tolerances): as they are where the raw sums of squares lie in
     # (n 2^-396, 2^396) and both bands are at least 2^-300, else after validation
@@ -333,40 +298,48 @@ def _classified(x0, y0, tols: Tolerances):
             and (xx := float(_vdot(x0, x0))) < _SQ_HI
             and (yy := float(_vdot(y0, y0))) < _SQ_HI
             and (xx if xx > yy else yy) > n * _SQ_LO):
-        q, k, xs, ys = float(_vdot(x0, y0)), 1.0, x0, y0
-    else:
-        x0, y0, k, xs, ys, q, xx, yy = _scaled(x0, y0)
-    tag, lam, _, half, a, b, v = _roots(q, xx, yy, tols, xs, ys)
-    return tag, x0, y0, lam, half, k, xs, ys, a, b, v
+        q = float(_vdot(x0, y0))
+        return _make((x0, y0, 1.0, x0, y0, q, xx, yy, *_roots(q, xx, yy, tols, x0, y0)))
+    return _unit(x0, y0, tols)
 
 
-def _dist(tag, half, k, lam, a, b) -> float:
-    """The distance to the cross from :func:`_classified`'s record: k sqrt(2 half),
-    finite where its square overflows.  Where a generic half is subnormal it is
-    read from 2 half = lam^2 (S + P)/2, with S + P = (a + b)^2/2 = 8 t^2 and
+def _unit(x0, y0, tols: Tolerances) -> _Record:
+    """The record of (x0, y0) at unit scale: validate, divide by the input's
+    power-of-two scale c, take <xs, ys>, |xs|^2 and |ys|^2 and run :func:`_roots`."""
+    x0, y0, mx, my = _pair(x0, y0, ("x0", "y0"))
+    c = _pow2_scale(max(mx, my))
+    xs, ys = _over_pow2(x0, c), _over_pow2(y0, c)
+    q, xx, yy = float(xs.dot(ys)), float(xs.dot(xs)), float(ys.dot(ys))
+    return _make((x0, y0, c, xs, ys, q, xx, yy, *_roots(q, xx, yy, tols, xs, ys)))
+
+
+def _dist(core: _Record) -> float:
+    """The distance to the cross from a record: k sqrt(2 half), finite where its
+    square overflows.  Where a generic half is subnormal it is read from
+    2 half = lam^2 (S + P)/2, with S + P = (a + b)^2/2 = 8 t^2 and
     t = (a + b)/4, as k 2 t |lam|."""
-    if tag is _GENERIC and half < 2.0**-1022:
-        return k * (2.0 * (0.25 * (a + b)) * abs(lam))
-    return k * math.sqrt(2.0 * half)
+    if core.tag is _GENERIC and core.half < 2.0**-1022:
+        return core.k * (2.0 * (0.25 * (core.a + core.b)) * abs(core.lam))
+    return core.k * math.sqrt(2.0 * core.half)
 
 
 def _cross_distance(x0, y0) -> float:
     """``project(x0, y0).dist``, with no result built."""
-    tag, _, _, lam, half, k, _, _, a, b, _ = _classified(x0, y0, DEFAULT_TOLS)
-    return _dist(tag, half, k, lam, a, b)
+    return _dist(_classified(x0, y0, DEFAULT_TOLS))
 
 
-def _result(tag, x0, y0, lam, half, k, xs, ys, a, b, v) -> ProjectionResult:
-    """The result of project from its classification on (xs, ys) = (x0, y0)/k:
+def _result(core: _Record) -> ProjectionResult:
+    """The result of project from its record on (xs, ys) = (x0, y0)/k:
     half the squared distance half k^2, the distance (finite where its square
     overflows) and the generic point, each scaled back by k.  The point takes
     a = |xs+ys| and b = |xs-ys| from :func:`_roots`, which also hands over the
     array it summed d^2 from, v = xs - ys if lam > 0 (so q > 0) else xs + ys,
     or None: no reduction is taken again and no array divided.  At n = 1 the
     point is read from the input."""
+    x0, y0, k, xs, ys, _, _, _, tag, lam, _, half, a, b, v = core
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
-    dist = _dist(tag, half, k, lam, a, b)
+    dist = _dist(core)
     if tag is not _GENERIC:
         zero = np.zeros_like(x0)
         canonical = (Pair(zero, y0), Pair(x0, zero))
@@ -406,7 +379,7 @@ def family_samples(
     res = project(x0, y0, tols)
     if mode not in ("grid", "injective"):
         raise DomainError(f"unknown sampling mode {mode!r}")
-    count = _positive_int(count, "count")
+    count = _int_at_least(count, "count")
     if not res.tag.is_degenerate:
         raise CaseError(f"input is not degenerate (classified {res.tag.value})")
 

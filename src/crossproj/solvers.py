@@ -18,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
-from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _positive_int, as_pair
+from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _int_at_least, as_pair
 from .projection import SingletonProjection, _cross_distance, project
 
 _SELECTIONS = ("first", "second", "alternate")
@@ -204,7 +204,7 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
 
 def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
     """The validated start pair and the run's empty trace."""
-    max_iter = _positive_int(max_iter, "max_iter")
+    max_iter = _int_at_least(max_iter, "max_iter")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if selection not in _SELECTIONS:
@@ -339,8 +339,8 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
     affine targets pass through the witness, and the boxes contain it.
     Returns ``(problem, witness)``.
     """
-    index, dim = _kind_index(kind), _positive_int(dim, "dim")
-    rng = np.random.default_rng([seed, dim, index])
+    index, dim = _kind_index(kind), _int_at_least(dim, "dim")
+    rng = np.random.default_rng([_int_at_least(seed, "seed", 0), dim, index])
 
     if kind == "orthant":
         witness = _complementary_witness(rng, dim, nonneg=True)
@@ -372,8 +372,8 @@ def generate_instance(kind: str, dim: int, seed: int = 0):
 
 def default_start(kind: str, dim: int, seed: int = 0) -> Pair:
     """Deterministic random starting point matched to an instance seed."""
-    index, dim = _kind_index(kind), _positive_int(dim, "dim")
-    rng = np.random.default_rng([seed, dim, index, 997])
+    index, dim = _kind_index(kind), _int_at_least(dim, "dim")
+    rng = np.random.default_rng([_int_at_least(seed, "seed", 0), dim, index, 997])
     return Pair(rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim))
 
 

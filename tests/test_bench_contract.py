@@ -77,17 +77,17 @@ def _check_validations(monkeypatch, x0, y0) -> tuple[list, int]:
 
 def test_check_validates_each_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, -0.5], [0.7, -0.2, 1.5])
-    # one validator call, for check's own reduction, which the Lagrangian
-    # sweep and the spectral bound take; its six projections (the input and
-    # its five moves) are in window and validate nothing
-    assert projects == 6
+    # one validator call, for check's own record of the input, from which it
+    # builds the input's result and which the Lagrangian sweep and the spectral
+    # bound read; its five projections (the moves) are in window and validate nothing
+    assert projects == 5
     assert validations == [("x0", "y0")]
 
 
 def test_check_validates_degenerate_input_once(monkeypatch):
     validations, projects = _check_validations(monkeypatch, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
     # as above: the sampled family members reduce nothing
-    assert projects == 6
+    assert projects == 5
     assert validations == [("x0", "y0")]
 
 

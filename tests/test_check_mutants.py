@@ -2,9 +2,9 @@
 ``project``.
 
 Eleven defects are injected into the pieces that both routes of ``project``
-and ``check``'s own reduction share: the classification and roots
-(``_roots``), the result construction (``_result``) or the family member
-kernel (``_family_member``).  ``check`` runs under each on a fixed battery:
+and ``check``'s own record of its input share: the classification and roots
+(``_roots``), the result construction (``_result``, which ``check`` also
+calls on that record) or the family member kernel (``_family_member``).  ``check`` runs under each on a fixed battery:
 the inputs of ``crossproj check --seed s --trials 6`` for s = 0, 1, 2.  A mutant changes
 an input when the result of ``project`` on it differs from the true one (a
 family's member for the diagonal direction included); a changed input whose
@@ -19,11 +19,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import crossproj.oracle as oracle_mod
 import crossproj.projection as projection_mod
 from crossproj import CaseTag, check
 from crossproj.cli import _crafted_inputs
 from crossproj.linalg import Pair, _pow2_scale, block_solve
-from crossproj.projection import solve_lambda
 
 SEEDS = (0, 1, 2)
 TRIALS = 6
@@ -60,23 +60,23 @@ def _axis(x0, y0):
     return Pair(x0, zero) if float(x0.dot(x0)) >= float(y0.dot(y0)) else Pair(zero, y0)
 
 
-def _large_root(res, x0, y0):
-    lam = solve_lambda(x0, y0).lambda_plus
+def _large_root(res, core):
+    x0, y0, lam = core.x0, core.y0, core.lam_plus
     point = block_solve(lam, Pair(x0, y0))
     half = 0.5 * lam * float(x0.dot(y0))
     return replace(res, point=point, lam=lam, half_dist_sq=half, dist=math.sqrt(2.0 * half))
 
 
-# defects of a generic result, given the result and the input
+# defects of a generic result, given the result and the record it was built from
 ASSEMBLE = {
-    "shifted_point": lambda res, x0, y0: replace(
-        res, point=Pair(res.point.x + 1e-7 * x0, res.point.y)),
-    "off_cross": lambda res, x0, y0: replace(
+    "shifted_point": lambda res, core: replace(
+        res, point=Pair(res.point.x + 1e-7 * core.x0, res.point.y)),
+    "off_cross": lambda res, core: replace(
         res, point=Pair(res.point.x + 1e-6 * res.point.y, res.point.y)),
-    "rotated_point": lambda res, x0, y0: replace(
+    "rotated_point": lambda res, core: replace(
         res, point=Pair(_turned(res.point.x), _turned(res.point.y))),
-    "axis_point": lambda res, x0, y0: replace(res, point=_axis(x0, y0)),
-    "swapped_parts": lambda res, x0, y0: replace(res, point=Pair(res.point.y, res.point.x)),
+    "axis_point": lambda res, core: replace(res, point=_axis(core.x0, core.y0)),
+    "swapped_parts": lambda res, core: replace(res, point=Pair(res.point.y, res.point.x)),
     "large_root": _large_root,
 }
 
@@ -127,16 +127,18 @@ MAX_MISSES = {
 }
 
 def _install(mp, name):
-    # project (either route) and check's own reduction and result read the
-    # module's _roots and _result
+    # project (either route) and check's own record read the module's _roots;
+    # project builds its result through projection's _result, check through
+    # its own binding of it
     if name in ASSEMBLE:
         real, change = projection_mod._result, ASSEMBLE[name]
 
-        def result(tag, x0, y0, *rest):
-            res = real(tag, x0, y0, *rest)
-            return change(res, x0, y0) if tag is CaseTag.GENERIC else res
+        def result(core):
+            res = real(core)
+            return change(res, core) if core.tag is CaseTag.GENERIC else res
 
         mp.setattr(projection_mod, "_result", result)
+        mp.setattr(oracle_mod, "_result", result)
     elif name in REDUCE:
         real, (applies, change) = projection_mod._roots, REDUCE[name]
 

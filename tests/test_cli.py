@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
+import crossproj.projection as projection_mod
 from crossproj import CaseError, CaseTag, classify, family_samples, generate_instance
 from crossproj import Pair, instance_to_dict, objective, project
 from crossproj.cli import main
@@ -321,22 +322,25 @@ class TestCheckCommand:
         assert "dims" in capsys.readouterr().err
 
     def test_corrupted_build_detected(self, capsys, monkeypatch):
-        # every generic projection check makes takes the large root
+        # every generic result check takes, of the input and of its moves, takes the
+        # large root: check builds the input's through oracle_mod._result, and project
+        # the moves' through projection_mod._result
         from crossproj.linalg import as_pair, block_solve
-        from crossproj.projection import SingletonProjection, solve_lambda
+        from crossproj.projection import SingletonProjection
 
-        real = oracle_mod.project
+        real = projection_mod._result
 
-        def corrupted(x0, y0, tols):
-            res = real(x0, y0, tols)
+        def corrupted(core):
+            res = real(core)
             if res.tag is CaseTag.GENERIC:
-                lam = solve_lambda(x0, y0).lambda_plus
+                x0, y0, lam = core.x0, core.y0, core.lam_plus
                 half = 0.5 * lam * float(np.dot(x0, y0))
                 bad = block_solve(lam, as_pair(x0, y0))
                 return SingletonProjection(res.tag, bad, lam, half, math.sqrt(2.0 * half))
             return res
 
-        monkeypatch.setattr(oracle_mod, "project", corrupted)
+        monkeypatch.setattr(oracle_mod, "_result", corrupted)
+        monkeypatch.setattr(projection_mod, "_result", corrupted)
         code, out, _ = run(capsys, "check", "--dims", "2", "--trials", "3", "--seed", "0")
         assert code == 1
         assert "FAIL" in out

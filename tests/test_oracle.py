@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import crossproj.oracle as oracle_mod
+import crossproj.projection as projection_mod
 from crossproj import (
     DEFAULT_TOLS,
     CaseTag,
@@ -20,30 +21,29 @@ from crossproj import (
     norm,
     objective,
     project,
-    solve_lambda,
     subspace_oracle,
 )
 from crossproj.linalg import Pair, _sphere_lattice
 from crossproj.oracle import CheckReport, _lagrangian, _spectral
-from crossproj.projection import _reduce
+from crossproj.projection import _unit
 
 EPS = np.finfo(float).eps
 
 
-def large_root_project(real):
-    """``real`` with every generic result replaced by the stationary pair at the
-    large multiplier root."""
+def large_root_result(real):
+    """``real``, the builder of a result from its record, with every generic
+    result replaced by the stationary pair at the record's large root."""
 
-    def project(x0, y0, tols=DEFAULT_TOLS):
-        res = real(x0, y0, tols)
+    def result(core):
+        res = real(core)
         if res.tag is not CaseTag.GENERIC:
             return res
-        lam = solve_lambda(x0, y0).lambda_plus
+        x0, y0, lam = core.x0, core.y0, core.lam_plus
         half = 0.5 * lam * float(np.dot(x0, y0))
         point = block_solve(lam, as_pair(x0, y0))
         return SingletonProjection(res.tag, point, lam, half, math.sqrt(2.0 * half))
 
-    return project
+    return result
 
 
 def random_generic(rng, n):
@@ -249,12 +249,13 @@ class TestSpectralBound:
     def test_matches_formula(self, n, t):
         rng = np.random.default_rng([47, n])
         for kind, x0, y0 in spectral_inputs(rng, n):
-            core = _reduce(t * x0, t * y0, DEFAULT_TOLS)
-            assert abs(self.spectral_min(core) - core.half) <= 1e-14 * core.s, kind
+            core = _unit(t * x0, t * y0, DEFAULT_TOLS)
+            s = core.xx + core.yy
+            assert abs(self.spectral_min(core) - core.half) <= 1e-14 * s, kind
             top, u = _spectral(core)
             assert abs(np.linalg.norm(u) - 1.0) <= 4 * EPS, kind
             m_u = float(u @ core.xs) ** 2 - float(u @ core.ys) ** 2  # u^T M u
-            assert abs(m_u - top) <= 1e-14 * core.s, kind
+            assert abs(m_u - top) <= 1e-14 * s, kind
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_below_grid_best(self, n):
@@ -284,6 +285,25 @@ class TestCheck:
             y0 = rng.uniform(-1.0, 1.0, n)
             rep = check(x0, y0, seed=int(rng.integers(0, 2**63)))
             assert rep.ok, (rep.failures(), x0, y0)
+
+    @pytest.mark.parametrize(
+        "x0, y0",
+        [([1.0, 2.0, -0.5], [0.7, -0.2, 1.5]), ([1.0, 2.0], [1.0, 2.0]), ([0.0], [0.0]),
+         ([1e300, 1.0], [1e300, -3.0])],
+        ids=["generic", "degenerate", "origin", "scaled"],
+    )
+    def test_classifies_each_input_once(self, monkeypatch, x0, y0):
+        # check classifies its input once, and each of its five moves once, through
+        # project; each oracle classifies its input once
+        calls, real = [], projection_mod._roots
+        monkeypatch.setattr(projection_mod, "_roots", lambda *a: calls.append(1) or real(*a))
+        with np.errstate(over="ignore", invalid="ignore"):  # objectives overflow at 1e300
+            check(np.array(x0), np.array(y0))
+            assert len(calls) == 6
+            for oracle in (lagrangian_oracle, subspace_oracle):
+                calls.clear()
+                oracle(x0, y0)
+                assert len(calls) == 1
 
     def test_origin_all_zero_residuals(self):
         rep = check([0.0, 0.0], [0.0, 0.0])
@@ -361,10 +381,11 @@ class TestCheck:
         for n in (1, 2, 3, 4):
             x0, y0 = random_generic(rng, n)
             zero = np.zeros(n)
-            lams = solve_lambda(x0, y0)
+            core = _unit(x0, y0, DEFAULT_TOLS)
             axis = [objective(Pair(zero, y0), x0, y0), objective(Pair(x0, zero), x0, y0)]
-            cands = [objective(block_solve(lam, as_pair(x0, y0)), x0, y0) for lam in lams]
-            assert _lagrangian(_reduce(x0, y0, DEFAULT_TOLS))[1] == cands + axis
+            cands = [objective(block_solve(lam, as_pair(x0, y0)), x0, y0)
+                     for lam in (core.lam, core.lam_plus)]
+            assert _lagrangian(core)[1] == cands + axis
             item = check(x0, y0).items["plus_branch_larger"]
             assert item.residual == project(x0, y0).half_dist_sq - cands[1]
 
@@ -377,9 +398,11 @@ class TestCheck:
 
     def test_detects_wrong_branch(self, monkeypatch):
         """A projection that takes the large root must be flagged, even when
-        every projection check makes, of the input and of its moves, is wrong
+        every result check takes, of the input and of its moves, is wrong
         alike."""
-        monkeypatch.setattr(oracle_mod, "project", large_root_project(oracle_mod.project))
+        result = large_root_result(projection_mod._result)
+        monkeypatch.setattr(projection_mod, "_result", result)  # the moves, through project
+        monkeypatch.setattr(oracle_mod, "_result", result)  # the input, from check's record
         rep = check([1.0, 2.0], [3.0, 1.0])
         assert {"lagrangian_match", "point_match"} <= set(rep.failures())
 
@@ -392,7 +415,7 @@ class TestSymmetryItemsCanFail:
 
     @staticmethod
     def corrupt(monkeypatch, is_moved, change):
-        # check reaches its moved inputs through oracle_mod.project only
+        # check reaches its moved inputs, and only those, through oracle_mod.project
         real = oracle_mod.project
 
         def patched(x0, y0, tols=DEFAULT_TOLS):
@@ -405,11 +428,9 @@ class TestSymmetryItemsCanFail:
         return np.array_equal(x0, self.Y0) and np.array_equal(y0, self.X0)
 
     def is_rotated(self, x0, y0):
-        # the only moved input of the same length that is neither the swap nor
-        # the unmoved input, which check projects through oracle_mod.project too
+        # the only moved input of the same length that is not the swap
         same_norm = abs(np.linalg.norm(x0) - np.linalg.norm(self.X0)) < 1e-12
-        unmoved = np.array_equal(x0, self.X0) and np.array_equal(y0, self.Y0)
-        return same_norm and not self.is_swapped(x0, y0) and not unmoved
+        return same_norm and not self.is_swapped(x0, y0)
 
     def test_uncorrupted_passes(self):
         assert check(self.X0, self.Y0).ok
@@ -529,16 +550,15 @@ class TestCheckAtScale:
         # at t = 1e200 the raw <x, y> and its band both overflow to inf; at unit
         # scale the shifted point misses the cross by about 0.01 |y0/c|^2
         x0, y0 = 1e200 * SCALE_X, 1e200 * SCALE_Y
-        real = oracle_mod.project
+        real = oracle_mod._result
 
-        def shifted(a, b, tols=DEFAULT_TOLS):
-            res = real(a, b, tols)
-            if not (np.array_equal(a, x0) and np.array_equal(b, y0)):
-                return res  # a moved input
+        def shifted(core):
+            # check builds the input's own result, and only that, through oracle_mod._result
+            res = real(core)
             x, y = res.point
             return replace(res, point=Pair(x + 0.01 * y, y))
 
-        monkeypatch.setattr(oracle_mod, "project", shifted)
+        monkeypatch.setattr(oracle_mod, "_result", shifted)
         # other items still overflow at this scale
         with np.errstate(over="ignore", invalid="ignore"):
             rep = check(x0, y0)

@@ -29,14 +29,15 @@ from crossproj import (
     norm,
     objective,
     project,
-    solve_lambda,
 )
 import crossproj.projection as projection_mod
 from crossproj.linalg import _sphere_lattice
 from crossproj.oracle import FALLBACK_BAND
+from crossproj.projection import _unit
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402
+import workloads  # noqa: E402
 
 # frozen by an independent root-find of q*lam^2 - S*lam + q = 0 and a
 # 2e6-point subspace grid search (gap 1e-11); see also the oracle tests
@@ -219,36 +220,41 @@ class TestClassify:
             classify([1.0], [1.0, 2.0])
 
 
+def roots(x0, y0):
+    """Both multiplier roots, small first, from the unit-scale record that
+    ``check`` and the oracles read; the small one is ``project(...).lam``."""
+    core = _unit(x0, y0, DEFAULT_TOLS)
+    return core.lam, core.lam_plus
+
+
 class TestSolveLambda:
+    """The roots of q*lam^2 - S*lam + q = 0 as the record carries them."""
+
     def test_equal_inputs_double_root(self):
-        lams = solve_lambda([1.0], [1.0])
-        assert lams.lambda_minus == pytest.approx(1.0, abs=1e-15)
-        assert lams.lambda_plus == pytest.approx(1.0, abs=1e-15)
+        lam, lam_plus = roots([1.0], [1.0])
+        assert lam == pytest.approx(1.0, abs=1e-15)
+        assert lam_plus == pytest.approx(1.0, abs=1e-15)
 
     def test_scalar_two_one(self):
-        lams = solve_lambda([2.0], [1.0])
-        assert lams.lambda_minus == 0.5
-        assert lams.lambda_plus == 2.0
+        assert roots([2.0], [1.0]) == (0.5, 2.0)
+        assert project([2.0], [1.0]).lam == 0.5
 
     def test_frozen_roots(self):
-        lams = solve_lambda([1.0, 2.0], [3.0, 1.0])
-        assert lams.lambda_minus == pytest.approx(LAM_MINUS_12_31, rel=1e-14)
-        assert lams.lambda_plus == pytest.approx(LAM_PLUS_12_31, rel=1e-14)
-
-    def test_orthogonal_rejected(self):
-        with pytest.raises(CaseError):
-            solve_lambda([1.0, 0.0], [0.0, 1.0])
+        lam, lam_plus = roots([1.0, 2.0], [3.0, 1.0])
+        assert lam == pytest.approx(LAM_MINUS_12_31, rel=1e-14)
+        assert lam_plus == pytest.approx(LAM_PLUS_12_31, rel=1e-14)
 
     def test_vieta_and_ordering(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
             n = int(rng.integers(1, 9))
             x0, y0 = random_generic(rng, n)
-            lams = solve_lambda(x0, y0)
+            lam, lam_plus = roots(x0, y0)
             q = inner(x0, y0)
-            assert abs(lams.lambda_minus * lams.lambda_plus - 1.0) <= 1e-10
-            assert lams.lambda_plus * q >= lams.lambda_minus * q > 0.0
-            assert abs(lams.lambda_minus) < 1.0 < abs(lams.lambda_plus)
+            assert abs(lam * lam_plus - 1.0) <= 1e-10
+            assert lam_plus * q >= lam * q > 0.0
+            assert abs(lam) < 1.0 < abs(lam_plus)
+            assert project(x0, y0).lam == lam
 
     def test_roots_solve_quadratic(self):
         rng = np.random.default_rng(12)
@@ -256,7 +262,7 @@ class TestSolveLambda:
             x0, y0 = random_generic(rng, 3)
             q = inner(x0, y0)
             s = float(np.dot(x0, x0) + np.dot(y0, y0))
-            for lam in solve_lambda(x0, y0):
+            for lam in roots(x0, y0):
                 assert abs(q * lam * lam - s * lam + q) <= 1e-10 * (1.0 + s * abs(lam))
 
 
@@ -491,10 +497,9 @@ class TestFamilyEnumerate:
     @pytest.mark.parametrize("mode", ["grid", "injective"])
     def test_members_are_project_members(self, monkeypatch, mode):
         # the family comes from project alone, so every sample is its member
-        def reduce(*args):
-            raise AssertionError("family_samples classified its input again")
-
-        monkeypatch.setattr(projection_mod, "_reduce", reduce)
+        # and family_samples classifies its input once
+        calls, real = [], projection_mod._roots
+        monkeypatch.setattr(projection_mod, "_roots", lambda *a: calls.append(1) or real(*a))
         v = np.array([1.0, -2.0, 0.0, 0.5])
         back = np.linspace(-1.0, 2.0, 9)[::-2]
         inputs = [
@@ -506,7 +511,9 @@ class TestFamilyEnumerate:
         ]
         for x0, y0, tols in inputs:
             res = project(x0, y0, tols)
+            calls.clear()
             (u, first), *rest = family_samples(x0, y0, 40, mode, tols)
+            assert len(calls) == 1
             assert not u.any()
             assert first.x.tobytes() == np.zeros(x0.size).tobytes()
             assert first.y.tobytes() == res.y0.tobytes()
@@ -651,9 +658,9 @@ class TestInvariants:
         rng = np.random.default_rng(22)
         for _ in range(200):
             x0, y0 = random_generic(rng, 4)
-            lams = solve_lambda(x0, y0)
-            f_minus = objective(block_solve(lams.lambda_minus, as_pair(x0, y0)), x0, y0)
-            f_plus = objective(block_solve(lams.lambda_plus, as_pair(x0, y0)), x0, y0)
+            lam, lam_plus = roots(x0, y0)
+            f_minus = objective(block_solve(lam, as_pair(x0, y0)), x0, y0)
+            f_plus = objective(block_solve(lam_plus, as_pair(x0, y0)), x0, y0)
             assert f_plus > f_minus
 
     def test_closed_form_objective_any_multiplier(self):
@@ -681,7 +688,7 @@ class TestInvariants:
             q = inner(x0, y0)
             s = float(np.dot(x0, x0) + np.dot(y0, y0))
             # candidates at the roots are orthogonal pairs
-            for lam in solve_lambda(x0, y0):
+            for lam in roots(x0, y0):
                 cand = block_solve(lam, as_pair(x0, y0))
                 assert membership_residual(cand) <= feas_tol(x0, y0)
             # at any multiplier the constraint value matches the quadratic residual
@@ -884,6 +891,18 @@ def _bits(res) -> tuple:
             [p.x.tobytes() + p.y.tobytes() for p in res.selections()])
 
 
+def _answer_bits(res) -> tuple:
+    # what project answers, as exact bytes: tag, half_dist_sq, dist, a
+    # singleton's lam, every selection and a family's member on the diagonal
+    # (not the scale a family keeps, which is 1 on the raw route)
+    floats = [res.half_dist_sq, res.dist] + ([res.lam] if hasattr(res, "lam") else [])
+    points = res.selections()
+    if res.is_set_valued:
+        points.append(res.member(np.full(res.x0.size, 1.0 / math.sqrt(res.x0.size))))
+    return (res.tag, [float(v).hex() for v in floats],
+            [p.x.tobytes() + p.y.tobytes() for p in points])
+
+
 def _assert_scales(x0, y0, tols, j: int) -> None:
     """project(2^j x0, 2^j y0) keeps the tag of project(x0, y0); for |j| <= 900
     it keeps lam bit for bit, and every selection, a family's member on the
@@ -991,6 +1010,36 @@ class TestOnePass:
         lo, hi = _exact_range(x, y)
         j = data.draw(st.integers(max(lo, -1000), min(hi, 1000)), label="j")
         _assert_scales(x, y, tols, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tols=st.sampled_from([DEFAULT_TOLS, WIDE, ZERO]),
+        n=st.sampled_from([1, 2, 3, 8, 50]),
+        kind=st.sampled_from(["random", "plus", "minus", "near_orthogonal"]),
+        spread=st.integers(0, 900),
+        j=st.integers(-1000, 1000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unit_record_gives_project_bits(self, tols, n, kind, spread, j, seed):
+        # check builds its input's result from the unit-scale record, and that
+        # result is project's, bit for bit, in and out of the raw window
+        rng = np.random.default_rng(seed)
+        x = _spread_vector(rng, n, spread, 0.2)
+        y = {"random": _spread_vector(rng, n, spread, 0.2), "plus": x.copy(), "minus": -x,
+             "near_orthogonal": _spread_vector(rng, n, spread, 0.0)}[kind]
+        if kind == "near_orthogonal" and x @ x > 0.0:
+            y = y - (x @ y) / (x @ x) * x
+        lo, hi = _exact_range(x, y)
+        x, y = np.ldexp(x, min(max(j, lo), hi)), np.ldexp(y, min(max(j, lo), hi))
+        assert _answer_bits(projection_mod._result(_unit(x, y, tols))) == _answer_bits(
+            project(x, y, tols))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_unit_record_gives_project_bits_on_the_check_battery(self, seed):
+        for x0, y0, _, _ in workloads._check_battery(seed):
+            for tols in (DEFAULT_TOLS, self.ZERO):
+                want = _answer_bits(project(x0, y0, tols))
+                assert _answer_bits(projection_mod._result(_unit(x0, y0, tols))) == want
 
     @pytest.mark.parametrize("flat", [False, True], ids=["random", "flat"])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])

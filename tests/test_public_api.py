@@ -25,7 +25,6 @@ PUBLIC = [
     "DEFAULT_TOLS",
     "CaseTag",
     "FamilyProjection",
-    "LambdaPair",
     "ProjectionResult",
     "SingletonProjection",
     "Tolerances",
@@ -34,7 +33,6 @@ PUBLIC = [
     "membership_residual",
     "objective",
     "project",
-    "solve_lambda",
     # oracle
     "CheckReport",
     "OracleReport",
@@ -70,7 +68,6 @@ SIGNATURES = {
     "membership_residual": ["p"],
     "objective": ["p", "x0", "y0"],
     "project": ["x0", "y0", "tols"],
-    "solve_lambda": ["x0", "y0"],
     # oracle
     "check": ["x0", "y0", "seed", "tols"],
     "lagrangian_oracle": ["x0", "y0", "tols"],

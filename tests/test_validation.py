@@ -1,8 +1,10 @@
-"""Input validation at every public entry point that takes a pair.
+"""Input validation at every public entry point that takes a pair, and of
+every seed.
 
 Each input vector is validated in one pass that also measures its
 inf-norm; a NaN or an infinity anywhere in it must still be caught, and
-the error must name the vector that carries it.
+the error must name the vector that carries it.  A seed is an int or a
+numpy integer, not a bool, of at least 0, as a dimension is one of at least 1.
 """
 
 import math
@@ -20,6 +22,7 @@ from crossproj import (
     block_solve,
     check,
     classify,
+    default_start,
     douglas_rachford,
     family_samples,
     generate_instance,
@@ -28,9 +31,9 @@ from crossproj import (
     membership_residual,
     objective,
     project,
-    solve_lambda,
     subspace_oracle,
 )
+from crossproj.projection import DEFAULT_TOLS, _unit
 
 N = 5
 BAD = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}
@@ -51,6 +54,13 @@ def _distance_sq(x0, y0):
     return 2.0 * project(x0, y0).half_dist_sq
 
 
+def _solve_lambda(x0, y0):
+    # the multiplier roots as check and the oracles read them, from the
+    # unit-scale record; the small one is project's lam
+    core = _unit(x0, y0, DEFAULT_TOLS)
+    return core.lam, core.lam_plus
+
+
 def _objective(x0, y0):
     # the point is finite, so every error is the input's
     return objective(Pair(np.zeros(N), np.zeros(N)), x0, y0)
@@ -69,7 +79,7 @@ PAIR_ENTRIES = {
     "inner": (inner, ("x", "y")),
     "membership_residual": (lambda x, y: membership_residual(Pair(x, y)), ("x", "y")),
     "objective": (_objective, ("x0", "y0")),
-    "solve_lambda": (solve_lambda, ("x0", "y0")),
+    "solve_lambda": (_solve_lambda, ("x0", "y0")),
     "lagrangian_oracle": (lagrangian_oracle, ("x0", "y0")),
     "subspace_oracle": (subspace_oracle, ("x0", "y0")),
     "family_samples": (lambda x, y: family_samples(x, y, 3), ("x0", "y0")),
@@ -160,3 +170,30 @@ def test_scalar_input_is_a_vector_of_dimension_one():
     assert _distance_sq(2.0, 1.0) == pytest.approx(1.0)
     with pytest.raises(DomainError, match="^x0 has non-finite"):
         project(math.nan, 1.0)
+
+
+SEED_ENTRIES = {
+    "check": lambda seed: check([1.0, 2.0], [3.0, 1.0], seed=seed),
+    "generate_instance": lambda seed: generate_instance("box", 3, seed),
+    "default_start": lambda seed: default_start("box", 3, seed),
+}
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+@pytest.mark.parametrize(
+    "seed", [-1, np.int64(-1), 1.5, True, "0", None], ids=["-1", "int64_-1", "1.5", "True", "str", "None"]
+)
+def test_seed_must_be_a_non_negative_integer(entry, seed):
+    with pytest.raises(DomainError, match="^seed must be an integer >= 0$"):
+        SEED_ENTRIES[entry](seed)
+
+
+@pytest.mark.parametrize("entry", SEED_ENTRIES)
+def test_numpy_integer_seed_is_its_int(entry):
+    fn = SEED_ENTRIES[entry]
+    for seed in (0, 5):
+        a, b = fn(seed), fn(np.int32(seed))
+        if entry == "check":
+            assert a.items == b.items
+        else:
+            assert repr(a) == repr(b)
