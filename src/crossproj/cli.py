@@ -420,7 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("family", help="enumerate the degenerate projection family")
     _add_point_arguments(p)
     p.add_argument("--count", type=int, default=8)
-    p.add_argument("--mode", choices=("grid", "injective"), default="grid")
+    p.add_argument(
+        "--mode", choices=("grid", "injective"), default="grid",
+        help="grid: seeded Gaussian directions as drawn; injective: each flipped to <u, x0> >= 0",
+    )
     p.set_defaults(func=cmd_family)
 
     p = subs.add_parser("check", help="run the invariant battery on seeded inputs")

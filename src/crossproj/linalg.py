@@ -1,11 +1,9 @@
 """Dense real vector primitives.
 
 Validation, inner products and a norm accurate at every float64 scale, the
-two-by-two block solve behind the multiplier stationarity system, the
-angle lattice on the unit sphere that ``family_samples`` draws its
-directions from, and the one sampler of random orthonormal frames.
-Everything operates on float64 numpy arrays; all functions are pure and
-never mutate arguments.
+two-by-two block solve behind the multiplier stationarity system, and the
+one sampler of random orthonormal frames.  Everything operates on float64
+numpy arrays; all functions are pure and never mutate arguments.
 """
 
 from __future__ import annotations
@@ -166,50 +164,3 @@ def _haar_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((n, k)))
     return q * np.sign(np.diag(r))
 
-
-def _sphere_lattice(n: int, r: int, poles_once: bool = False):
-    """Uniform angle-lattice directions on the unit sphere of R^n, n >= 2.
-
-    Polar angles take r points over [0, pi] inclusive, the azimuth r points
-    over [0, 2*pi); a direction is the usual prefix-of-sines point
-    (cos t1, sin t1 cos t2, ..., sin t1 ... sin t_{n-2} cos a,
-    sin t1 ... sin t_{n-2} sin a).  The r^(n-1) directions come in
-    lexicographic order, in (r, n) blocks that fix the polar angles and sweep
-    the azimuth.  At the poles several angle tuples give one direction:
-    below a polar angle 0 every later coordinate is a signed zero, and below
-    pi a multiple of sin(pi) = 1.2e-16, as numpy rounds it.  With
-    ``poles_once`` each such subtree is yielded as one row, a (1, n) block
-    with +0.0 after the pole's angle, so each direction comes once and the
-    first one off the poles comes after n - 2 rows instead of r^(n-2) copies
-    of the first pole.  The walk is iterative, so its depth n - 2 is not
-    bounded by the interpreter's recursion limit.
-    """
-    azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
-    tail = np.stack([np.cos(azimuth), np.sin(azimuth)], axis=1)
-    polar = np.linspace(0.0, np.pi, r)
-    cp, sp = np.cos(polar), np.sin(polar)
-    head = np.empty(n - 2)  # head[i] = cos t_(i+1) * pres[i] for the chosen angles
-    js, pres, j = [], [1.0], 0  # chosen polar indices, sine products, next index
-    while True:
-        i = len(js)
-        if i < n - 2:
-            head[i] = cp[j] * pres[i]
-            if not (poles_once and j in (0, r - 1)):
-                js.append(j)
-                pres.append(pres[i] * sp[j])
-                j = 0
-                continue
-            us = np.zeros((1, n))  # cos t = +-1 at a pole: head[i] is its last entry
-            us[0, : i + 1] = head[: i + 1]
-            j += 1
-        else:
-            us = np.empty((r, n))
-            us[:, :i] = head[:i]
-            us[:, i:] = pres[i] * tail
-            j = r
-        yield us
-        while j == r:  # climb past the levels whose angles are all taken
-            if not js:
-                return
-            j = js.pop() + 1
-            pres.pop()

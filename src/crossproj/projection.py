@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_pair, as_vector, inner
 from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _int_at_least, _over_pow2, _pair, _pow2_scale, _require_unit, _sphere_lattice
+from .linalg import _int_at_least, _over_pow2, _pair, _pow2_scale, _require_unit
 
 
 class CaseTag(Enum):
@@ -371,10 +370,12 @@ def family_samples(
 
     The selection (0, y0) always comes first and carries the zero
     vector as its direction (it corresponds to the trivial subspace).
-    Remaining members use sphere directions from a uniform angle lattice.
-    In ``injective`` mode only directions with <u, x0> > 0 are emitted, each
-    lattice direction at most once (both poles collapsed), so fewer than
-    ``count`` samples may come back when the family is finite (n = 1).
+    Each further direction is a row of one Gaussian draw seeded with 0,
+    divided by its norm, so the samples are the same on every call and a
+    larger ``count`` extends a smaller one.  ``grid`` keeps the directions
+    as drawn; ``injective`` flips each to <u, x0> >= 0, as u and -u give
+    one member.  At n = 1 the directions are 1 and -1, both in ``grid``
+    and one in ``injective``, so fewer than ``count`` samples may come back.
     """
     res = project(x0, y0, tols)
     if mode not in ("grid", "injective"):
@@ -385,18 +386,14 @@ def family_samples(
 
     n, k = res.x0.size, res._k
     xs, ys = _over_pow2(res.x0, k), _over_pow2(res.y0, k)
-    per_angle = 2 if n == 1 else max(2, math.ceil((count - 1) ** (1.0 / (n - 1))))
-    for _ in range(8):  # double the lattice resolution until count is reached
-        lattice = (
-            [np.array([[1.0], [-1.0]])] if n == 1
-            else _sphere_lattice(n, per_angle, poles_once=mode == "injective")
-        )
-        us = (u for rows in lattice for u in rows)
-        if mode == "injective":
-            us = (u for u in us if float(u.dot(xs)) > 0.0)
-        picked = list(islice(us, count - 1))
-        if len(picked) == count - 1 or n == 1:
-            break
-        per_angle *= 2
-    base = (np.zeros(n), Pair(np.zeros(n), res.y0))
-    return [base] + [(u, _family_member(xs, ys, u, k)) for u in picked]
+    if n == 1:  # the family's one line member, from u = 1 and from u = -1
+        draws = np.array([[1.0], [-1.0]])[: 2 if mode == "grid" else 1]
+    else:
+        draws = np.random.default_rng(0).standard_normal((count - 1, n))
+    samples = [(np.zeros(n), Pair(np.zeros(n), res.y0))]
+    for g in draws[: count - 1]:
+        u = g / np.linalg.norm(g)
+        if mode == "injective" and u.dot(xs) < 0.0:
+            u = -u
+        samples.append((u, _family_member(xs, ys, u, k)))
+    return samples

@@ -117,7 +117,9 @@ class BoxPairConstraint:
                 )
 
     def project(self, p: Pair) -> Pair:
-        return Pair(np.clip(p.x, self.lo_x, self.hi_x), np.clip(p.y, self.lo_y, self.hi_y))
+        # np.clip's bits from the method it dispatches to, without its wrapper
+        x, y = np.asarray(p.x), np.asarray(p.y)
+        return Pair(x.clip(self.lo_x, self.hi_x), y.clip(self.lo_y, self.hi_y))
 
     distance = _distance_via_project
 
@@ -386,7 +388,7 @@ def instance_to_dict(problem: FeasibilityProblem, witness: Pair, seed: int | Non
         "witness": {"x": list(witness.x), "y": list(witness.y)},
     }
     if seed is not None:
-        doc["seed"] = seed
+        doc["seed"] = _int_at_least(seed, "seed", 0)
     c = problem.constraint
     doc["constraint"] = {f.name: getattr(c, f.name).tolist() for f in fields(c)}
     return doc

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from crossproj import (
     inner,
     norm,
 )
-from crossproj.linalg import _over_pow2, _sphere_lattice
+from crossproj.linalg import _over_pow2
 from crossproj.projection import _family_member
 
 finite_coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -198,49 +197,6 @@ class TestBlockSolve:
         # numpy would return inf and nan
         with pytest.raises(DomainError, match="^x has non-finite"):
             block_solve(0.5, Pair(np.array([1.0, np.inf]), np.array([1.0, 2.0])))
-
-
-def lattice(n, r):
-    return np.concatenate(list(_sphere_lattice(n, r)))
-
-
-class TestSpherePoint:
-    """Rows of the angle lattice behind every sphere sweep."""
-
-    def test_zero_angle(self):
-        np.testing.assert_array_equal(lattice(2, 4)[0], [1.0, 0.0])
-
-    def test_quarter_turn(self):
-        np.testing.assert_allclose(lattice(2, 4)[1], [0.0, 1.0], atol=1e-15)
-
-    def test_three_dim_pole(self):
-        # every azimuth at polar angle 0 (pi) gives the pole e1 (-e1)
-        us = lattice(3, 5)
-        np.testing.assert_allclose(us[:5], np.tile([1.0, 0.0, 0.0], (5, 1)), atol=1e-15)
-        np.testing.assert_allclose(us[-5:], np.tile([-1.0, 0.0, 0.0], (5, 1)), atol=1e-15)
-
-    def test_lands_on_sphere(self):
-        for n in range(2, 7):
-            for r in (1, 2, 5, 8):
-                us = lattice(n, r)
-                assert us.shape == (r ** (n - 1), n)
-                np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0, rtol=1e-14)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_matches_spherical_coordinates(self, n):
-        # polar angles t_i over [0, pi], azimuth a over [0, 2*pi), lexicographic:
-        # u = (cos t_1, sin t_1 cos t_2, ..., P cos a, P sin a), P = prod sin t_i
-        for r in (1, 2, 3, 6, 9):
-            polar = np.linspace(0.0, np.pi, r)
-            azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
-            ref = []
-            for *ts, a in itertools.product(*[polar] * (n - 2), azimuth):
-                u, pre = [], 1.0
-                for t in ts:
-                    u.append(np.cos(t) * pre)
-                    pre *= np.sin(t)
-                ref.append(u + [pre * np.cos(a), pre * np.sin(a)])
-            np.testing.assert_array_equal(lattice(n, r), ref)
 
 
 class TestValidation:

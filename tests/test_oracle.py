@@ -23,7 +23,7 @@ from crossproj import (
     project,
     subspace_oracle,
 )
-from crossproj.linalg import Pair, _sphere_lattice
+from crossproj.linalg import Pair
 from crossproj.oracle import CheckReport, _lagrangian, _spectral
 from crossproj.projection import _unit
 
@@ -113,12 +113,20 @@ class TestLagrangianOracle:
 
 
 def lattice_best(x0, y0, r):
-    """Brute force over U = {0} and the lines of the angle lattice: the least
-    subspace objective |x0|^2/2 - <u,x0>^2/2 + <u,y0>^2/2."""
-    best = 0.5 * float(x0 @ x0)
-    for us in _sphere_lattice(x0.size, r):
-        best = min(best, float((0.5 * (x0 @ x0 - (us @ x0) ** 2 + (us @ y0) ** 2)).min()))
-    return best
+    """Brute force over U = {0} and the lines of an angle lattice: the least
+    subspace objective |x0|^2/2 - <u,x0>^2/2 + <u,y0>^2/2.  Polar angles t_i
+    take r points over [0, pi], the azimuth a r points over [0, 2*pi), and
+    u = (cos t_1, sin t_1 cos t_2, ..., P cos a, P sin a), P = prod sin t_i."""
+    polar = np.linspace(0.0, np.pi, r)
+    azimuth = np.linspace(0.0, 2.0 * np.pi, r, endpoint=False)
+    *ts, a = (g.ravel() for g in np.meshgrid(*[polar] * (x0.size - 2), azimuth, indexing="ij"))
+    cols, pre = [], np.ones_like(a)
+    for t in ts:
+        cols.append(np.cos(t) * pre)
+        pre = pre * np.sin(t)
+    us = np.stack(cols + [pre * np.cos(a), pre * np.sin(a)], axis=1)
+    objectives = 0.5 * (x0 @ x0 - (us @ x0) ** 2 + (us @ y0) ** 2)
+    return min(0.5 * float(x0 @ x0), float(objectives.min()))
 
 
 def pair_gap(a, b):

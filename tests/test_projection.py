@@ -31,7 +31,6 @@ from crossproj import (
     project,
 )
 import crossproj.projection as projection_mod
-from crossproj.linalg import _sphere_lattice
 from crossproj.oracle import FALLBACK_BAND
 from crossproj.projection import _unit
 
@@ -466,33 +465,17 @@ class TestFamilyEnumerate:
             seen.append(p)
         assert len(samples) == 12
 
-    def test_injective_visits_each_pole_once(self, monkeypatch):
-        # the walk behind injective mode skips a pole's repeats, so sampling
-        # stays linear in n where the full lattice has r^(n-1) directions
-        calls = []
-        real = projection_mod._family_member
-        monkeypatch.setattr(
-            projection_mod, "_family_member", lambda *a: calls.append(1) or real(*a)
-        )
-        x0 = np.linspace(0.5, 1.5, 10)
-        assert len(family_samples(x0, x0, 8, mode="injective")) == 8
-        assert len(calls) <= 2 * 8
-
     def test_injective_builds_only_returned_members(self, monkeypatch):
-        # 2,000 directions at n = 4 take a doubling of the first lattice, and
-        # no member is built for a direction that is not returned
-        calls, lattices = [], []
-        member, lattice = projection_mod._family_member, projection_mod._sphere_lattice
+        # one member is built per returned direction, however large n is
+        calls, member = [], projection_mod._family_member
         monkeypatch.setattr(
             projection_mod, "_family_member", lambda *a: calls.append(1) or member(*a)
         )
-        monkeypatch.setattr(
-            projection_mod, "_sphere_lattice", lambda *a, **k: lattices.append(a) or lattice(*a, **k)
-        )
-        x0 = np.ones(4)
-        assert len(family_samples(x0, x0, 2000, mode="injective")) == 2000
-        assert len(lattices) >= 2
-        assert len(calls) == 1999
+        for n, count in ((4, 2000), (10, 8)):
+            calls.clear()
+            x0 = np.linspace(0.5, 1.5, n)
+            assert len(family_samples(x0, x0, count, mode="injective")) == count
+            assert len(calls) == count - 1
 
     @pytest.mark.parametrize("mode", ["grid", "injective"])
     def test_members_are_project_members(self, monkeypatch, mode):
@@ -521,37 +504,46 @@ class TestFamilyEnumerate:
                 m = res.member(u)
                 assert (p.x.tobytes(), p.y.tobytes()) == (m.x.tobytes(), m.y.tobytes())
 
-    def test_pole_walk_directions_pairwise_distinct(self):
-        # sin(pi) is 1.2e-16 in numpy, so the rows below a polar angle pi
-        # differ only in their last bits; the walk keeps one of them
-        for n in range(2, 7):
-            for r in range(1, 7):
-                us = np.concatenate(list(_sphere_lattice(n, r, poles_once=True)))
-                for i in range(len(us) - 1):
-                    assert np.abs(us[i + 1:] - us[i]).max(axis=1).min() > 1e-12, (n, r, i)
+    @pytest.mark.parametrize("mode", ["grid", "injective"])
+    def test_larger_count_extends_smaller(self, mode):
+        # directions are drawn row by row, so the first samples never change
+        for x0 in (np.array([1.0, -2.0]), np.linspace(-1.0, 2.0, 16)):
+            short = family_samples(x0, x0, 10, mode)
+            long = family_samples(x0, x0, 50, mode)
+            assert len(short) == 10 and len(long) == 50
+            for (u, p), (v, q) in zip(short, long):
+                assert u.tobytes() == v.tobytes()
+                assert (p.x.tobytes(), p.y.tobytes()) == (q.x.tobytes(), q.y.tobytes())
 
-    def test_pole_walk_drops_only_repeats(self):
-        # each full-lattice row lies within 4 eps of the row the pole walk
-        # keeps for it; a row below a polar angle 0 equals that row up to the
-        # signs of zeros, and a row below no pole is kept as it is
-        tol = 4 * np.finfo(float).eps
-        for n in range(2, 6):
-            for r in range(1, 5):
-                full = [u for us in _sphere_lattice(n, r) for u in us]
-                once = [u for us in _sphere_lattice(n, r, poles_once=True) for u in us]
-                kept = 0
-                for m, u in enumerate(full):
-                    polar = [m // r ** (n - 2 - i) % r for i in range(n - 2)]
-                    pole = next((j for j in polar if j in (0, r - 1)), None)
-                    if kept < len(once) and np.abs(u - once[kept]).max() <= tol:
-                        kept += 1
-                    else:
-                        assert pole is not None and np.abs(u - once[kept - 1]).max() <= tol
-                    if pole is None:
-                        assert u.tobytes() == once[kept - 1].tobytes()
-                    elif pole == 0:
-                        assert (u + 0.0).tobytes() == (once[kept - 1] + 0.0).tobytes()
-                assert kept == len(once)
+    @pytest.mark.parametrize("mode", ["grid", "injective"])
+    def test_same_samples_every_call(self, mode):
+        x0 = np.array([1.0, -2.0, 0.5])
+        first, again = family_samples(x0, -x0, 20, mode), family_samples(x0, -x0, 20, mode)
+        for (u, p), (v, q) in zip(first, again, strict=True):
+            assert u.tobytes() == v.tobytes()
+            assert (p.x.tobytes(), p.y.tobytes()) == (q.x.tobytes(), q.y.tobytes())
+
+    def test_directions_are_unit_and_injective_ones_positive(self):
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 8, 50):
+            x0 = rng.uniform(-1.0, 1.0, n)
+            for mode in ("grid", "injective"):
+                for t, sign in ((1.0, 1.0), (1e300, -1.0), (1e-300, 1.0)):
+                    samples = family_samples(t * x0, sign * t * x0, 30, mode)
+                    us = np.array([u for u, _ in samples[1:]])
+                    np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0, rtol=1e-14)
+                    if mode == "injective":
+                        assert (us @ x0 > 0.0).all(), (n, t)
+
+    @pytest.mark.parametrize("x0", [2.0, -2.0])
+    def test_scalar_sample_counts(self, x0):
+        # at n = 1 the family has one line member, from u = 1 and u = -1
+        for count, grid, injective in ((1, 1, 1), (2, 2, 2), (3, 3, 2)):
+            assert len(family_samples(x0, x0, count)) == grid
+            out = family_samples(x0, x0, count, mode="injective")
+            assert len(out) == injective
+            for u, _ in out[1:]:
+                assert u.tolist() == [math.copysign(1.0, x0)]
 
     def test_wrong_case_rejected(self):
         with pytest.raises(CaseError):
@@ -565,8 +557,8 @@ class TestFamilyEnumerate:
 
     @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"], ids=repr)
     def test_non_integer_count_rejected(self, count):
-        # a fractional count never equals the sample count reached, so it
-        # would run the whole lattice-doubling loop
+        # a count is a number of samples: a float, bool or string is refused,
+        # even where it equals an integer
         with pytest.raises(DomainError, match="count must be an integer"):
             family_samples([1.0, 1.0], [1.0, 1.0], count)
 

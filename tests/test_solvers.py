@@ -210,6 +210,20 @@ class TestProjectionIsExact:
         assert tr.residuals_b == measured
 
 
+class TestBoxProjectionIsClip:
+    """P_B of a box gives np.clip's bits, signed zeros and lo == hi included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_box_and_point())
+    def test_arrays_and_lists(self, box_and_point):
+        box, p = box_and_point
+        want = Pair(np.clip(p.x, box.lo_x, box.hi_x), np.clip(p.y, box.lo_y, box.hi_y))
+        for q in (p, Pair(p.x.tolist(), p.y.tolist())):
+            out = box.project(q)
+            assert out.x.dtype == out.y.dtype == np.float64
+            assert (out.x.tobytes(), out.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
+
 class TestGenerateInstance:
     @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
     @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -277,6 +291,20 @@ class TestInstanceValidation:
                     doc = instance_to_dict(problem, witness, seed=seed)
                     problem2, witness2 = instance_from_dict(json.loads(json.dumps(doc)))
                     assert instance_to_dict(problem2, witness2, seed=seed) == doc
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), True, 1.5, "3"], ids=repr)
+    def test_seed_written_only_if_readable(self, seed):
+        problem, witness = generate_instance("box", 2, seed=0)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            instance_to_dict(problem, witness, seed=seed)
+
+    def test_numpy_integer_seed_roundtrips_through_json(self):
+        problem, witness = generate_instance("box", 2, seed=3)
+        doc = instance_to_dict(problem, witness, seed=np.int64(3))
+        assert type(doc["seed"]) is int
+        loaded = json.loads(json.dumps(doc))
+        assert loaded == instance_to_dict(problem, witness, seed=3)
+        assert instance_to_dict(*instance_from_dict(loaded), seed=loaded["seed"]) == loaded
 
     def _affine_doc(self):
         return instance_to_dict(*generate_instance("affine", 3, seed=2), seed=2)
