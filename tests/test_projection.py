@@ -465,17 +465,26 @@ class TestFamilyEnumerate:
             seen.append(p)
         assert len(samples) == 12
 
-    def test_injective_builds_only_returned_members(self, monkeypatch):
-        # one member is built per returned direction, however large n is
+    def test_injective_visits_each_pole_once(self, monkeypatch):
+        # injective sampling builds one member per returned direction at n = 10,
+        # so its cost is linear in count, not in the size of a lattice over S^(n-1)
         calls, member = [], projection_mod._family_member
         monkeypatch.setattr(
             projection_mod, "_family_member", lambda *a: calls.append(1) or member(*a)
         )
-        for n, count in ((4, 2000), (10, 8)):
-            calls.clear()
-            x0 = np.linspace(0.5, 1.5, n)
-            assert len(family_samples(x0, x0, count, mode="injective")) == count
-            assert len(calls) == count - 1
+        x0 = np.linspace(0.5, 1.5, 10)
+        assert len(family_samples(x0, x0, 8, mode="injective")) == 8
+        assert len(calls) == 8 - 1
+
+    def test_injective_builds_only_returned_members(self, monkeypatch):
+        # 2,000 directions at n = 4 build no member for a direction not returned
+        calls, member = [], projection_mod._family_member
+        monkeypatch.setattr(
+            projection_mod, "_family_member", lambda *a: calls.append(1) or member(*a)
+        )
+        x0 = np.ones(4)
+        assert len(family_samples(x0, x0, 2000, mode="injective")) == 2000
+        assert len(calls) == 1999
 
     @pytest.mark.parametrize("mode", ["grid", "injective"])
     def test_members_are_project_members(self, monkeypatch, mode):
