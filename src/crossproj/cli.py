@@ -9,10 +9,12 @@ Exit codes are stable contracts:
 
 * 0 -- success (all checks passed / solver converged)
 * 1 -- an invariant failed in ``check``
-* 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, a file that is not
-  UTF-8 JSON, or a point file (``--input``) that breaks the field rule;
-  also an output file (``--output``, ``--trace``, ``--summary``) that
-  cannot be written
+* 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, an integer flag among
+  them (``--count``, ``--max-iter``, a ``--dims`` item or ``--generate``'s
+  DIM below 1, ``--trials``, ``--seed`` or ``--generate``'s SEED below 0),
+  a file that is not UTF-8 JSON, or a point file (``--input``) that breaks
+  the field rule; also an output file (``--output``, ``--trace``,
+  ``--summary``) that cannot be written
 * 3 -- numeric-domain error raised while computing (non-finite inline
   coordinates, mismatched inline dimensions, a ``--start`` of the wrong
   dimension, an instance file (``--instance``) that breaks the field rule
@@ -111,24 +113,24 @@ def _parse_coords(text: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _non_negative(text: str) -> int:
-    """A non-negative integer flag value (seeds, ``--trials``); anything else exits 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _at_least(least: int):
+    """The parser of an integer flag value of at least ``least``; anything else exits 2."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_dims(text: str) -> list[int]:
-    try:
-        dims = [int(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse dims {text!r}: {exc}")
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError("dims must be positive integers")
+    dims = [_at_least(1)(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not dims:
+        raise argparse.ArgumentTypeError("empty dims list")
     return dims
 
 
@@ -248,7 +250,7 @@ def cmd_family(args) -> int:
     x0, y0 = _resolve_point(args)
     tols = _tols(args)
     try:
-        samples = family_samples(x0, y0, args.count, args.mode, tols)
+        samples = family_samples(x0, y0, args.count, tols)
     except CaseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 4
@@ -339,12 +341,7 @@ def _parse_generate(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected KIND,DIM,SEED, e.g. orthant,2,0")
-    kind = parts[0].strip()
-    try:
-        dim = int(parts[1])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad --generate value {text!r}: {exc}")
-    return kind, dim, _non_negative(parts[2])
+    return parts[0].strip(), _at_least(1)(parts[1]), _at_least(0)(parts[2])
 
 
 def _parse_start(text: str) -> Pair:
@@ -419,28 +416,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("family", help="enumerate the degenerate projection family")
     _add_point_arguments(p)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument(
-        "--mode", choices=("grid", "injective"), default="grid",
-        help="grid: seeded Gaussian directions as drawn; injective: each flipped to <u, x0> >= 0",
-    )
+    p.add_argument("--count", type=_at_least(1), default=8)
     p.set_defaults(func=cmd_family)
 
     p = subs.add_parser("check", help="run the invariant battery on seeded inputs")
     p.add_argument("--dims", type=_parse_dims, default=[1, 2, 3, 4])
-    p.add_argument("--trials", type=_non_negative, default=100)
-    p.add_argument("--seed", type=_non_negative, default=seed)
+    p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--seed", type=_at_least(0), default=seed)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("solve", help="run a feasibility solver on an instance")
     p.add_argument("--generate", type=_parse_generate, metavar="KIND,DIM,SEED")
     p.add_argument("--instance", metavar="FILE")
     p.add_argument("--method", choices=("ap", "dr"), default="ap")
-    p.add_argument("--max-iter", type=int, default=5000, dest="max_iter")
+    p.add_argument("--max-iter", type=_at_least(1), default=5000, dest="max_iter")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--selection", choices=("first", "second", "alternate"), default="first")
     p.add_argument("--start", type=_parse_start, metavar="X;Y")
-    p.add_argument("--seed", type=_non_negative, default=seed)
+    p.add_argument("--seed", type=_at_least(0), default=seed)
     p.add_argument("--trace", metavar="FILE", help="write the iterate trace CSV here")
     p.add_argument("--summary", metavar="FILE", help="also write the JSON summary here")
     p.set_defaults(func=cmd_solve)

@@ -363,37 +363,34 @@ def _result(core: _Record) -> ProjectionResult:
 
 
 def family_samples(
-    x0, y0, count: int, mode: str = "grid", tols: Tolerances = DEFAULT_TOLS
+    x0, y0, count: int, tols: Tolerances = DEFAULT_TOLS
 ) -> list[tuple[np.ndarray, Pair]]:
     """(direction, member) samples of the degenerate family of
     ``project(x0, y0, tols)``; each member is its :meth:`FamilyProjection.member`.
 
     The selection (0, y0) always comes first and carries the zero
     vector as its direction (it corresponds to the trivial subspace).
-    Each further direction is a row of one Gaussian draw seeded with 0,
-    divided by its norm, so the samples are the same on every call and a
-    larger ``count`` extends a smaller one.  ``grid`` keeps the directions
-    as drawn; ``injective`` flips each to <u, x0> >= 0, as u and -u give
-    one member.  At n = 1 the directions are 1 and -1, both in ``grid``
-    and one in ``injective``, so fewer than ``count`` samples may come back.
+    As u and -u give one member, the family has one member per line through
+    the origin, and each further direction is the one on its line with
+    <u, x0> >= 0: a row of one Gaussian draw seeded with 0, divided by its
+    norm and flipped to that side.  The samples are the same on every call
+    and a larger ``count`` extends a smaller one.  At n = 1 the one line
+    gives the one direction sign(x0), so at most (0, y0) and (x0, 0) come back.
     """
-    res = project(x0, y0, tols)
-    if mode not in ("grid", "injective"):
-        raise DomainError(f"unknown sampling mode {mode!r}")
+    rec = _classified(x0, y0, tols)
     count = _int_at_least(count, "count")
-    if not res.tag.is_degenerate:
-        raise CaseError(f"input is not degenerate (classified {res.tag.value})")
+    if not rec.tag.is_degenerate:
+        raise CaseError(f"input is not degenerate (classified {rec.tag.value})")
 
-    n, k = res.x0.size, res._k
-    xs, ys = _over_pow2(res.x0, k), _over_pow2(res.y0, k)
-    if n == 1:  # the family's one line member, from u = 1 and from u = -1
-        draws = np.array([[1.0], [-1.0]])[: 2 if mode == "grid" else 1]
+    n = rec.x0.size
+    if n == 1:  # the family's one line member
+        draws = np.ones((1, 1))
     else:
         draws = np.random.default_rng(0).standard_normal((count - 1, n))
-    samples = [(np.zeros(n), Pair(np.zeros(n), res.y0))]
+    samples = [(np.zeros(n), Pair(np.zeros(n), rec.y0))]
     for g in draws[: count - 1]:
         u = g / np.linalg.norm(g)
-        if mode == "injective" and u.dot(xs) < 0.0:
+        if u.dot(rec.xs) < 0.0:
             u = -u
-        samples.append((u, _family_member(xs, ys, u, k)))
+        samples.append((u, _family_member(rec.xs, rec.ys, u, rec.k)))
     return samples

@@ -146,7 +146,7 @@ def test_criterion_4_degenerate_independence():
         y0 = x0.copy() if i % 2 == 0 else -x0
         half = 0.25 * float(np.dot(x0, x0) + np.dot(y0, y0))
         mem_tol = 1e-9 * (1.0 + norm(x0) * norm(y0))
-        for _, p in family_samples(x0, y0, 64, mode="grid"):
+        for _, p in family_samples(x0, y0, 64):
             if membership_residual(p) > mem_tol:
                 failures.append((i, n, "membership", membership_residual(p)))
                 break

@@ -214,8 +214,7 @@ class TestProjectCommand:
 class TestFamilyCommand:
     def test_scalar_injective_two_rows(self, capsys):
         code, out, _ = run(
-            capsys, "family", "--x0", "1", "--y0", "1", "--count", "3",
-            "--mode", "injective",
+            capsys, "family", "--x0", "1", "--y0", "1", "--count", "3"
         )
         assert code == 0
         lines = out.strip().splitlines()
@@ -258,7 +257,7 @@ class TestFamilyCommand:
         ("0.3,-0.7,1.1", "0.3,-0.7,1.1"),
     ])
     def test_objective_column_is_objective_of_each_row(self, capsys, x0, y0):
-        rows = self._rows(capsys, "--mode", "injective", "--count", "50", f"--x0={x0}", f"--y0={y0}")
+        rows = self._rows(capsys, "--count", "50", f"--x0={x0}", f"--y0={y0}")
         n = (rows.shape[1] - 1) // 3
         x0, y0 = ([float(v) for v in t.split(",")] for t in (x0, y0))
         for row in rows:
@@ -266,9 +265,7 @@ class TestFamilyCommand:
             assert row[-1] == objective(point, x0, y0)
 
     def test_injective_directions_pairwise_distinct(self, capsys):
-        rows = self._rows(
-            capsys, "--mode", "injective", "--count", "50", "--x0", "1,2,3,4", "--y0", "1,2,3,4"
-        )
+        rows = self._rows(capsys, "--count", "50", "--x0", "1,2,3,4", "--y0", "1,2,3,4")
         assert len(rows) == 50
         us = rows[:, :4]
         for i in range(len(us) - 1):
@@ -280,10 +277,32 @@ class TestFamilyCommand:
         code, out, err = run(capsys, "family", "--x0", "1,2", "--y0", "3,1")
         assert (code, out, err) == (4, "", f"error: {exc.value}\n")
 
+    def test_mode_flag_is_gone(self, capsys):
+        # every direction is the one on its line with <u, x0> >= 0; no flag selects it
+        with pytest.raises(SystemExit) as exc:
+            main(["family", "--x0", "1", "--y0", "1", "--mode", "injective"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
+
     def test_non_degenerate_exits_4(self, capsys):
         code, _, err = run(capsys, "family", "--x0", "1,2", "--y0", "3,1")
         assert code == 4
         assert "generic" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(("family", "--x0", "1", "--y0", "1", "--count", "0"), "--count"),
+     (("solve", "--generate", "orthant,3,0", "--max-iter", "0"), "--max-iter"),
+     (("solve", "--generate", "orthant,0,0"), "--generate")],
+    ids=["count_zero", "max_iter_zero", "generate_dim_zero"],
+)
+def test_integer_flag_below_one_is_parse_error(capsys, argv, flag):
+    # refused by the parser (exit 2), before the library's DomainError (exit 3)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= 1, got '0'" in capsys.readouterr().err
 
 
 class TestCheckCommand:

@@ -439,7 +439,7 @@ class TestFamilyEnumerate:
         np.testing.assert_array_equal(out[0].y, [1.0])
 
     def test_scalar_injective_exhausts(self):
-        out = [p for _, p in family_samples([1.0], [1.0], 3, mode="injective")]
+        out = [p for _, p in family_samples([1.0], [1.0], 3)]
         assert len(out) == 2
         np.testing.assert_array_equal(out[0].x, [0.0])
         np.testing.assert_array_equal(out[0].y, [1.0])
@@ -448,7 +448,7 @@ class TestFamilyEnumerate:
 
     def test_plane_grid_objectives_constant(self):
         x0 = np.array([1.0, 1.0])
-        out = [p for _, p in family_samples(x0, x0, 5, mode="grid")]
+        out = [p for _, p in family_samples(x0, x0, 5)]
         assert len(out) == 5
         for p in out:
             assert membership_residual(p) <= feas_tol(x0, x0)
@@ -456,7 +456,7 @@ class TestFamilyEnumerate:
 
     def test_injective_mode_distinct_positive_side(self):
         x0 = np.array([1.0, -2.0, 0.5])
-        samples = family_samples(x0, x0, 12, mode="injective")
+        samples = family_samples(x0, x0, 12)
         seen = []
         for u, p in samples[1:]:
             assert float(np.dot(u, x0)) > 0.0
@@ -465,15 +465,35 @@ class TestFamilyEnumerate:
             seen.append(p)
         assert len(samples) == 12
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 50),
+        exponent=st.integers(-300, 300),
+        sign=st.sampled_from([1.0, -1.0]),
+        tols=st.sampled_from([DEFAULT_TOLS, Tolerances(orth=0.0, deg=0.0)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_opposite_directions_give_one_member(self, n, exponent, sign, tols, seed):
+        # u and -u give the same member bit for bit, so family_samples keeps one
+        # direction per line and loses no member
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n) * 10.0**exponent
+        res = project(x0, sign * x0, tols)
+        assert res.tag.is_degenerate
+        g = rng.standard_normal(n)
+        u = g / np.linalg.norm(g)
+        m, w = res.member(u), res.member(-u)
+        assert (m.x.tobytes(), m.y.tobytes()) == (w.x.tobytes(), w.y.tobytes())
+
     def test_injective_visits_each_pole_once(self, monkeypatch):
-        # injective sampling builds one member per returned direction at n = 10,
+        # sampling builds one member per returned direction at n = 10,
         # so its cost is linear in count, not in the size of a lattice over S^(n-1)
         calls, member = [], projection_mod._family_member
         monkeypatch.setattr(
             projection_mod, "_family_member", lambda *a: calls.append(1) or member(*a)
         )
         x0 = np.linspace(0.5, 1.5, 10)
-        assert len(family_samples(x0, x0, 8, mode="injective")) == 8
+        assert len(family_samples(x0, x0, 8)) == 8
         assert len(calls) == 8 - 1
 
     def test_injective_builds_only_returned_members(self, monkeypatch):
@@ -483,11 +503,10 @@ class TestFamilyEnumerate:
             projection_mod, "_family_member", lambda *a: calls.append(1) or member(*a)
         )
         x0 = np.ones(4)
-        assert len(family_samples(x0, x0, 2000, mode="injective")) == 2000
+        assert len(family_samples(x0, x0, 2000)) == 2000
         assert len(calls) == 1999
 
-    @pytest.mark.parametrize("mode", ["grid", "injective"])
-    def test_members_are_project_members(self, monkeypatch, mode):
+    def test_members_are_project_members(self, monkeypatch):
         # the family comes from project alone, so every sample is its member
         # and family_samples classifies its input once
         calls, real = [], projection_mod._roots
@@ -504,7 +523,7 @@ class TestFamilyEnumerate:
         for x0, y0, tols in inputs:
             res = project(x0, y0, tols)
             calls.clear()
-            (u, first), *rest = family_samples(x0, y0, 40, mode, tols)
+            (u, first), *rest = family_samples(x0, y0, 40, tols)
             assert len(calls) == 1
             assert not u.any()
             assert first.x.tobytes() == np.zeros(x0.size).tobytes()
@@ -513,21 +532,19 @@ class TestFamilyEnumerate:
                 m = res.member(u)
                 assert (p.x.tobytes(), p.y.tobytes()) == (m.x.tobytes(), m.y.tobytes())
 
-    @pytest.mark.parametrize("mode", ["grid", "injective"])
-    def test_larger_count_extends_smaller(self, mode):
+    def test_larger_count_extends_smaller(self):
         # directions are drawn row by row, so the first samples never change
         for x0 in (np.array([1.0, -2.0]), np.linspace(-1.0, 2.0, 16)):
-            short = family_samples(x0, x0, 10, mode)
-            long = family_samples(x0, x0, 50, mode)
+            short = family_samples(x0, x0, 10)
+            long = family_samples(x0, x0, 50)
             assert len(short) == 10 and len(long) == 50
             for (u, p), (v, q) in zip(short, long):
                 assert u.tobytes() == v.tobytes()
                 assert (p.x.tobytes(), p.y.tobytes()) == (q.x.tobytes(), q.y.tobytes())
 
-    @pytest.mark.parametrize("mode", ["grid", "injective"])
-    def test_same_samples_every_call(self, mode):
+    def test_same_samples_every_call(self):
         x0 = np.array([1.0, -2.0, 0.5])
-        first, again = family_samples(x0, -x0, 20, mode), family_samples(x0, -x0, 20, mode)
+        first, again = family_samples(x0, -x0, 20), family_samples(x0, -x0, 20)
         for (u, p), (v, q) in zip(first, again, strict=True):
             assert u.tobytes() == v.tobytes()
             assert (p.x.tobytes(), p.y.tobytes()) == (q.x.tobytes(), q.y.tobytes())
@@ -536,21 +553,18 @@ class TestFamilyEnumerate:
         rng = np.random.default_rng(3)
         for n in (2, 3, 8, 50):
             x0 = rng.uniform(-1.0, 1.0, n)
-            for mode in ("grid", "injective"):
-                for t, sign in ((1.0, 1.0), (1e300, -1.0), (1e-300, 1.0)):
-                    samples = family_samples(t * x0, sign * t * x0, 30, mode)
-                    us = np.array([u for u, _ in samples[1:]])
-                    np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0, rtol=1e-14)
-                    if mode == "injective":
-                        assert (us @ x0 > 0.0).all(), (n, t)
+            for t, sign in ((1.0, 1.0), (1e300, -1.0), (1e-300, 1.0)):
+                samples = family_samples(t * x0, sign * t * x0, 30)
+                us = np.array([u for u, _ in samples[1:]])
+                np.testing.assert_allclose(np.linalg.norm(us, axis=1), 1.0, rtol=1e-14)
+                assert (us @ x0 > 0.0).all(), (n, t)
 
     @pytest.mark.parametrize("x0", [2.0, -2.0])
     def test_scalar_sample_counts(self, x0):
-        # at n = 1 the family has one line member, from u = 1 and u = -1
-        for count, grid, injective in ((1, 1, 1), (2, 2, 2), (3, 3, 2)):
-            assert len(family_samples(x0, x0, count)) == grid
-            out = family_samples(x0, x0, count, mode="injective")
-            assert len(out) == injective
+        # at n = 1 the family has one line member, with the direction sign(x0)
+        for count, size in ((1, 1), (2, 2), (3, 2)):
+            out = family_samples(x0, x0, count)
+            assert len(out) == size
             for u, _ in out[1:]:
                 assert u.tolist() == [math.copysign(1.0, x0)]
 
@@ -559,8 +573,6 @@ class TestFamilyEnumerate:
             family_samples([1.0, 2.0], [3.0, 1.0], 4)
 
     def test_bad_mode_and_count(self):
-        with pytest.raises(DomainError):
-            family_samples([1.0], [1.0], 2, mode="fancy")
         with pytest.raises(DomainError):
             family_samples([1.0], [1.0], 0)
 

@@ -64,7 +64,7 @@ SIGNATURES = {
     "norm": ["x"],
     # projection
     "classify": ["x0", "y0", "tols"],
-    "family_samples": ["x0", "y0", "count", "mode", "tols"],
+    "family_samples": ["x0", "y0", "count", "tols"],
     "membership_residual": ["p"],
     "objective": ["p", "x0", "y0"],
     "project": ["x0", "y0", "tols"],
