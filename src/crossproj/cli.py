@@ -11,14 +11,17 @@ Exit codes are stable contracts:
 * 1 -- an invariant failed in ``check``
 * 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, an integer flag among
   them (``--count``, ``--max-iter``, a ``--dims`` item or ``--generate``'s
-  DIM below 1, ``--trials``, ``--seed`` or ``--generate``'s SEED below 0),
+  DIM below 1, ``--trials``, ``--seed`` or ``--generate``'s SEED below 0,
+  each read by the library's one integer rule and reported as "expected an
+  integer >= k"), an empty item in a comma-separated list (``1,,2``),
   a file that is not UTF-8 JSON, or a point file (``--input``) that breaks
   the field rule; also an output file (``--output``, ``--trace``,
   ``--summary``) that cannot be written
 * 3 -- numeric-domain error raised while computing (non-finite inline
   coordinates, mismatched inline dimensions, a ``--start`` of the wrong
-  dimension, an instance file (``--instance``) that breaks the field rule
-  or its constraint's rules, a solver iterate that became non-finite, ...)
+  dimension, a ``--tol`` that is not finite and > 0, an instance file
+  (``--instance``) that breaks the field rule or its constraint's rules,
+  a solver iterate that became non-finite, ...)
 * 4 -- ``family`` invoked on an input that is not degenerate
 * 5 -- solver exhausted max_iter without converging
 
@@ -26,7 +29,8 @@ All numbers in JSON and CSV output render with 17 significant digits, so
 parsing them back reproduces the exact binary values; JSON writes a
 non-finite number (an overflowed squared distance, say) as ``null``.
 ``CROSSPROJ_SEED`` provides the default seed wherever ``--seed`` is
-accepted.  The field rule of both file kinds: ``dim`` is an int >= 1 and
+accepted.  The field rule of both file kinds: ``dim`` is an integer >= 1,
+an instance's ``seed`` an integer >= 0, both by the one integer rule, and
 each vector a list of ``dim`` finite JSON numbers (not strings or bools).
 """
 
@@ -44,7 +48,7 @@ import numpy as np
 from . import __version__
 from .errors import CaseError, DimensionMismatch, DivergenceError, DomainError
 from .errors import NotUnitNorm, SingularSystem
-from .linalg import Pair
+from .linalg import Pair, _int_at_least
 from .oracle import MEMBERSHIP_TOL, check
 from .projection import (
     DEFAULT_TOLS,
@@ -54,7 +58,7 @@ from .projection import (
     family_samples,
     project,
 )
-from .solvers import _field, _integer, _numbers
+from .solvers import _field, _numbers
 from .solvers import (
     alternating_projections,
     default_start,
@@ -105,33 +109,25 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 def _parse_coords(text: str) -> np.ndarray:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse coordinates {text!r}: {exc}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty coordinate list")
-    return np.array(vals)
 
 
 def _at_least(least: int):
-    """The parser of an integer flag value of at least ``least``; anything else exits 2."""
+    """The parser of an integer flag value: :func:`_int_at_least` on ``int(text)``,
+    the rule of every integer argument and document field; anything else exits 2."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            value = least - 1
-        if value < least:
-            kind = "a non-negative integer" if least == 0 else f"an integer >= {least}"
-            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
-        return value
+            return _int_at_least(int(text), "value", least)
+        except (ValueError, DomainError):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {least}, got {text!r}") from None
     return parse
 
 
 def _parse_dims(text: str) -> list[int]:
-    dims = [_at_least(1)(tok) for tok in text.split(",") if tok.strip() != ""]
-    if not dims:
-        raise argparse.ArgumentTypeError("empty dims list")
-    return dims
+    return [_at_least(1)(tok) for tok in text.split(",")]
 
 
 def _read_json(path: str):
@@ -151,7 +147,7 @@ def load_point_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     if not isinstance(doc, dict):
         raise PointFileError(f"{path}: top-level value must be an object")
     try:
-        dim = _integer(doc, "dim", 1)
+        dim = _int_at_least(_field(doc, "dim"), "field 'dim'")
         return _numbers(_field(doc, "x0"), "x0", dim), _numbers(_field(doc, "y0"), "y0", dim)
     except DomainError as exc:
         raise PointFileError(f"{path}: {exc}") from None
@@ -360,7 +356,7 @@ def cmd_solve(args) -> int:
     else:
         doc = _read_json(args.instance)
         problem, _ = instance_from_dict(doc)
-        seed = _integer(doc, "seed", 0) if "seed" in doc else args.seed
+        seed = _int_at_least(_field(doc, "seed"), "field 'seed'", 0) if "seed" in doc else args.seed
 
     start = args.start if args.start is not None else default_start(problem.kind, problem.dim, seed)
 

@@ -39,6 +39,7 @@ from .projection import (  # noqa: F401 -- classify stays bound for bench/tracin
     SingletonProjection,
     Tolerances,
     _family_member,
+    _line_members,
     _objective,
     _Record,
     _result,
@@ -263,14 +264,9 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     safe_generic = tag is CaseTag.GENERIC and not near_ray
 
     # emitted points: the singleton, or the canonical pair + sampled members
-    if isinstance(res, SingletonProjection):
-        emitted = [res.point]
-    else:
-        emitted = list(res.canonical)
-        for _ in range(2):
-            u = rng.standard_normal(x0.size)
-            u /= np.linalg.norm(u)
-            emitted.append(res.member(u))
+    emitted = res.selections()
+    if res.is_set_valued:
+        emitted += [p for _, p in _line_members(core, rng.standard_normal((2, x0.size)))]
     items["feasible"] = _membership(emitted, core)
     objs = [_objective(p, x0, y0) for p in emitted]
 
@@ -285,7 +281,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
         record("point_match", _pair_diff(lag.best_point, res.point), 1e-8 * scale)
 
     top = _spectral(core)[0]
-    low = 0.5 * float(core.xs.dot(core.xs)) - 0.5 * max(top, 0.0)
+    low = 0.5 * core.xx - 0.5 * max(top, 0.0)
     record("subspace_lower", 0.5 * (res.dist / c) ** 2 - low, 1e-9)
 
     if tag is not CaseTag.ORTHOGONAL:

@@ -387,10 +387,14 @@ def family_samples(
         draws = np.ones((1, 1))
     else:
         draws = np.random.default_rng(0).standard_normal((count - 1, n))
-    samples = [(np.zeros(n), Pair(np.zeros(n), rec.y0))]
-    for g in draws[: count - 1]:
+    return [(np.zeros(n), Pair(np.zeros(n), rec.y0)), *_line_members(rec, draws[: count - 1])]
+
+
+def _line_members(rec: _Record, draws: np.ndarray):
+    """(u, member) of a degenerate record's family per row of ``draws``: u is the
+    row over its norm, flipped to <u, x0> >= 0, the one direction of its line."""
+    for g in draws:
         u = g / np.linalg.norm(g)
         if u.dot(rec.xs) < 0.0:
             u = -u
-        samples.append((u, _family_member(rec.xs, rec.ys, u, rec.k)))
-    return samples
+        yield u, _family_member(rec.xs, rec.ys, u, rec.k)

@@ -12,6 +12,7 @@ solver takes the configured canonical selection and records that choice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -138,6 +139,7 @@ class FeasibilityProblem:
     constraint: Constraint
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _int_at_least(self.dim, "dim"))
         for name, arr in vars(self.constraint).items():
             if np.shape(arr)[-1:] != (self.dim,):
                 raise DimensionMismatch(f"{name!r} has shape {np.shape(arr)}, dim is {self.dim}")
@@ -207,8 +209,8 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
 def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
     """The validated start pair and the run's empty trace."""
     max_iter = _int_at_least(max_iter, "max_iter")
-    if not tol > 0.0:
-        raise DomainError("tol must be positive")
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise DomainError("tol must be finite and > 0")
     if selection not in _SELECTIONS:
         raise DomainError(f"selection must be one of {_SELECTIONS}")
     z = as_pair(*start)
@@ -403,14 +405,6 @@ def _field(doc, *path: str):
     return doc
 
 
-def _integer(doc, name: str, least: int) -> int:
-    """Field ``name`` of ``doc``: an int, not a bool, of at least ``least`` (0 or 1)."""
-    value = _field(doc, name)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise DomainError(f"field {name!r} must be a {('non-negative', 'positive')[least]} integer")
-    return value
-
-
 def _numbers(raw, name: str, dim: int, rows: bool = False) -> np.ndarray:
     """A list of ``dim`` finite JSON numbers as a vector; with ``rows``, a list of them as rows."""
     if not isinstance(raw, list):
@@ -431,7 +425,7 @@ def instance_from_dict(doc: dict):
     ``dim`` finite numbers per vector and per basis row, no rows for a missing basis."""
     kind = _field(doc, "kind")
     _kind_index(kind)
-    dim = _integer(doc, "dim", 1)
+    dim = _int_at_least(_field(doc, "dim"), "field 'dim'")
     witness = Pair(*(_numbers(_field(doc, "witness", a), f"witness.{a}", dim) for a in "xy"))
     data = doc.get("constraint", {})
     values = {}

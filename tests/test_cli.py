@@ -184,7 +184,10 @@ class TestProjectCommand:
         assert out == ""
         assert err.startswith("error: tolerance ")
 
-    @pytest.mark.parametrize("text", ["1,a", ","], ids=["not_a_number", "empty"])
+    @pytest.mark.parametrize(
+        "text", ["1,a", ",", "1,,2", "1,2,"],
+        ids=["not_a_number", "empty", "empty_inner_item", "empty_last_item"],
+    )
     def test_bad_coordinates_is_parse_error(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
             main(["project", "--x0", text, "--y0", "1"])
@@ -331,9 +334,11 @@ class TestCheckCommand:
         with pytest.raises(SystemExit) as exc:
             main(["check", "--dims", "1", "--trials", "1", *argv])
         assert exc.value.code == 2
-        assert "expected a non-negative integer" in capsys.readouterr().err
+        assert "expected an integer >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["a", "0"], ids=["not_a_number", "zero"])
+    @pytest.mark.parametrize(
+        "text", ["a", "0", "1,,2"], ids=["not_a_number", "zero", "empty_inner_item"]
+    )
     def test_bad_dims_is_parse_error(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--dims", text, "--trials", "1"])
@@ -449,16 +454,16 @@ class TestSolveCommand:
             (lambda d: d["constraint"].update(lo_x=d["constraint"]["hi_x"],
                                               hi_x=d["constraint"]["lo_x"]),
              "'lo_x' exceeds 'hi_x'"),
-            (lambda d: d.update(dim="abc"), "'dim' must be a positive integer"),
-            (lambda d: d.update(dim=2.7), "'dim' must be a positive integer"),
+            (lambda d: d.update(dim="abc"), "field 'dim' must be an integer >= 1"),
+            (lambda d: d.update(dim=2.7), "field 'dim' must be an integer >= 1"),
             (lambda d: d.update(witness=5), "missing field 'witness.x'"),
             (lambda d: d.update(constraint=5), "missing field 'lo_x'"),
             (lambda d: d["witness"]["x"].__setitem__(0, "1.5"), "'witness.x[0]' is not a number"),
             (lambda d: d["witness"]["y"].__setitem__(1, True), "'witness.y[1]' is not a number"),
             (lambda d: d["constraint"]["lo_x"].__setitem__(0, -10**400), "'lo_x[0]' is not finite"),
-            (lambda d: d.update(seed="abc"), "'seed' must be a non-negative integer"),
-            (lambda d: d.update(seed=-1), "'seed' must be a non-negative integer"),
-            (lambda d: d.update(seed=True), "'seed' must be a non-negative integer"),
+            (lambda d: d.update(seed="abc"), "field 'seed' must be an integer >= 0"),
+            (lambda d: d.update(seed=-1), "field 'seed' must be an integer >= 0"),
+            (lambda d: d.update(seed=True), "field 'seed' must be an integer >= 0"),
             (lambda d: d.update(kind="cube"), "not 'cube'"),
             (lambda d: d["witness"].update(x=1.5), "'witness.x' must be an array"),
         ],

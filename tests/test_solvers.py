@@ -266,7 +266,10 @@ class TestGenerateInstance:
     def test_dim_must_be_a_positive_integer(self, dim):
         # the rule of count, resolution and max_iter: a float once reached numpy's
         # seed check, and dim 0 gave default_start an empty pair
-        for make in (generate_instance, default_start):
+        def problem(kind, dim):
+            return FeasibilityProblem(dim, OrthantPairConstraint())
+
+        for make in (generate_instance, default_start, problem):
             with pytest.raises(DomainError, match="^dim must be an integer >= 1$"):
                 make("orthant", dim)
 
@@ -280,6 +283,10 @@ class TestGenerateInstance:
         assert problem.dim == 3 and type(problem.dim) is int
         start = default_start("box", np.int32(3), seed=2)
         np.testing.assert_array_equal(start.x, default_start("box", 3, seed=2).x)
+        problem = FeasibilityProblem(np.int64(3), OrthantPairConstraint())
+        assert problem.dim == 3 and type(problem.dim) is int
+        doc = json.loads(json.dumps(instance_to_dict(problem, start)))
+        assert instance_from_dict(doc)[0].dim == 3
 
 
 class TestInstanceValidation:
@@ -464,8 +471,9 @@ class TestAlternatingProjections:
         problem, _ = generate_instance("orthant", 1, seed=0)
         with pytest.raises(DomainError):
             alternating_projections(problem, pair([1.0], [1.0]), max_iter=0)
-        with pytest.raises(DomainError):
-            alternating_projections(problem, pair([1.0], [1.0]), tol=0.0)
+        for tol in (0.0, math.inf, math.nan, -1.0, "1e-8"):
+            with pytest.raises(DomainError):
+                alternating_projections(problem, pair([1.0], [1.0]), tol=tol)
         with pytest.raises(DomainError):
             alternating_projections(problem, pair([1.0], [1.0]), selection="random")
 
