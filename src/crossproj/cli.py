@@ -12,11 +12,13 @@ Exit codes are stable contracts:
 * 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, an integer flag among
   them (``--count``, ``--max-iter``, a ``--dims`` item or ``--generate``'s
   DIM below 1, ``--trials``, ``--seed`` or ``--generate``'s SEED below 0,
-  each read by the library's one integer rule and reported as "expected an
-  integer >= k"), an empty item in a comma-separated list (``1,,2``),
-  a file that is not UTF-8 JSON, or a point file (``--input``) that breaks
-  the field rule; also an output file (``--output``, ``--trace``,
-  ``--summary``) that cannot be written
+  or any value that is not an optional sign and ASCII digits, each read
+  by the library's one integer rule and reported as "expected an integer
+  >= k"), an empty item in a comma-separated list (``1,,2``), a
+  coordinate with a digit separator (``1_0``), a file that is not UTF-8
+  JSON, or a point file (``--input``) that breaks the field rule; also an
+  output file (``--output``, ``--trace``, ``--summary``) that cannot be
+  written
 * 3 -- numeric-domain error raised while computing (non-finite inline
   coordinates, mismatched inline dimensions, a ``--start`` of the wrong
   dimension, a ``--tol`` that is not finite and > 0, an instance file
@@ -24,6 +26,8 @@ Exit codes are stable contracts:
   a solver iterate that became non-finite, ...)
 * 4 -- ``family`` invoked on an input that is not degenerate
 * 5 -- solver exhausted max_iter without converging
+* 141 -- the reader of stdout closed it early (``crossproj check | head -1``):
+  the run ends quietly, as one ended by SIGPIPE would
 
 All numbers in JSON and CSV output render with 17 significant digits, so
 parsing them back reproduces the exact binary values; JSON writes a
@@ -41,6 +45,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -109,6 +114,8 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 def _parse_coords(text: str) -> np.ndarray:
     try:
+        if "_" in text:  # float() would read 1_0 as 10.0
+            raise ValueError("'_' is not a digit")
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse coordinates {text!r}: {exc}")
@@ -116,9 +123,13 @@ def _parse_coords(text: str) -> np.ndarray:
 
 def _at_least(least: int):
     """The parser of an integer flag value: :func:`_int_at_least` on ``int(text)``,
-    the rule of every integer argument and document field; anything else exits 2."""
+    the rule of every integer argument and document field, for text that is an
+    optional sign and ASCII digits (``int`` also takes blanks, ``_`` and other
+    scripts' digits); anything else exits 2."""
     def parse(text: str) -> int:
         try:
+            if not re.fullmatch(r"[+-]?[0-9]+", text):
+                raise ValueError(text)
             return _int_at_least(int(text), "value", least)
         except (ValueError, DomainError):
             raise argparse.ArgumentTypeError(
@@ -451,7 +462,15 @@ def main(argv=None) -> int:
 
 
 def app() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early: what is left goes to devnull, so the
+        # flush at exit is quiet, and the run ends as SIGPIPE would end it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

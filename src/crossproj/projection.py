@@ -23,7 +23,9 @@ homogeneous, so they are read at whatever scale the reductions are taken:
 :func:`project` reads an in-window input's raw reductions and :func:`_unit`
 divides every other input by its power-of-two scale c first; :func:`_roots`
 decides both bands, :func:`_classified` gathers what they decide into one
-record and :func:`_result` builds the answer from it.  ``check`` and the
+record and :func:`_result` builds the answer from it, its generic point by
+:func:`_point`.  The solvers read :func:`_classified`'s record and take
+their point by :func:`_selected`, with no result built; ``check`` and the
 oracles read the record of :func:`_unit`, as they need c itself.
 """
 
@@ -144,8 +146,9 @@ ProjectionResult = SingletonProjection | FamilyProjection
 
 class _Record(NamedTuple):
     """One input as classified, at the scale k its reductions were taken at:
-    what :func:`_classified` gathers and :func:`_result`, ``check`` and the
-    oracles read.  Inside the orthogonal band lam, lam_plus, a and b read 0."""
+    what :func:`_classified` gathers and :func:`_result`, the solvers,
+    ``check`` and the oracles read.  Inside the orthogonal band lam,
+    lam_plus, a and b read 0."""
 
     x0: np.ndarray  # the validated input
     y0: np.ndarray
@@ -161,7 +164,7 @@ class _Record(NamedTuple):
     half: float  # half the squared distance to the cross, at scale k
     a: float  # |xs + ys|
     b: float  # |xs - ys|
-    v: np.ndarray | None  # the array d^2 was summed from, if any; _result scales it
+    v: np.ndarray | None  # generic near the ray: the array d^2 was summed from, times t/d
 
 
 #: project reads the raw sums of squares where both lie below _SQ_HI and the
@@ -185,8 +188,9 @@ _ORTHOGONAL, _GENERIC = CaseTag.ORTHOGONAL, CaseTag.GENERIC
 
 def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys: np.ndarray):
     """Tag, both multiplier roots, half the squared distance, a = |xs+ys|,
-    b = |xs-ys| and the array d^2 was summed from (else None), all at the
-    scale g of (xs, ys) = (x0, y0)/g: q = <xs, ys>, xx = |xs|^2, yy = |ys|^2.
+    b = |xs-ys| and, for a generic input, the array d^2 was summed from as
+    part of the point (else None), all at the scale g of (xs, ys) =
+    (x0, y0)/g: q = <xs, ys>, xx = |xs|^2, yy = |ys|^2.
     Both bands (see :class:`Tolerances`) are decided here; inside the
     orthogonal band the roots and norms are undefined and read 0.  Every step
     is homogeneous, so the raw scale g = 1 gives the bits of unit scale times
@@ -195,7 +199,9 @@ def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys:
     The small root is 2q / (S + P), P = |x0+y0| |x0-y0| = d sqrt(S + 2|q|) with
     d^2 = S - 2|q|: nothing cancels as q -> 0, and d^2 is summed from the
     arrays where the subtraction would lose more than a bit, below S/2.  That
-    array is xs - ys if q > 0, else xs + ys, and d is its norm.
+    array is xs - ys if q > 0, else xs + ys, and d is its norm; for a generic
+    input it is scaled in place by t/d, t = (a + b)/4, to the part of the
+    point it gives (see :func:`_point`), so no later step writes it.
     """
     nx, ny = math.sqrt(xx), math.sqrt(yy)
     if not abs(q) > tols.orth * ((xx if xx > yy else yy) + nx * ny):
@@ -212,7 +218,9 @@ def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys:
     a, b = (r, d) if q > 0.0 else (d, r)
     if d <= tols.deg * (nx + ny):
         tag = CaseTag.DEGENERATE_PLUS if q > 0.0 else CaseTag.DEGENERATE_MINUS
-        return tag, lam, lam_plus, 0.25 * s, a, b, v
+        return tag, lam, lam_plus, 0.25 * s, a, b, None
+    if v is not None:  # its part t v/d of the point, while the array is still fresh
+        v *= 0.25 * (a + b) / d
     return _GENERIC, lam, lam_plus, 0.5 * lam * q, a, b, v
 
 
@@ -330,36 +338,66 @@ def _cross_distance(x0, y0) -> float:
 def _result(core: _Record) -> ProjectionResult:
     """The result of project from its record on (xs, ys) = (x0, y0)/k:
     half the squared distance half k^2, the distance (finite where its square
-    overflows) and the generic point, each scaled back by k.  The point takes
-    a = |xs+ys| and b = |xs-ys| from :func:`_roots`, which also hands over the
-    array it summed d^2 from, v = xs - ys if lam > 0 (so q > 0) else xs + ys,
-    or None: no reduction is taken again and no array divided.  At n = 1 the
-    point is read from the input."""
-    x0, y0, k, xs, ys, _, _, _, tag, lam, _, half, a, b, v = core
+    overflows) and, from :func:`_point`, the generic point."""
+    x0, y0, k, _, _, _, _, _, tag, lam, _, half, _, _, _ = core
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     dist = _dist(core)
     if tag is not _GENERIC:
-        zero = np.zeros_like(x0)
-        canonical = (Pair(zero, y0), Pair(x0, zero))
-        return FamilyProjection(tag, x0, y0, canonical, half * k * k, dist, k)
-    t = 0.25 * (a + b)
+        return FamilyProjection(tag, x0, y0, _canonical(x0, y0), half * k * k, dist, k)
+    half_dist_sq = half * k * k if half >= 2.0**-1022 else 0.5 * dist * dist  # see _dist
+    return SingletonProjection(tag, _point(core), lam, half_dist_sq, dist)
+
+
+def _canonical(x0: np.ndarray, y0: np.ndarray) -> tuple[Pair, Pair]:
+    """The two standard selections of a family, (0, y0) and (x0, 0)."""
+    zero = np.zeros_like(x0)
+    return Pair(zero, y0), Pair(x0, zero)
+
+
+def _selected(core: _Record, which: int) -> Pair:
+    """The point a solver step takes from project's answer, with no result
+    built: the generic point, the input itself where orthogonal, else the
+    family's ``canonical[which]``."""
+    tag = core.tag
+    if tag is _GENERIC:
+        return _point(core)
+    if tag is _ORTHOGONAL:
+        return Pair(core.x0, core.y0)
+    return _canonical(core.x0, core.y0)[which]
+
+
+def _point(core: _Record) -> Pair:
+    """The generic point of a record, project's one point builder.  It takes
+    a = |xs+ys| and b = |xs-ys| from :func:`_roots`, which near the ray also
+    hands over the array it summed d^2 from, xs - ys if lam > 0 (so q > 0)
+    else xs + ys, already scaled to its part of the point: no reduction is
+    taken again and no array divided.  The record is read, never written, so
+    it builds the same point every time.  At n = 1 the point is read from
+    the input."""
+    x0, y0, k, xs, ys, _, _, _, _, lam, _, _, a, b, v = core
     if x0.size == 1:  # the cross is the two axes: the longer part stays, exactly
         zero = np.zeros_like(x0)
-        point = Pair(x0, zero) if abs(x0[0]) > abs(y0[0]) else Pair(zero, y0)
-    else:  # project's two-norm form, t (p/a +- m/b), with v for p or m where it is one
-        p = v if v is not None and lam < 0.0 else xs + ys
-        m = v if v is not None and lam > 0.0 else xs - ys
+        return Pair(x0, zero) if abs(x0[0]) > abs(y0[0]) else Pair(zero, y0)
+    # project's two-norm form, t (p/a +- m/b), with v for t p/a or t m/b where
+    # it is one; y goes to whichever of p and m is not the record's
+    t = 0.25 * (a + b)
+    if v is not None and lam < 0.0:
+        p = v
+    else:
+        p = xs + ys
         p *= t / a
+    if v is not None and lam > 0.0:
+        m = v
+    else:
+        m = xs - ys
         m *= t / b
-        x = p + m
-        p -= m  # now y
-        if k != 1.0:  # apart from t, as t k may overflow or underflow
-            x *= k
-            p *= k
-        point = Pair(x, p)
-    half_dist_sq = half * k * k if half >= 2.0**-1022 else 0.5 * dist * dist  # see _dist
-    return SingletonProjection(tag, point, lam, half_dist_sq, dist)
+    x = p + m
+    y = np.subtract(p, m, out=p if m is v else m)
+    if k != 1.0:  # apart from t, as t k may overflow or underflow
+        x *= k
+        y *= k
+    return Pair(x, y)
 
 
 def family_samples(

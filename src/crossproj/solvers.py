@@ -20,9 +20,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _int_at_least, as_pair
-from .projection import SingletonProjection, _cross_distance, project
+from .projection import DEFAULT_TOLS, _classified, _cross_distance, _dist, _selected
+from .projection import project  # noqa: F401 -- stays bound for bench/tracing.py
 
-_SELECTIONS = ("first", "second", "alternate")
+#: Each selection policy and the canonical members it cycles through, one per step.
+_SELECTIONS = {"first": (0,), "second": (1,), "alternate": (0, 1)}
 
 #: Largest |B B^T - I| entry accepted for an affine basis B.
 _ORTHONORMAL_TOL = 1e-9
@@ -140,7 +142,11 @@ class FeasibilityProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", _int_at_least(self.dim, "dim"))
-        for name, arr in vars(self.constraint).items():
+        c = self.constraint
+        if not all(hasattr(c, name) for name in ("kind", "project", "distance")):
+            raise DomainError(f"constraint must be one of the kinds {tuple(_CONSTRAINTS)}, or"
+                              f" have kind, project and distance, not {type(c).__name__}")
+        for name, arr in vars(c).items():
             if np.shape(arr)[-1:] != (self.dim,):
                 raise DimensionMismatch(f"{name!r} has shape {np.shape(arr)}, dim is {self.dim}")
 
@@ -196,12 +202,6 @@ class SolverTrace:
         }
 
 
-def _select(result, selection: str, k: int) -> Pair:
-    if isinstance(result, SingletonProjection):
-        return result.point
-    return result.canonical[{"first": 0, "second": 1}.get(selection, k % 2)]
-
-
 def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
     return DivergenceError(f"{method}: iterate became non-finite", trace=trace)
 
@@ -211,8 +211,8 @@ def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, 
     max_iter = _int_at_least(max_iter, "max_iter")
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
         raise DomainError("tol must be finite and > 0")
-    if selection not in _SELECTIONS:
-        raise DomainError(f"selection must be one of {_SELECTIONS}")
+    if not (isinstance(selection, str) and selection in _SELECTIONS):
+        raise DomainError(f"selection must be one of {tuple(_SELECTIONS)}")
     z = as_pair(*start)
     if z.x.shape[0] != problem.dim:
         raise DimensionMismatch(f"start has dimension {z.x.shape[0]}, problem has {problem.dim}")
@@ -223,10 +223,12 @@ def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, 
 
 def _run(name, method, problem, start, max_iter, tol, selection, monitor, update,
          update_in_b=False) -> SolverTrace:
-    """The loop both solvers share.  With s = select(P_C(z)), ``monitor(z, s, pc)``
-    gives the point to record and its distance to the cross, and
-    ``update(constraint, z, s)`` the next z.  The next step's projection
-    validates each update, so only the last update is checked on its own.
+    """The loop both solvers share.  Each step classifies z once: from its
+    record ``rec``, s = select(P_C(z)) is taken with no result built,
+    ``monitor(z, s, rec)`` gives the point to record and its distance to the
+    cross, and ``update(constraint, z, s)`` the next z.  The next step's
+    classification validates each update, so only the last update is checked
+    on its own.
 
     The distance to B is measured by ``constraint.distance``, except where
     ``update_in_b`` says the recorded point is the update itself, P_B's own
@@ -236,11 +238,12 @@ def _run(name, method, problem, start, max_iter, tol, selection, monitor, update
     z, trace = _start_run(method, problem, start, max_iter, tol, selection)
     constraint = problem.constraint
     exact_b = update_in_b and getattr(constraint, "_idempotent", False)
+    cycle = _SELECTIONS[selection]
     for k in range(max_iter):
         try:
-            pc = project(z.x, z.y)
-            s = _select(pc, selection, k)
-            point, d_c = monitor(z, s, pc)
+            rec = _classified(z.x, z.y, DEFAULT_TOLS)
+            s = _selected(rec, cycle[k % len(cycle)])
+            point, d_c = monitor(z, s, rec)
         except DomainError:
             raise _diverged(name, trace) from None
         trace.iterations = k + 1
@@ -248,7 +251,7 @@ def _run(name, method, problem, start, max_iter, tol, selection, monitor, update
         trace.iterates.append(point)
         trace.residuals_c.append(d_c)
         trace.residuals_b.append(d_b)
-        trace.case_tags.append(pc.tag.value)
+        trace.case_tags.append(rec.tag.value)
         if d_c + d_b <= tol:
             trace.converged = True
             break
@@ -280,7 +283,7 @@ def alternating_projections(
     """
     return _run(
         "alternating_projections", "ap", problem, start, max_iter, tol, selection,
-        monitor=lambda z, s, pc: (z, pc.dist),
+        monitor=lambda z, s, rec: (z, _dist(rec)),
         update=lambda constraint, z, s: constraint.project(s),
         update_in_b=True,
     )
@@ -311,7 +314,7 @@ def douglas_rachford(
     """
     return _run(
         "douglas_rachford", "dr", problem, start, max_iter, tol, selection,
-        monitor=lambda z, s, pc: (s, _cross_distance(s.x, s.y)),
+        monitor=lambda z, s, rec: (s, _cross_distance(s.x, s.y)),
         update=_reflect_step,
     )
 

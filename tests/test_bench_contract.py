@@ -149,24 +149,44 @@ def _traced_run(method, kind, max_iter):
     return trace, snap
 
 
+def _count_classifications(monkeypatch) -> list:
+    """Record each cross classification, through the solvers' binding of
+    ``_classified`` or projection's own (``project``, ``_cross_distance``)."""
+    calls = []
+    classified = projection_mod._classified
+
+    def counted(x0, y0, tols):
+        calls.append(np.size(x0))
+        return classified(x0, y0, tols)
+
+    monkeypatch.setattr(projection_mod, "_classified", counted)
+    monkeypatch.setattr(solvers_mod, "_classified", counted)
+    return calls
+
+
 def test_ap_measures_orthant_and_box_once(monkeypatch):
     # after the start the iterate is P_B's own output, which these kinds hold
     # exactly: the run takes one distance, at the start (the box's goes through
-    # its own projection), and one P_B per step
+    # its own projection), and one P_B per step; each step classifies its
+    # iterate once and builds no projection result
     for kind, cls, start in (("orthant", solvers_mod.OrthantPairConstraint, ["distance"]),
                              ("box", solvers_mod.BoxPairConstraint, ["distance", "project"])):
         calls = _count_constraint_calls(monkeypatch, cls)
+        classified = _count_classifications(monkeypatch)
         trace, snap = _traced_run("ap", kind, 6)
         assert not trace.converged and trace.iterations == 6
         assert calls == start + ["project"] * 6
-        assert snap["calls", "solvers.p_c"] == 6
+        assert classified == [50] * 6
+        assert snap["calls", "solvers.p_c"] == snap["calls", "projection.project"] == 0
 
 
 def test_dr_shadow_takes_no_projection(monkeypatch):
-    # the shadow's distance to the cross comes from its classification, not
-    # from a second project; one P_C and two P_B (reflection, d_B) per step
+    # the iterate and its shadow are each classified once per step, and no
+    # projection result is built for either; two P_B (reflection, d_B) per step
     calls = _count_constraint_calls(monkeypatch, solvers_mod.OrthantPairConstraint)
+    classified = _count_classifications(monkeypatch)
     trace, snap = _traced_run("dr", "orthant", 5)
     assert trace.iterations == 5
-    assert snap["calls", "solvers.p_c"] == snap["calls", "projection.project"] == 5
+    assert classified == [50] * 10
+    assert snap["calls", "solvers.p_c"] == snap["calls", "projection.project"] == 0
     assert calls == ["distance", "project"] * 5

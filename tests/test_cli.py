@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,8 +189,9 @@ class TestProjectCommand:
         assert err.startswith("error: tolerance ")
 
     @pytest.mark.parametrize(
-        "text", ["1,a", ",", "1,,2", "1,2,"],
-        ids=["not_a_number", "empty", "empty_inner_item", "empty_last_item"],
+        "text", ["1,a", ",", "1,,2", "1,2,", "1_0", "2,1_0.5"],
+        ids=["not_a_number", "empty", "empty_inner_item", "empty_last_item",
+             "digit_separator", "separator_in_fraction"],
     )
     def test_bad_coordinates_is_parse_error(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
@@ -325,8 +330,10 @@ class TestCheckCommand:
 
     @pytest.mark.parametrize(
         "argv, env",
-        [(("--seed", "-1"), None), (("--trials", "-3"), None), ((), "abc"), ((), "-1")],
-        ids=["seed_negative", "trials_negative", "env_seed_string", "env_seed_negative"],
+        [(("--seed", "-1"), None), (("--trials", "-3"), None), ((), "abc"), ((), "-1"),
+         (("--seed", " 1"), None), (("--trials", "1_0"), None), ((), "1 ")],
+        ids=["seed_negative", "trials_negative", "env_seed_string", "env_seed_negative",
+             "seed_blank", "trials_digit_separator", "env_seed_blank"],
     )
     def test_bad_seed_or_trials_is_parse_error(self, capsys, monkeypatch, argv, env):
         if env is not None:
@@ -337,13 +344,39 @@ class TestCheckCommand:
         assert "expected an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text", ["a", "0", "1,,2"], ids=["not_a_number", "zero", "empty_inner_item"]
+        "text", ["a", "0", "1,,2", " 1_0", "1_0", "1.0", "\u0661"],
+        ids=["not_a_number", "zero", "empty_inner_item", "blank_and_separator",
+             "digit_separator", "decimal_point", "arabic_indic_digit"],
     )
     def test_bad_dims_is_parse_error(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--dims", text, "--trials", "1"])
         assert exc.value.code == 2
         assert "dims" in capsys.readouterr().err
+
+    def test_signed_integer_flags(self, capsys):
+        # an optional sign and ASCII digits are an integer flag's whole syntax
+        code, out, _ = run(capsys, "check", "--dims", "+1,02", "--trials", "+0", "--seed", "-0")
+        assert code == 0
+        assert out.startswith("checked 14 inputs over dims [1, 2] (seed 0)")
+
+    def test_closed_stdout_ends_quietly(self):
+        # a reader that closes the pipe early (crossproj check | head -1) ends
+        # the run with SIGPIPE's status 141 and nothing on stderr; here the
+        # read end is closed before the run starts, so the first write fails
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "crossproj.cli", "check", "--dims", "1", "--trials", "1"],
+                stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
     def test_corrupted_build_detected(self, capsys, monkeypatch):
         # every generic result check takes, of the input and of its moves, takes the

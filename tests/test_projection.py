@@ -1177,3 +1177,61 @@ class TestOnePass:
         assert calls == []
         project(np.array([1e300, 1.0]), np.array([1e300, -3.0]))
         assert calls == [("x0", "y0")]
+
+
+class TestRecordIsRead:
+    """A record is read, never written: ``_result`` and ``_selected`` build
+    from it the same answer each time, and ``_selected`` takes the point the
+    result would select."""
+
+    # near the ray the record keeps the array d^2 was summed from, v (xs - ys
+    # where q > 0, xs + ys where q < 0), scaled to its part of the point
+    NEAR_RAY = {
+        "q_negative": ([1.0, 2.0, 3.0], [-1.1, -2.0, -2.9]),
+        "q_positive": ([1.0, 2.0, 3.0], [1.1, 2.0, 2.9]),
+        "q_negative_scaled": ([1e300, 2e300, 3e300], [-1.1e300, -2e300, -2.9e300]),
+        "q_positive_n50": (np.linspace(1.0, 2.0, 50), np.linspace(1.0, 2.0, 50) + 1e-3),
+    }
+
+    @pytest.mark.parametrize("name", list(NEAR_RAY))
+    def test_second_build_keeps_the_first(self, name):
+        x0, y0 = (np.array(v, dtype=float) for v in self.NEAR_RAY[name])
+        rec = projection_mod._classified(x0, y0, DEFAULT_TOLS)
+        assert rec.tag is CaseTag.GENERIC and rec.v is not None
+        v = rec.v.copy()
+        first = projection_mod._result(rec)
+        want = _bits(first)
+        assert _bits(projection_mod._result(rec)) == want
+        assert _bits(first) == want
+        assert projection_mod._selected(rec, 0).y.tobytes() == first.point.y.tobytes()
+        assert rec.v.tobytes() == v.tobytes()
+        assert _bits(project(x0, y0)) == want
+
+    def test_point_of_the_documented_input(self):
+        # a second build once scaled the record's v again: point.y read
+        # (-25.6, -14.7, -3.7) in place of (-1.87, -1.02, -0.16)
+        rec = projection_mod._classified([1.0, 2.0, 3.0], [-1.1, -2.0, -2.9], DEFAULT_TOLS)
+        for _ in range(2):
+            y = projection_mod._result(rec).point.y
+            np.testing.assert_allclose(y, [-1.87, -1.02, -0.16], atol=0.01)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_selected_is_the_results_selection(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-2.0, 2.0, n)
+        on_x = np.arange(n) % 2 == 0
+        inputs = {
+            "generic": (x, rng.uniform(-2.0, 2.0, n)),
+            "orthogonal": (np.where(on_x, x, 0.0), np.where(on_x, 0.0, x)),
+            "degenerate_plus": (x, x.copy()),
+            "degenerate_minus": (x, -x),
+            "scaled": (1e300 * x, -1e300 * rng.uniform(-2.0, 2.0, n)),
+        }
+        for name, (x0, y0) in inputs.items():
+            rec = projection_mod._classified(x0, y0, DEFAULT_TOLS)
+            assert rec.tag.value == name or name in ("generic", "scaled")
+            res = projection_mod._result(rec)
+            for which in (0, 1):
+                got = projection_mod._selected(rec, which)
+                want = res.selections()[which if res.is_set_valued else 0]
+                assert got.x.tobytes() + got.y.tobytes() == want.x.tobytes() + want.y.tobytes()

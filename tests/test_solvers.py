@@ -273,6 +273,13 @@ class TestGenerateInstance:
             with pytest.raises(DomainError, match="^dim must be an integer >= 1$"):
                 make("orthant", dim)
 
+    @pytest.mark.parametrize("constraint", ["abc", None, object()], ids=["str", "none", "object"])
+    def test_constraint_must_be_a_constraint(self, constraint):
+        # once a bare TypeError from the shape loop's vars()
+        with pytest.raises(DomainError, match=r"^constraint must be one of the kinds "
+                           r"\('orthant', 'affine', 'box'\)"):
+            FeasibilityProblem(3, constraint)
+
     def test_kind_is_checked_before_dim(self):
         for make in (generate_instance, default_start):
             with pytest.raises(DomainError, match="instance kind must be one of"):
@@ -588,16 +595,18 @@ class TestDivergenceHandling:
         assert exc.value.trace.residuals_c == []
 
 
-def _reference_run(method, problem, start, max_iter, tol):
+def _reference_run(method, problem, start, max_iter, tol, selection="first"):
     """AP or DR written over the public API, checking each update for finiteness.
 
-    Returns (iterates, residuals_c, residuals_b, case_tags, converged), with
-    the "first" selection."""
+    Returns (iterates, residuals_c, residuals_b, case_tags, converged); a
+    set-valued step takes canonical[0] ("first"), [1] ("second") or
+    [k % 2] ("alternate")."""
     iterates, res_c, res_b, tags = [], [], [], []
     z = start
-    for _ in range(max_iter):
+    for k in range(max_iter):
         pc = project(z.x, z.y)
-        sel = pc.point if isinstance(pc, SingletonProjection) else pc.canonical[0]
+        which = {"first": 0, "second": 1, "alternate": k % 2}[selection]
+        sel = pc.point if isinstance(pc, SingletonProjection) else pc.canonical[which]
         if method == "ap":
             monitored, d_c = z, math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
         else:
@@ -633,18 +642,44 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("method", ["ap", "dr"])
     def test_bit_identical_to_library(self, method, kind, dim, seed):
         problem, _ = generate_instance(kind, dim, seed)
-        start = default_start(kind, dim, seed)
-        solver = alternating_projections if method == "ap" else douglas_rachford
-        tr = solver(problem, start, max_iter=1000, tol=1e-8)
-        iterates, res_c, res_b, tags, converged = _reference_run(
-            method, problem, start, 1000, 1e-8
-        )
-        assert (tr.converged, tr.iterations) == (converged, len(iterates))
-        assert tr.case_tags == tags
-        assert _bits(tr.residuals_c) == _bits(res_c)
-        assert _bits(tr.residuals_b) == _bits(res_b)
-        for got, want in zip(tr.iterates, iterates):
-            assert _bits([got.x, got.y]) == _bits([want.x, want.y])
+        _assert_reference_bits(method, problem, default_start(kind, dim, seed), 1000, "first")
+
+    # starts on each tag: x0 = y0, x0 = -y0 and disjoint supports (orthogonal)
+    STARTS = {"plus": "degenerate_plus", "minus": "degenerate_minus",
+              "disjoint": "orthogonal"}
+
+    @pytest.mark.parametrize("start_tag", list(STARTS))
+    @pytest.mark.parametrize("selection", ["first", "second", "alternate"])
+    @pytest.mark.parametrize("dim", [1, 3, 50])
+    @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
+    @pytest.mark.parametrize("method", ["ap", "dr"])
+    def test_every_tag_and_selection(self, method, kind, dim, selection, start_tag):
+        problem, _ = generate_instance(kind, dim, 4)
+        rng = np.random.default_rng([dim, len(start_tag)])
+        x = rng.uniform(-2.0, 2.0, dim)
+        if start_tag == "disjoint":
+            on_x = np.arange(dim) % 2 == 0
+            start = Pair(np.where(on_x, x, 0.0), np.where(on_x, 0.0, x))
+        else:
+            start = Pair(x, x.copy() if start_tag == "plus" else -x)
+        tags = _assert_reference_bits(method, problem, start, 200, selection)
+        assert tags[0] == self.STARTS[start_tag]
+
+
+def _assert_reference_bits(method, problem, start, max_iter, selection) -> list[str]:
+    """The library's trace has the bits of the reference loop's; returns its tags."""
+    solver = alternating_projections if method == "ap" else douglas_rachford
+    tr = solver(problem, start, max_iter=max_iter, tol=1e-8, selection=selection)
+    iterates, res_c, res_b, tags, converged = _reference_run(
+        method, problem, start, max_iter, 1e-8, selection
+    )
+    assert (tr.converged, tr.iterations) == (converged, len(iterates))
+    assert tr.case_tags == tags
+    assert _bits(tr.residuals_c) == _bits(res_c)
+    assert _bits(tr.residuals_b) == _bits(res_b)
+    for got, want in zip(tr.iterates, iterates):
+        assert _bits([got.x, got.y]) == _bits([want.x, want.y])
+    return tags
 
 
 class TestSelectionPolicies:
