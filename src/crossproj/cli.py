@@ -374,9 +374,7 @@ def cmd_solve(args) -> int:
     runner = alternating_projections if args.method == "ap" else douglas_rachford
     # a non-finite iterate raises DivergenceError, so its overflow is not warned
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = runner(
-            problem, start, max_iter=args.max_iter, tol=args.tol, selection=args.selection
-        )
+        trace = runner(problem, start, max_iter=args.max_iter, tol=args.tol)
 
     if args.trace is not None:
         csv = io.StringIO()
@@ -384,7 +382,7 @@ def cmd_solve(args) -> int:
         _emit(csv.getvalue(), args.trace)
 
     summary = trace.summary()
-    summary["schema"] = "crossproj/solve-summary/v1"
+    summary["schema"] = "crossproj/solve-summary/v2"
     summary["version"] = __version__
     summary["instance"] = {
         "kind": problem.kind,
@@ -438,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("ap", "dr"), default="ap")
     p.add_argument("--max-iter", type=_at_least(1), default=5000, dest="max_iter")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--selection", choices=("first", "second", "alternate"), default="first")
     p.add_argument("--start", type=_parse_start, metavar="X;Y")
     p.add_argument("--seed", type=_at_least(0), default=seed)
     p.add_argument("--trace", metavar="FILE", help="write the iterate trace CSV here")

@@ -21,6 +21,8 @@ UNIT_NORM_TOL = 1e-12
 #: |1 - lam^2| <= BLOCK_GUARD * (1 + lam^2) counts as a singular block system.
 BLOCK_GUARD = 1e-14
 
+_F64 = np.dtype(float)
+
 
 def _inf_norm(arr: np.ndarray) -> float:
     """max_i |arr_i| of a nonempty array; NaN and +-inf propagate to the result."""
@@ -33,8 +35,19 @@ def _vector_inf(v, name: str) -> tuple[np.ndarray, float]:
 
     One pass validates and measures: the inf-norm is finite exactly when
     every coordinate is.  A 0-d input counts as a vector of dimension 1.
+    Bools, integers, floats and objects that ``float`` takes are real
+    numbers; complex numbers, text and ragged nestings are refused.
     """
-    arr = np.asarray(v, dtype=float)
+    try:
+        arr = np.asarray(v)
+        if arr.dtype is not _F64:
+            if arr.dtype.kind not in "biufO":
+                raise TypeError
+            arr = arr.astype(float)
+    except OverflowError:  # an int beyond the float range is not finite
+        raise DomainError(f"{name} has non-finite coordinates") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must hold real numbers") from None
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1:

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_pair, as_vector, inner
 from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _int_at_least, _over_pow2, _pair, _pow2_scale, _require_unit
+from .linalg import _F64, _int_at_least, _over_pow2, _pair, _pow2_scale, _require_unit
 
 
 class CaseTag(Enum):
@@ -291,16 +291,16 @@ def _classified(x0, y0, tols: Tolerances) -> _Record:
     """The half of :func:`project` that decides the input: its record, taken
     on the raw arrays (k = 1) in the window and by :func:`_unit` elsewhere."""
     # <x0,y0>, |x0|^2 and |y0|^2 decide the input through the homogeneous bands
-    # (see Tolerances): as they are where the raw sums of squares lie in
-    # (n 2^-396, 2^396) and both bands are at least 2^-300, else after validation
-    # and division by c.  The contiguous copy gives a view a fresh array's sums.
-    x0 = np.ascontiguousarray(x0, dtype=float)
+    # (see Tolerances): as they are where both are float64, the raw sums of
+    # squares lie in (n 2^-396, 2^396) and both bands are at least 2^-300, else
+    # after validation, which refuses what is not real, and division by c.  The
+    # contiguous copy gives a view a fresh array's sums.
     try:
-        y0 = np.ascontiguousarray(y0, dtype=float)
-    except Exception:
-        _pair(x0, y0, ("x0", "y0"))  # validation raises for x0 first, as it should
-        raise
-    if (x0.ndim == 1 == y0.ndim and x0.size == (n := y0.size)
+        x0, y0 = np.ascontiguousarray(x0), np.ascontiguousarray(y0)
+    except ValueError:  # a ragged nesting, which validation names
+        return _unit(x0, y0, tols)
+    if (x0.dtype is _F64 is y0.dtype
+            and x0.ndim == 1 == y0.ndim and x0.size == (n := y0.size)
             and tols.orth >= _TOL_MIN and tols.deg >= _TOL_MIN
             and (xx := float(_vdot(x0, x0))) < _SQ_HI
             and (yy := float(_vdot(y0, y0))) < _SQ_HI
@@ -343,28 +343,24 @@ def _result(core: _Record) -> ProjectionResult:
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     dist = _dist(core)
-    if tag is not _GENERIC:
-        return FamilyProjection(tag, x0, y0, _canonical(x0, y0), half * k * k, dist, k)
+    if tag is not _GENERIC:  # the family's two standard selections, (0, y0) and (x0, 0)
+        zero = np.zeros_like(x0)
+        canonical = Pair(zero, y0), Pair(x0, zero)
+        return FamilyProjection(tag, x0, y0, canonical, half * k * k, dist, k)
     half_dist_sq = half * k * k if half >= 2.0**-1022 else 0.5 * dist * dist  # see _dist
     return SingletonProjection(tag, _point(core), lam, half_dist_sq, dist)
 
 
-def _canonical(x0: np.ndarray, y0: np.ndarray) -> tuple[Pair, Pair]:
-    """The two standard selections of a family, (0, y0) and (x0, 0)."""
-    zero = np.zeros_like(x0)
-    return Pair(zero, y0), Pair(x0, zero)
-
-
-def _selected(core: _Record, which: int) -> Pair:
+def _selected(core: _Record) -> Pair:
     """The point a solver step takes from project's answer, with no result
     built: the generic point, the input itself where orthogonal, else the
-    family's ``canonical[which]``."""
+    family's first canonical member, (0, y0)."""
     tag = core.tag
     if tag is _GENERIC:
         return _point(core)
     if tag is _ORTHOGONAL:
         return Pair(core.x0, core.y0)
-    return _canonical(core.x0, core.y0)[which]
+    return Pair(np.zeros_like(core.x0), core.y0)
 
 
 def _point(core: _Record) -> Pair:

@@ -6,7 +6,7 @@ orthant, a pair of affine targets, or coordinate boxes -- by alternating
 projections or Douglas-Rachford splitting.  C is nonconvex, so neither
 method carries a convergence guarantee; runs are capped, fully traced, and
 deterministic.  Where an iterate's cross projection is set valued the
-solver takes the configured canonical selection and records that choice.
+solver takes its first canonical member, (0, y0), and records the case.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _int_at_least, as_pair
 from .projection import DEFAULT_TOLS, _classified, _cross_distance, _dist, _selected
 from .projection import project  # noqa: F401 -- stays bound for bench/tracing.py
-
-#: Each selection policy and the canonical members it cycles through, one per step.
-_SELECTIONS = {"first": (0,), "second": (1,), "alternate": (0, 1)}
 
 #: Largest |B B^T - I| entry accepted for an affine basis B.
 _ORTHONORMAL_TOL = 1e-9
@@ -163,7 +160,7 @@ class SolverTrace:
     to the constraint set for each recorded iterate of the monitored
     sequence; ``residuals`` is their sum, the merit the stopping rule uses.
     ``case_tags`` records the projection case seen at each iterate, which
-    makes any set-valued selections auditable.
+    makes any set-valued step, which takes (0, y0), auditable.
     """
 
     method: str
@@ -206,43 +203,39 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
     return DivergenceError(f"{method}: iterate became non-finite", trace=trace)
 
 
-def _start_run(method, problem, start, max_iter, tol, selection) -> tuple[Pair, SolverTrace]:
+def _start_run(method, problem, start, max_iter, tol) -> tuple[Pair, SolverTrace]:
     """The validated start pair and the run's empty trace."""
     max_iter = _int_at_least(max_iter, "max_iter")
     if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
         raise DomainError("tol must be finite and > 0")
-    if not (isinstance(selection, str) and selection in _SELECTIONS):
-        raise DomainError(f"selection must be one of {tuple(_SELECTIONS)}")
     z = as_pair(*start)
     if z.x.shape[0] != problem.dim:
         raise DimensionMismatch(f"start has dimension {z.x.shape[0]}, problem has {problem.dim}")
-    config = {"max_iter": max_iter, "tol": tol, "selection": selection,
-              "kind": problem.kind, "dim": problem.dim}
+    config = {"max_iter": max_iter, "tol": tol, "kind": problem.kind, "dim": problem.dim}
     return z, SolverTrace(method=method, config=config)
 
 
-def _run(name, method, problem, start, max_iter, tol, selection, monitor, update,
+def _run(name, method, problem, start, max_iter, tol, monitor, update,
          update_in_b=False) -> SolverTrace:
     """The loop both solvers share.  Each step classifies z once: from its
-    record ``rec``, s = select(P_C(z)) is taken with no result built,
-    ``monitor(z, s, rec)`` gives the point to record and its distance to the
-    cross, and ``update(constraint, z, s)`` the next z.  The next step's
-    classification validates each update, so only the last update is checked
-    on its own.
+    record ``rec``, s in P_C(z) is taken with no result built ((0, y0) where
+    P_C(z) is set valued), ``monitor(z, s, rec)`` gives the point to record
+    and its distance to the cross, and ``update(constraint, z, s)`` the next
+    z.  The next step's classification validates each update, so only the
+    last update is checked on its own.
 
     The distance to B is measured by ``constraint.distance``, except where
     ``update_in_b`` says the recorded point is the update itself, P_B's own
     output, and the constraint's kind states that P_B is idempotent in
     floating point (``_idempotent``): there every step after the first
     records the 0.0 that the measurement would return."""
-    z, trace = _start_run(method, problem, start, max_iter, tol, selection)
+    z, trace = _start_run(method, problem, start, max_iter, tol)
     constraint = problem.constraint
     exact_b = update_in_b and getattr(constraint, "_idempotent", False)
-    cycle = _SELECTIONS[selection]
     for k in range(max_iter):
         try:
             rec = _classified(z.x, z.y, DEFAULT_TOLS)
-            s = _selected(rec, cycle[k % len(cycle)])
+            s = _selected(rec)
             point, d_c = monitor(z, s, rec)
         except DomainError:
             raise _diverged(name, trace) from None
@@ -267,14 +260,14 @@ def alternating_projections(
     start: Pair,
     max_iter: int = 1000,
     tol: float = 1e-8,
-    selection: str = "first",
 ) -> SolverTrace:
     """Alternate the cross projection with the constraint projection.
 
     Each iteration checks the current iterate's combined residual
     d_C(z) + d_B(z) (recording it) and, if above ``tol``, updates
-    z <- P_B(select(P_C(z))).  Stopping on the combined residual makes both
-    set distances individually meet ``tol`` at convergence.
+    z <- P_B(s), s in P_C(z) ((0, y0) where P_C(z) is set valued).
+    Stopping on the combined residual makes both set distances individually
+    meet ``tol`` at convergence.
 
     d_C(z) is the distance of the step's own cross projection of z.  d_B(z)
     is measured at the start; after it z is P_B's output, which lies exactly
@@ -282,7 +275,7 @@ def alternating_projections(
     an affine set (or any constraint that does not state it) measures it.
     """
     return _run(
-        "alternating_projections", "ap", problem, start, max_iter, tol, selection,
+        "alternating_projections", "ap", problem, start, max_iter, tol,
         monitor=lambda z, s, rec: (z, _dist(rec)),
         update=lambda constraint, z, s: constraint.project(s),
         update_in_b=True,
@@ -300,20 +293,20 @@ def douglas_rachford(
     start: Pair,
     max_iter: int = 2000,
     tol: float = 1e-8,
-    selection: str = "first",
 ) -> SolverTrace:
-    """Douglas-Rachford splitting z <- z + P_B(2*s - z) - s, s = select(P_C(z)).
+    """Douglas-Rachford splitting z <- z + P_B(2*s - z) - s, s in P_C(z).
 
-    The governing sequence z is monitored through its shadow s (the
-    selected cross projection); residuals and the stopping rule use the
-    shadow's combined distance d_C(s) + d_B(s), the same merit as
-    :func:`alternating_projections`.  d_C(s) is the distance the cross
-    projection of s would report, read from its classification alone, with
-    no result built; d_B(s) is measured by the constraint.  A shadow that
-    overflows from a finite iterate also ends the run as divergent.
+    The governing sequence z is monitored through its shadow s (its cross
+    projection, (0, y0) where that is set valued); residuals and the
+    stopping rule use the shadow's combined distance d_C(s) + d_B(s), the
+    same merit as :func:`alternating_projections`.  d_C(s) is the distance
+    the cross projection of s would report, read from its classification
+    alone, with no result built; d_B(s) is measured by the constraint.  A
+    shadow that overflows from a finite iterate also ends the run as
+    divergent.
     """
     return _run(
-        "douglas_rachford", "dr", problem, start, max_iter, tol, selection,
+        "douglas_rachford", "dr", problem, start, max_iter, tol,
         monitor=lambda z, s, rec: (s, _cross_distance(s.x, s.y)),
         update=_reflect_step,
     )

@@ -413,11 +413,20 @@ class TestSolveCommand:
         )
         assert code == 0
         summary = json.loads(out)
+        assert summary["schema"] == "crossproj/solve-summary/v2"
+        assert summary["config"] == {"max_iter": 5000, "tol": 1e-8, "kind": "orthant", "dim": 1}
         assert summary["converged"] is True
         assert summary["iterations"] <= 5
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iteration,residual_C,residual_B,case_tag"
         assert len(lines) == summary["iterations"] + 1
+
+    def test_selection_flag_is_gone(self, capsys):
+        # a set-valued step always takes (0, y0); no flag selects it
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--generate", "orthant,3,0", "--selection", "first"])
+        assert exc.value.code == 2
+        assert "--selection" in capsys.readouterr().err
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1181,8 +1181,8 @@ class TestOnePass:
 
 class TestRecordIsRead:
     """A record is read, never written: ``_result`` and ``_selected`` build
-    from it the same answer each time, and ``_selected`` takes the point the
-    result would select."""
+    from it the same answer each time, and ``_selected`` takes the result's
+    first selection, (0, y0) for a family."""
 
     # near the ray the record keeps the array d^2 was summed from, v (xs - ys
     # where q > 0, xs + ys where q < 0), scaled to its part of the point
@@ -1203,7 +1203,7 @@ class TestRecordIsRead:
         want = _bits(first)
         assert _bits(projection_mod._result(rec)) == want
         assert _bits(first) == want
-        assert projection_mod._selected(rec, 0).y.tobytes() == first.point.y.tobytes()
+        assert projection_mod._selected(rec).y.tobytes() == first.point.y.tobytes()
         assert rec.v.tobytes() == v.tobytes()
         assert _bits(project(x0, y0)) == want
 
@@ -1230,8 +1230,5 @@ class TestRecordIsRead:
         for name, (x0, y0) in inputs.items():
             rec = projection_mod._classified(x0, y0, DEFAULT_TOLS)
             assert rec.tag.value == name or name in ("generic", "scaled")
-            res = projection_mod._result(rec)
-            for which in (0, 1):
-                got = projection_mod._selected(rec, which)
-                want = res.selections()[which if res.is_set_valued else 0]
-                assert got.x.tobytes() + got.y.tobytes() == want.x.tobytes() + want.y.tobytes()
+            got, want = projection_mod._selected(rec), projection_mod._result(rec).selections()[0]
+            assert got.x.tobytes() + got.y.tobytes() == want.x.tobytes() + want.y.tobytes()

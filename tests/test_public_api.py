@@ -73,9 +73,9 @@ SIGNATURES = {
     "lagrangian_oracle": ["x0", "y0", "tols"],
     "subspace_oracle": ["x0", "y0", "tols"],
     # solvers
-    "alternating_projections": ["problem", "start", "max_iter", "tol", "selection"],
+    "alternating_projections": ["problem", "start", "max_iter", "tol"],
     "default_start": ["kind", "dim", "seed"],
-    "douglas_rachford": ["problem", "start", "max_iter", "tol", "selection"],
+    "douglas_rachford": ["problem", "start", "max_iter", "tol"],
     "generate_instance": ["kind", "dim", "seed"],
     "instance_from_dict": ["doc"],
     "instance_to_dict": ["problem", "witness", "seed"],

@@ -481,8 +481,6 @@ class TestAlternatingProjections:
         for tol in (0.0, math.inf, math.nan, -1.0, "1e-8"):
             with pytest.raises(DomainError):
                 alternating_projections(problem, pair([1.0], [1.0]), tol=tol)
-        with pytest.raises(DomainError):
-            alternating_projections(problem, pair([1.0], [1.0]), selection="random")
 
 
 class TestDouglasRachford:
@@ -595,18 +593,17 @@ class TestDivergenceHandling:
         assert exc.value.trace.residuals_c == []
 
 
-def _reference_run(method, problem, start, max_iter, tol, selection="first"):
+def _reference_run(method, problem, start, max_iter, tol, member=lambda k: 0):
     """AP or DR written over the public API, checking each update for finiteness.
 
     Returns (iterates, residuals_c, residuals_b, case_tags, converged); a
-    set-valued step takes canonical[0] ("first"), [1] ("second") or
-    [k % 2] ("alternate")."""
+    set-valued step k takes canonical[member(k)], by default canonical[0],
+    (0, y0), as the library does."""
     iterates, res_c, res_b, tags = [], [], [], []
     z = start
     for k in range(max_iter):
         pc = project(z.x, z.y)
-        which = {"first": 0, "second": 1, "alternate": k % 2}[selection]
-        sel = pc.point if isinstance(pc, SingletonProjection) else pc.canonical[which]
+        sel = pc.point if isinstance(pc, SingletonProjection) else pc.canonical[member(k)]
         if method == "ap":
             monitored, d_c = z, math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
         else:
@@ -642,7 +639,7 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("method", ["ap", "dr"])
     def test_bit_identical_to_library(self, method, kind, dim, seed):
         problem, _ = generate_instance(kind, dim, seed)
-        _assert_reference_bits(method, problem, default_start(kind, dim, seed), 1000, "first")
+        _assert_reference_bits(method, problem, default_start(kind, dim, seed), 1000)
 
     # starts on each tag: x0 = y0, x0 = -y0 and disjoint supports (orthogonal)
     STARTS = {"plus": "degenerate_plus", "minus": "degenerate_minus",
@@ -654,6 +651,12 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
     @pytest.mark.parametrize("method", ["ap", "dr"])
     def test_every_tag_and_selection(self, method, kind, dim, selection, start_tag):
+        """A set-valued step takes (0, y0), canonical[0] ("first").  The other
+        member, (x0, 0), is canonical[0] of the swapped input (y0, x0), so the
+        run on the swapped problem and start, swapped back, is the one that
+        takes (x0, 0) ("second").  A loop that alternates the two members agrees
+        with the library before its first set-valued step at an odd k and parts
+        from it there ("alternate")."""
         problem, _ = generate_instance(kind, dim, 4)
         rng = np.random.default_rng([dim, len(start_tag)])
         x = rng.uniform(-2.0, 2.0, dim)
@@ -662,37 +665,65 @@ class TestReferenceLoop:
             start = Pair(np.where(on_x, x, 0.0), np.where(on_x, 0.0, x))
         else:
             start = Pair(x, x.copy() if start_tag == "plus" else -x)
-        tags = _assert_reference_bits(method, problem, start, 200, selection)
+        if selection == "first":
+            tags = _assert_reference_bits(method, problem, start, 200)
+        elif selection == "second":
+            tr = _solver(method)(_swapped(problem), Pair(start.y, start.x), max_iter=200, tol=1e-8)
+            tr.iterates = [Pair(p.y, p.x) for p in tr.iterates]
+            ref = _reference_run(method, problem, start, 200, 1e-8, member=lambda k: 1)
+            tags = _assert_same_run(tr, ref)
+        else:
+            tr = _solver(method)(problem, start, max_iter=200, tol=1e-8)
+            ref = _reference_run(method, problem, start, 200, 1e-8, member=lambda k: k % 2)
+            odd = [k for k, t in enumerate(ref[3]) if k % 2 and t.startswith("degenerate")]
+            k = odd[0] if odd else None
+            tags = _assert_same_run(tr, ref, upto=k)
+            if odd:  # the loop takes (x0, 0) at step k, the library (0, y0)
+                assert _bits(tr.iterates[k : k + 2]) != _bits(ref[0][k : k + 2])
         assert tags[0] == self.STARTS[start_tag]
 
 
-def _assert_reference_bits(method, problem, start, max_iter, selection) -> list[str]:
+def _solver(method):
+    return alternating_projections if method == "ap" else douglas_rachford
+
+
+def _swapped(problem):
+    """The problem with the roles of x and y exchanged."""
+    c = problem.constraint
+    if c.kind == "box":
+        c = BoxPairConstraint(c.lo_y, c.hi_y, c.lo_x, c.hi_x)
+    elif c.kind == "affine":
+        c = AffinePairConstraint(c.anchor_y, c.basis_y, c.anchor_x, c.basis_x)
+    return FeasibilityProblem(problem.dim, c)
+
+
+def _assert_reference_bits(method, problem, start, max_iter) -> list[str]:
     """The library's trace has the bits of the reference loop's; returns its tags."""
-    solver = alternating_projections if method == "ap" else douglas_rachford
-    tr = solver(problem, start, max_iter=max_iter, tol=1e-8, selection=selection)
-    iterates, res_c, res_b, tags, converged = _reference_run(
-        method, problem, start, max_iter, 1e-8, selection
-    )
-    assert (tr.converged, tr.iterations) == (converged, len(iterates))
-    assert tr.case_tags == tags
-    assert _bits(tr.residuals_c) == _bits(res_c)
-    assert _bits(tr.residuals_b) == _bits(res_b)
-    for got, want in zip(tr.iterates, iterates):
+    tr = _solver(method)(problem, start, max_iter=max_iter, tol=1e-8)
+    return _assert_same_run(tr, _reference_run(method, problem, start, max_iter, 1e-8))
+
+
+def _assert_same_run(tr, ref, upto=None) -> list[str]:
+    """The trace has the bits of a reference run, or of its first ``upto``
+    steps where it is given; returns the trace's tags."""
+    iterates, res_c, res_b, tags, converged = ref
+    if upto is None:
+        assert (tr.converged, tr.iterations) == (converged, len(iterates))
+    assert tr.case_tags[:upto] == tags[:upto]
+    assert _bits(tr.residuals_c[:upto]) == _bits(res_c[:upto])
+    assert _bits(tr.residuals_b[:upto]) == _bits(res_b[:upto])
+    for got, want in zip(tr.iterates[:upto], iterates[:upto], strict=True):
         assert _bits([got.x, got.y]) == _bits([want.x, want.y])
-    return tags
+    return tr.case_tags
 
 
-class TestSelectionPolicies:
-    def test_degenerate_iterate_uses_configured_selection(self):
+class TestSetValuedStep:
+    def test_degenerate_step_takes_0_y0(self):
+        # x0 = y0 = 1: the cross projection is set valued, and AP and DR both
+        # take (0, y0), which lies in the orthant and the cross
         problem, _ = generate_instance("orthant", 1, seed=0)
-        start = pair([1.0], [1.0])  # degenerate: projection is set-valued
-        first = alternating_projections(problem, start, max_iter=20, tol=1e-10,
-                                        selection="first")
-        second = alternating_projections(problem, start, max_iter=20, tol=1e-10,
-                                         selection="second")
-        assert first.case_tags[0] == "degenerate_plus"
-        # first selection lands on (0, y), second on (x, 0)
-        np.testing.assert_array_equal(first.iterates[-1].x, [0.0])
-        np.testing.assert_array_equal(first.iterates[-1].y, [1.0])
-        np.testing.assert_array_equal(second.iterates[-1].x, [1.0])
-        np.testing.assert_array_equal(second.iterates[-1].y, [0.0])
+        for solver in (alternating_projections, douglas_rachford):
+            tr = solver(problem, pair([1.0], [1.0]), max_iter=20, tol=1e-10)
+            assert tr.converged and tr.case_tags[0] == "degenerate_plus"
+            np.testing.assert_array_equal(tr.iterates[-1].x, [0.0])
+            np.testing.assert_array_equal(tr.iterates[-1].y, [1.0])

@@ -2,12 +2,15 @@
 every seed.
 
 Each input vector is validated in one pass that also measures its
-inf-norm; a NaN or an infinity anywhere in it must still be caught, and
-the error must name the vector that carries it.  A seed is an int or a
+inf-norm; a NaN or an infinity anywhere in it must still be caught, as
+must a complex, text or ragged value, and the error must name the vector
+that carries it.  A seed is an int or a
 numpy integer, not a bool, of at least 0, as a dimension is one of at least 1.
 """
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +137,76 @@ def test_x0_named_before_y0_that_is_not_numeric():
     # y0 fails conversion to floats, yet the error is x0's, as validation orders them
     with pytest.raises(DomainError, match="^x0 has non-finite"):
         project(np.array([np.inf]), ["a"])
+    with pytest.raises(DomainError, match="^x0 has non-finite"):
+        project([math.nan], "abc")
+    with pytest.raises(DomainError, match="^y0 must hold real numbers$"):
+        project([1.0], "abc")
+
+
+# values that are not vectors of real numbers: numpy would drop the imaginary
+# part of a complex one with only a ComplexWarning
+NOT_REAL = {
+    "complex": np.full(N, 1.0 + 2.0j),
+    "complex_zero_imag": np.full(N, 1.0 + 0.0j),
+    "text": "abc",
+    "ragged": [1.0, [2.0]],
+}
+
+
+@pytest.mark.parametrize("entry", PAIR_ENTRIES)
+@pytest.mark.parametrize("where", ["x0", "y0"])
+@pytest.mark.parametrize("value", NOT_REAL)
+def test_not_real_names_its_vector(entry, where, value):
+    fn, names = PAIR_ENTRIES[entry]
+    x, y = _finite_pair()
+    if where == "x0":
+        x = NOT_REAL[value]
+    else:
+        y = NOT_REAL[value]
+    named = names[0] if where == "x0" else names[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{named} must hold real numbers$"):
+            fn(x, y)
+
+
+def test_complex_refused_by_as_vector_and_member():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^v must hold real numbers$"):
+            as_vector([1j], "v")
+        fam = project([1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(DomainError, match="^u must hold real numbers$"):
+            fam.member(np.array([1.0 + 0.0j, 0.0]))
+
+
+REAL_DTYPES = {
+    "int": lambda v: v.astype(int),
+    "bool": lambda v: v != 0.0,
+    "float32": lambda v: v.astype(np.float32),
+    "big_endian": lambda v: v.astype(">f8"),
+    "fraction_objects": lambda v: np.array([Fraction(c) for c in v], dtype=object),
+    "int_list": lambda v: [int(c) for c in v],
+}
+
+
+@pytest.mark.parametrize("dtype", REAL_DTYPES)
+def test_real_dtypes_give_the_bits_of_their_float64_copy(dtype):
+    # each case: generic, orthogonal, degenerate, and the origin
+    for x0, y0 in [([3, 0, -2], [1, 5, 0]), ([1, 0, 0], [0, 2, 0]), ([1, 2, 0], [1, 2, 0]),
+                   ([0, 0, 0], [0, 0, 0])]:
+        x, y = REAL_DTYPES[dtype](np.array(x0, float)), REAL_DTYPES[dtype](np.array(y0, float))
+        xf, yf = np.asarray(x).astype(float), np.asarray(y).astype(float)
+        got, want = project(x, y), project(xf, yf)
+        assert (got.tag, got.half_dist_sq, got.dist) == (want.tag, want.half_dist_sq, want.dist)
+        for a, b in zip(got.selections(), want.selections(), strict=True):
+            assert a.x.tobytes() + a.y.tobytes() == b.x.tobytes() + b.y.tobytes()
+        assert as_vector(x).tobytes() == xf.tobytes()
+
+
+def test_int_beyond_the_float_range_is_not_finite():
+    with pytest.raises(DomainError, match="^x0 has non-finite coordinates$"):
+        project([2**1100, 1], [1, 2])
 
 
 SHAPE_ERRORS = {
