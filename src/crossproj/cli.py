@@ -15,7 +15,9 @@ Exit codes are stable contracts:
   or any value that is not an optional sign and ASCII digits, each read
   by the library's one integer rule and reported as "expected an integer
   >= k"), an empty item in a comma-separated list (``1,,2``), a
-  coordinate with a digit separator (``1_0``), a file that is not UTF-8
+  coordinate or a real flag's value (``--tol``, ``--tol-orth``,
+  ``--tol-deg``, reported as "expected a number") that is not one number
+  or has a digit separator (``1_0``), a file that is not UTF-8
   JSON, or a point file (``--input``) that breaks the field rule; also an
   output file (``--output``, ``--trace``, ``--summary``) that cannot be
   written
@@ -119,6 +121,15 @@ def _parse_coords(text: str) -> np.ndarray:
         return np.array([float(tok) for tok in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse coordinates {text!r}: {exc}")
+
+
+def _parse_real(text: str) -> float:
+    """The parser of a real flag value: one number by :func:`_parse_coords`' rule."""
+    try:
+        (value,) = _parse_coords(text)
+    except (argparse.ArgumentTypeError, ValueError):  # not a number, or more than one
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    return float(value)
 
 
 def _at_least(least: int):
@@ -400,8 +411,8 @@ def _add_point_arguments(sub) -> None:
     sub.add_argument("--input", metavar="FILE", help="point document {dim, x0, y0}")
     sub.add_argument("--x0", type=_parse_coords, metavar="A,B,...", help="inline x0")
     sub.add_argument("--y0", type=_parse_coords, metavar="C,D,...", help="inline y0")
-    sub.add_argument("--tol-orth", type=float, default=DEFAULT_TOLS.orth, dest="tol_orth")
-    sub.add_argument("--tol-deg", type=float, default=DEFAULT_TOLS.deg, dest="tol_deg")
+    sub.add_argument("--tol-orth", type=_parse_real, default=DEFAULT_TOLS.orth, dest="tol_orth")
+    sub.add_argument("--tol-deg", type=_parse_real, default=DEFAULT_TOLS.deg, dest="tol_deg")
     sub.add_argument("--output", metavar="FILE", help="write result here instead of stdout")
 
 
@@ -435,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", metavar="FILE")
     p.add_argument("--method", choices=("ap", "dr"), default="ap")
     p.add_argument("--max-iter", type=_at_least(1), default=5000, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_parse_real, default=1e-8)
     p.add_argument("--start", type=_parse_start, metavar="X;Y")
     p.add_argument("--seed", type=_at_least(0), default=seed)
     p.add_argument("--trace", metavar="FILE", help="write the iterate trace CSV here")

@@ -9,6 +9,7 @@ numpy arrays; all functions are pure and never mutate arguments.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -30,24 +31,47 @@ def _inf_norm(arr: np.ndarray) -> float:
     return float(a[a.argmax()])  # argmax picks the first NaN, if any
 
 
+def _real_array(v, name: str) -> np.ndarray:
+    """``v`` as a float64 array, by the one real-number rule for arrays: bool,
+    integer and float arrays convert, as does an object array of
+    ``numbers.Real`` elements; complex numbers, text, ``None``, ragged
+    nestings and anything else are refused.  A float64 array is returned as
+    it is; an int beyond the float range is not finite."""
+    try:
+        arr = np.asarray(v)
+        if arr.dtype is _F64:
+            return arr
+        kind = arr.dtype.kind
+        if not (kind in "biuf" or kind == "O"
+                and all(isinstance(e, numbers.Real) for e in arr.flat)):
+            raise TypeError
+        return arr.astype(float)
+    except OverflowError:
+        raise DomainError(f"{name} has non-finite coordinates") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must hold real numbers") from None
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float, by the one real-number rule for scalars: a
+    ``numbers.Real`` that is not a bool.  An int beyond the float range reads
+    as +-inf, for the caller's range test to refuse."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _vector_inf(v, name: str) -> tuple[np.ndarray, float]:
     """``v`` as a finite 1-D float64 array of dimension >= 1, and its inf-norm.
 
     One pass validates and measures: the inf-norm is finite exactly when
     every coordinate is.  A 0-d input counts as a vector of dimension 1.
-    Bools, integers, floats and objects that ``float`` takes are real
-    numbers; complex numbers, text and ragged nestings are refused.
+    Its numbers are read by :func:`_real_array`.
     """
-    try:
-        arr = np.asarray(v)
-        if arr.dtype is not _F64:
-            if arr.dtype.kind not in "biufO":
-                raise TypeError
-            arr = arr.astype(float)
-    except OverflowError:  # an int beyond the float range is not finite
-        raise DomainError(f"{name} has non-finite coordinates") from None
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must hold real numbers") from None
+    arr = _real_array(v, name)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1 or arr.size < 1:
@@ -121,8 +145,9 @@ def _over_pow2(v: np.ndarray, c: float) -> np.ndarray:
 
 
 def norm(x) -> float:
-    """Euclidean norm |x|, accurate at every float64 scale."""
-    return _joint_norm(np.asarray(x, dtype=float))
+    """Euclidean norm |x|, accurate at every float64 scale.  Input that is not
+    real is refused as by :func:`as_vector`; NaN and +-inf pass through."""
+    return _joint_norm(_real_array(x, "x"))
 
 
 def _joint_norm(*parts: np.ndarray) -> float:
@@ -160,7 +185,7 @@ def block_solve(lam: float, rhs: Pair) -> Pair:
     is validated as by :func:`as_pair`.
     """
     rhs = as_pair(*rhs)
-    lam = float(lam)
+    lam = _real(lam, "multiplier")
     if not math.isfinite(lam):
         raise DomainError("multiplier must be finite")
     den = 1.0 - lam * lam

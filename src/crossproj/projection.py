@@ -41,7 +41,7 @@ import numpy as np
 from .errors import CaseError, DimensionMismatch, DomainError
 from .linalg import Pair, as_pair, as_vector, inner
 from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _F64, _int_at_least, _over_pow2, _pair, _pow2_scale, _require_unit
+from .linalg import _F64, _int_at_least, _over_pow2, _pair, _pow2_scale, _real, _require_unit
 
 
 class CaseTag(Enum):
@@ -80,6 +80,7 @@ class Tolerances:
 
     def __post_init__(self) -> None:
         for name, top in (("orth", 0.5), ("deg", 1.0)):
+            object.__setattr__(self, name, _real(getattr(self, name), f"tolerance {name}"))
             if not 0.0 <= getattr(self, name) < top:
                 raise DomainError(f"tolerance {name} must be finite, >= 0 and < {top:g}")
 

@@ -12,7 +12,6 @@ solver takes its first canonical member, (0, y0), and records the case.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
@@ -20,18 +19,18 @@ import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _int_at_least, as_pair
+from .linalg import _real, _real_array
 from .projection import DEFAULT_TOLS, _classified, _cross_distance, _dist, _selected
 from .projection import project  # noqa: F401 -- stays bound for bench/tracing.py
 
 #: Largest |B B^T - I| entry accepted for an affine basis B.
 _ORTHONORMAL_TOL = 1e-9
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_fields(constraint) -> None:
     """Store each field of a constraint as a float array, checked finite."""
     for f in fields(constraint):
-        arr = np.asarray(getattr(constraint, f.name), dtype=float)
+        arr = _real_array(getattr(constraint, f.name), f"instance field {f.name!r}")
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"instance field {f.name!r} has non-finite entries")
         object.__setattr__(constraint, f.name, arr)
@@ -206,7 +205,7 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
 def _start_run(method, problem, start, max_iter, tol) -> tuple[Pair, SolverTrace]:
     """The validated start pair and the run's empty trace."""
     max_iter = _int_at_least(max_iter, "max_iter")
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+    if not 0.0 < (tol := _real(tol, "tol")) < math.inf:
         raise DomainError("tol must be finite and > 0")
     z = as_pair(*start)
     if z.x.shape[0] != problem.dim:
@@ -410,9 +409,8 @@ def _numbers(raw, name: str, dim: int, rows: bool = False) -> np.ndarray:
     if len(raw) != dim:
         raise DomainError(f"field {name!r} has length {len(raw)}, expected dim = {dim}")
     for i, v in enumerate(raw):
-        number = isinstance(v, (int, float)) and not isinstance(v, bool)
-        if not (number and abs(v) <= _FLOAT_MAX):  # an int beyond the float range is not finite
-            raise DomainError(f"field '{name}[{i}]' is not {'finite' if number else 'a number'}")
+        if not math.isfinite(_real(v, f"field '{name}[{i}]'")):
+            raise DomainError(f"field '{name}[{i}]' is not finite")
     return np.array(raw, dtype=float)
 
 

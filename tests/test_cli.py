@@ -199,6 +199,26 @@ class TestProjectCommand:
         assert exc.value.code == 2
         assert "coordinate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("project", "--x0", "1,2", "--y0", "3,-1", "--tol-orth", "1_0e-13"),
+            ("project", "--x0", "1", "--y0", "1", "--tol-orth", "1_0"),
+            ("project", "--x0", "1", "--y0", "1", "--tol-deg", "0.5,0.5"),
+            ("family", "--x0", "1", "--y0", "1", "--tol-deg", "abc"),
+            ("solve", "--generate", "orthant,3,0", "--tol", " 1_0"),
+            ("solve", "--generate", "orthant,3,0", "--tol", ""),
+        ],
+        ids=["orth_separator", "orth_separator_int", "deg_two_items", "deg_text",
+             "tol_separator", "tol_empty"],
+    )
+    def test_bad_real_flag_is_parse_error(self, capsys, argv):
+        # every real flag reads its value by the coordinates' token rule
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}: expected a number, got " in capsys.readouterr().err
+
     def test_point_file_not_an_object_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1.0, 2.0]")
@@ -500,8 +520,10 @@ class TestSolveCommand:
             (lambda d: d.update(dim=2.7), "field 'dim' must be an integer >= 1"),
             (lambda d: d.update(witness=5), "missing field 'witness.x'"),
             (lambda d: d.update(constraint=5), "missing field 'lo_x'"),
-            (lambda d: d["witness"]["x"].__setitem__(0, "1.5"), "'witness.x[0]' is not a number"),
-            (lambda d: d["witness"]["y"].__setitem__(1, True), "'witness.y[1]' is not a number"),
+            (lambda d: d["witness"]["x"].__setitem__(0, "1.5"),
+             "'witness.x[0]' must be a real number"),
+            (lambda d: d["witness"]["y"].__setitem__(1, True),
+             "'witness.y[1]' must be a real number"),
             (lambda d: d["constraint"]["lo_x"].__setitem__(0, -10**400), "'lo_x[0]' is not finite"),
             (lambda d: d.update(seed="abc"), "field 'seed' must be an integer >= 0"),
             (lambda d: d.update(seed=-1), "field 'seed' must be an integer >= 0"),

@@ -6,19 +6,25 @@ inf-norm; a NaN or an infinity anywhere in it must still be caught, as
 must a complex, text or ragged value, and the error must name the vector
 that carries it.  A seed is an int or a
 numpy integer, not a bool, of at least 0, as a dimension is one of at least 1.
+A real array holds bools, integers, floats or ``numbers.Real`` objects; a real
+scalar (a multiplier, a band, a tol) is a ``numbers.Real`` that is not a bool.
 """
 
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from crossproj import (
+    AffinePairConstraint,
+    BoxPairConstraint,
     DimensionMismatch,
     DomainError,
     Pair,
+    Tolerances,
     alternating_projections,
     as_pair,
     as_vector,
@@ -32,6 +38,7 @@ from crossproj import (
     inner,
     lagrangian_oracle,
     membership_residual,
+    norm,
     objective,
     project,
     subspace_oracle,
@@ -144,12 +151,17 @@ def test_x0_named_before_y0_that_is_not_numeric():
 
 
 # values that are not vectors of real numbers: numpy would drop the imaginary
-# part of a complex one with only a ComplexWarning
+# part of a complex one with only a ComplexWarning, and float() reads text,
+# bytes and Decimal objects and turns None into NaN
 NOT_REAL = {
     "complex": np.full(N, 1.0 + 2.0j),
     "complex_zero_imag": np.full(N, 1.0 + 0.0j),
     "text": "abc",
     "ragged": [1.0, [2.0]],
+    "text_objects": np.array([str(i + 1) for i in range(N)], dtype=object),
+    "bytes_object": np.array([b"1"] + [2.0] * (N - 1), dtype=object),
+    "none_object": np.array([None] + [2.0] * (N - 1), dtype=object),
+    "decimal_objects": np.array([Decimal(i + 1) for i in range(N)], dtype=object),
 }
 
 
@@ -187,6 +199,8 @@ REAL_DTYPES = {
     "big_endian": lambda v: v.astype(">f8"),
     "fraction_objects": lambda v: np.array([Fraction(c) for c in v], dtype=object),
     "int_list": lambda v: [int(c) for c in v],
+    "mixed_objects": lambda v: np.array([np.float64(v[0]), int(v[1]), Fraction(v[2])],
+                                        dtype=object),
 }
 
 
@@ -202,6 +216,8 @@ def test_real_dtypes_give_the_bits_of_their_float64_copy(dtype):
         for a, b in zip(got.selections(), want.selections(), strict=True):
             assert a.x.tobytes() + a.y.tobytes() == b.x.tobytes() + b.y.tobytes()
         assert as_vector(x).tobytes() == xf.tobytes()
+        assert norm(x) == norm(xf)
+        assert BoxPairConstraint(x, xf, xf, xf).lo_x.tobytes() == xf.tobytes()
 
 
 def test_int_beyond_the_float_range_is_not_finite():
@@ -270,3 +286,102 @@ def test_numpy_integer_seed_is_its_int(entry):
             assert a.items == b.items
         else:
             assert repr(a) == repr(b)
+
+
+def _box(lo_x):
+    return BoxPairConstraint(lo_x, [1.0], [0.0], [1.0])
+
+
+# arrays outside the pair entry points, read by the same rule and refused, naming
+# what carries them
+NOT_REAL_ARRAYS = {
+    "as_vector_none": (lambda: as_vector(np.array([None], dtype=object), "v"), "v"),
+    "norm_text": (lambda: norm(["3", "4"]), "x"),
+    "norm_complex_list": (lambda: norm([3 + 4j]), "x"),
+    "norm_complex_array": (lambda: norm(np.array([3 + 4j])), "x"),
+    "norm_none": (lambda: norm(np.array([None], dtype=object)), "x"),
+    "box_text": (lambda: _box(["-1"]), "instance field 'lo_x'"),
+    "box_complex": (lambda: _box(np.array([-1 + 5j])), "instance field 'lo_x'"),
+    "box_ragged": (lambda: BoxPairConstraint([1.0], [2.0], [[1.0], 2.0], [2.0]),
+                   "instance field 'lo_y'"),
+    "affine_complex_basis": (lambda: AffinePairConstraint(
+        np.zeros(2), np.eye(2) + 0j, np.zeros(2), np.eye(2)), "instance field 'basis_x'"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL_ARRAYS)
+def test_array_rule_refuses_what_is_not_real(case):
+    fn, named = NOT_REAL_ARRAYS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{named} must hold real numbers$"):
+            fn()
+
+
+def test_norm_passes_non_finite_values_through():
+    # check measures non-finite points with norm, so it validates only their numbers
+    assert norm([math.inf, 1.0]) == math.inf
+    assert math.isnan(norm([math.nan, 1.0]))
+    with pytest.raises(DomainError, match="^x has non-finite coordinates$"):
+        norm([2**1100])  # an int beyond the float range has no float64 copy
+
+
+def _tol_run(tol):
+    return alternating_projections(_PROBLEM, (np.ones(N), np.ones(N)), max_iter=3, tol=tol)
+
+
+# real scalars that are not real numbers by the one rule for scalars
+NOT_REAL_SCALARS = {
+    "orth_text": (lambda: Tolerances(orth="a"), "tolerance orth"),
+    "orth_complex": (lambda: Tolerances(orth=1j), "tolerance orth"),
+    "orth_decimal": (lambda: Tolerances(orth=Decimal("1e-12")), "tolerance orth"),
+    "deg_bool": (lambda: Tolerances(deg=False), "tolerance deg"),
+    "deg_numpy_bool": (lambda: Tolerances(deg=np.False_), "tolerance deg"),
+    "multiplier_text": (lambda: block_solve("0.5", Pair([2.0], [1.0])), "multiplier"),
+    "multiplier_complex": (lambda: block_solve(0.5 + 1j, Pair([2.0], [1.0])), "multiplier"),
+    "multiplier_none": (lambda: block_solve(None, Pair([2.0], [1.0])), "multiplier"),
+    "tol_bool": (lambda: _tol_run(True), "tol"),
+    "tol_text": (lambda: _tol_run("1e-8"), "tol"),
+    "tol_complex": (lambda: _tol_run(1e-8 + 0j), "tol"),
+}
+
+
+@pytest.mark.parametrize("case", NOT_REAL_SCALARS)
+def test_scalar_rule_refuses_what_is_not_real(case):
+    fn, named = NOT_REAL_SCALARS[case]
+    with pytest.raises(DomainError, match=f"^{named} must be a real number$"):
+        fn()
+
+
+def test_int_beyond_the_float_range_fails_the_range_test():
+    with pytest.raises(DomainError, match="^multiplier must be finite$"):
+        block_solve(-(2**1100), Pair([2.0], [1.0]))
+    with pytest.raises(DomainError, match="^tol must be finite and > 0$"):
+        _tol_run(2**1100)
+    with pytest.raises(DomainError, match="^tolerance deg must be finite, >= 0 and < 1$"):
+        Tolerances(deg=Fraction(2**1100))
+
+
+REAL_SCALARS = {
+    "float64": np.float64,
+    "int64": np.int64,
+    "fraction": Fraction,
+}
+
+
+@pytest.mark.parametrize("kind", REAL_SCALARS)
+def test_scalar_rule_keeps_the_bits_of_the_float64_value(kind):
+    make = REAL_SCALARS[kind]
+    band = make(0) if kind == "int64" else make(1, 4) if kind == "fraction" else make(0.25)
+    tols = Tolerances(orth=band, deg=band)
+    assert type(tols.orth) is float and tols.orth == float(band) and tols == Tolerances(
+        float(band), float(band))
+    lam = make(0) if kind == "int64" else make(1, 2) if kind == "fraction" else make(0.5)
+    rhs = Pair([2.0, -1.0], [1.0, 3.0])
+    got, want = block_solve(lam, rhs), block_solve(float(lam), rhs)
+    assert got.x.tobytes() + got.y.tobytes() == want.x.tobytes() + want.y.tobytes()
+    tol = make(1) if kind != "float64" else make(1e-8)
+    got, want = _tol_run(tol), _tol_run(float(tol))
+    assert type(got.config["tol"]) is float and got.config == want.config
+    assert (got.residuals_c, got.residuals_b, got.case_tags) == (
+        want.residuals_c, want.residuals_b, want.case_tags)
