@@ -9,18 +9,18 @@ Exit codes are stable contracts:
 
 * 0 -- success (all checks passed / solver converged)
 * 1 -- an invariant failed in ``check``
-* 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``, an integer flag among
-  them (``--count``, ``--max-iter``, a ``--dims`` item or ``--generate``'s
-  DIM below 1, ``--trials``, ``--seed`` or ``--generate``'s SEED below 0,
-  or any value that is not an optional sign and ASCII digits, each read
-  by the library's one integer rule and reported as "expected an integer
-  >= k"), an empty item in a comma-separated list (``1,,2``), a
-  coordinate or a real flag's value (``--tol``, ``--tol-orth``,
-  ``--tol-deg``, reported as "expected a number") that is not one number
-  or has a digit separator (``1_0``), a file that is not UTF-8
-  JSON, or a point file (``--input``) that breaks the field rule; also an
-  output file (``--output``, ``--trace``, ``--summary``) that cannot be
-  written
+* 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``.  Each number token
+  (a coordinate, a real or integer flag's value, a ``--dims`` item,
+  ``--generate``'s DIM and SEED, ``CROSSPROJ_SEED``) is ASCII with no blank
+  around it and no digit separator (``1_0``), read by ``float`` or ``int``:
+  an integer flag by the library's one integer rule as well ("expected an
+  integer >= k": ``--count``, ``--max-iter``, a ``--dims`` item or DIM
+  below 1, ``--trials``, ``--seed`` or SEED below 0), and a real flag
+  (``--tol``, ``--tol-orth``, ``--tol-deg``) as one number ("expected a
+  number").  Also an empty item in a comma-separated list (``1,,2``), a
+  file that is not UTF-8 JSON, a point file (``--input``) that breaks the
+  field rule, and an output file (``--output``, ``--trace``, ``--summary``)
+  that cannot be written
 * 3 -- numeric-domain error raised while computing (non-finite inline
   coordinates, mismatched inline dimensions, a ``--start`` of the wrong
   dimension, a ``--tol`` that is not finite and > 0, an instance file
@@ -47,7 +47,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -88,20 +87,15 @@ def _json_dumps(obj, indent: int = 0) -> str:
     a non-finite float, which JSON cannot hold, is written as ``null``."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         rows = [
             f'{pad}  {json.dumps(str(k))}: {_json_dumps(v, indent + 1)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float, str, bool, type(None))) for v in seq):
-            return "[" + ", ".join(_json_dumps(v) for v in seq) + "]"
-        rows = [f"{pad}  {_json_dumps(v, indent + 1)}" for v in seq]
+        if all(isinstance(v, (int, float, str, bool, type(None))) for v in obj):
+            return "[" + ", ".join(_json_dumps(v) for v in obj) + "]"
+        rows = [f"{pad}  {_json_dumps(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if obj is None:
         return "null"
@@ -114,34 +108,36 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return json.dumps(str(obj))
 
 
+def _token(text: str) -> str:
+    """``text``, to be read by ``float`` or ``int``, if it is ASCII with no blank
+    around it and no ``_`` (both would take those, and other scripts' digits)."""
+    if not text.isascii() or text != text.strip() or "_" in text:
+        raise ValueError(f"{text!r} has a blank, '_' or a non-ASCII character")
+    return text
+
+
 def _parse_coords(text: str) -> np.ndarray:
     try:
-        if "_" in text:  # float() would read 1_0 as 10.0
-            raise ValueError("'_' is not a digit")
-        return np.array([float(tok) for tok in text.split(",")])
+        return np.array([float(_token(tok)) for tok in text.split(",")])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse coordinates {text!r}: {exc}")
 
 
 def _parse_real(text: str) -> float:
-    """The parser of a real flag value: one number by :func:`_parse_coords`' rule."""
+    """The parser of a real flag value: one number by :func:`_token`'s rule."""
     try:
-        (value,) = _parse_coords(text)
-    except (argparse.ArgumentTypeError, ValueError):  # not a number, or more than one
+        return float(_token(text))
+    except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    return float(value)
 
 
 def _at_least(least: int):
-    """The parser of an integer flag value: :func:`_int_at_least` on ``int(text)``,
-    the rule of every integer argument and document field, for text that is an
-    optional sign and ASCII digits (``int`` also takes blanks, ``_`` and other
-    scripts' digits); anything else exits 2."""
+    """The parser of an integer flag value: :func:`_int_at_least` on ``int`` of a
+    :func:`_token` (so an optional sign and ASCII digits), the rule of every
+    integer argument and document field; anything else exits 2."""
     def parse(text: str) -> int:
         try:
-            if not re.fullmatch(r"[+-]?[0-9]+", text):
-                raise ValueError(text)
-            return _int_at_least(int(text), "value", least)
+            return _int_at_least(int(_token(text)), "value", least)
         except (ValueError, DomainError):
             raise argparse.ArgumentTypeError(
                 f"expected an integer >= {least}, got {text!r}") from None
@@ -359,7 +355,7 @@ def _parse_generate(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected KIND,DIM,SEED, e.g. orthant,2,0")
-    return parts[0].strip(), _at_least(1)(parts[1]), _at_least(0)(parts[2])
+    return parts[0], _at_least(1)(parts[1]), _at_least(0)(parts[2])
 
 
 def _parse_start(text: str) -> Pair:
@@ -378,7 +374,7 @@ def cmd_solve(args) -> int:
     else:
         doc = _read_json(args.instance)
         problem, _ = instance_from_dict(doc)
-        seed = _int_at_least(_field(doc, "seed"), "field 'seed'", 0) if "seed" in doc else args.seed
+        seed = doc.get("seed", args.seed)
 
     start = args.start if args.start is not None else default_start(problem.kind, problem.dim, seed)
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NotUnitNorm, SingularSystem
+from .errors import DimensionMismatch, DomainError, SingularSystem
 
 #: Absolute tolerance on |u| - 1 for arguments documented as unit vectors.
 UNIT_NORM_TOL = 1e-12
@@ -161,12 +161,6 @@ def _joint_norm(*parts: np.ndarray) -> float:
     c = _pow2_scale(max(float(np.abs(p).max(initial=0.0)) for p in parts))
     scaled = [_over_pow2(p, c) for p in parts]
     return c * math.sqrt(sum(float(np.vdot(p, p)) for p in scaled))
-
-
-def _require_unit(u: np.ndarray, name: str = "u") -> None:
-    nu = float(np.linalg.norm(u))
-    if abs(nu - 1.0) > UNIT_NORM_TOL:
-        raise NotUnitNorm(f"{name} must have unit norm, got |{name}| = {nu!r}")
 
 
 def _int_at_least(value, name: str, least: int = 1) -> int:

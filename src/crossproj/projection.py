@@ -38,10 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CaseError, DimensionMismatch, DomainError
+from .errors import CaseError, DimensionMismatch, DomainError, NotUnitNorm
 from .linalg import Pair, as_pair, as_vector, inner
 from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
-from .linalg import _F64, _int_at_least, _over_pow2, _pair, _pow2_scale, _real, _require_unit
+from .linalg import UNIT_NORM_TOL, _F64, _int_at_least, _over_pow2, _pair, _pow2_scale, _real
 
 
 class CaseTag(Enum):
@@ -135,7 +135,8 @@ class FamilyProjection:
         u, n, k = as_vector(u, "u"), self.x0.size, self._k
         if u.size != n:
             raise DimensionMismatch(f"u has dimension {u.size}, expected {n}")
-        _require_unit(u)
+        if abs((nu := float(np.linalg.norm(u))) - 1.0) > UNIT_NORM_TOL:
+            raise NotUnitNorm(f"u must have unit norm, got |u| = {nu!r}")
         return _family_member(_over_pow2(self.x0, k), _over_pow2(self.y0, k), u, k)
 
     def selections(self) -> list[Pair]:
@@ -329,11 +330,6 @@ def _dist(core: _Record) -> float:
     if core.tag is _GENERIC and core.half < 2.0**-1022:
         return core.k * (2.0 * (0.25 * (core.a + core.b)) * abs(core.lam))
     return core.k * math.sqrt(2.0 * core.half)
-
-
-def _cross_distance(x0, y0) -> float:
-    """``project(x0, y0).dist``, with no result built."""
-    return _dist(_classified(x0, y0, DEFAULT_TOLS))
 
 
 def _result(core: _Record) -> ProjectionResult:

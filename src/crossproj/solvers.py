@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch, DivergenceError, DomainError
 from .linalg import Pair, _haar_columns, _inf_norm, _joint_norm, _int_at_least, as_pair
 from .linalg import _real, _real_array
-from .projection import DEFAULT_TOLS, _classified, _cross_distance, _dist, _selected
+from .projection import DEFAULT_TOLS, _classified, _dist, _selected
 from .projection import project  # noqa: F401 -- stays bound for bench/tracing.py
 
 #: Largest |B B^T - I| entry accepted for an affine basis B.
@@ -202,18 +202,6 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
     return DivergenceError(f"{method}: iterate became non-finite", trace=trace)
 
 
-def _start_run(method, problem, start, max_iter, tol) -> tuple[Pair, SolverTrace]:
-    """The validated start pair and the run's empty trace."""
-    max_iter = _int_at_least(max_iter, "max_iter")
-    if not 0.0 < (tol := _real(tol, "tol")) < math.inf:
-        raise DomainError("tol must be finite and > 0")
-    z = as_pair(*start)
-    if z.x.shape[0] != problem.dim:
-        raise DimensionMismatch(f"start has dimension {z.x.shape[0]}, problem has {problem.dim}")
-    config = {"max_iter": max_iter, "tol": tol, "kind": problem.kind, "dim": problem.dim}
-    return z, SolverTrace(method=method, config=config)
-
-
 def _run(name, method, problem, start, max_iter, tol, monitor, update,
          update_in_b=False) -> SolverTrace:
     """The loop both solvers share.  Each step classifies z once: from its
@@ -228,7 +216,14 @@ def _run(name, method, problem, start, max_iter, tol, monitor, update,
     output, and the constraint's kind states that P_B is idempotent in
     floating point (``_idempotent``): there every step after the first
     records the 0.0 that the measurement would return."""
-    z, trace = _start_run(method, problem, start, max_iter, tol)
+    max_iter = _int_at_least(max_iter, "max_iter")
+    if not 0.0 < (tol := _real(tol, "tol")) < math.inf:
+        raise DomainError("tol must be finite and > 0")
+    z = as_pair(*start)
+    if z.x.shape[0] != problem.dim:
+        raise DimensionMismatch(f"start has dimension {z.x.shape[0]}, problem has {problem.dim}")
+    config = {"max_iter": max_iter, "tol": tol, "kind": problem.kind, "dim": problem.dim}
+    trace = SolverTrace(method=method, config=config)
     constraint = problem.constraint
     exact_b = update_in_b and getattr(constraint, "_idempotent", False)
     for k in range(max_iter):
@@ -306,7 +301,7 @@ def douglas_rachford(
     """
     return _run(
         "douglas_rachford", "dr", problem, start, max_iter, tol,
-        monitor=lambda z, s, rec: (s, _cross_distance(s.x, s.y)),
+        monitor=lambda z, s, rec: (s, _dist(_classified(s.x, s.y, DEFAULT_TOLS))),
         update=_reflect_step,
     )
 
@@ -420,6 +415,7 @@ def instance_from_dict(doc: dict):
     kind = _field(doc, "kind")
     _kind_index(kind)
     dim = _int_at_least(_field(doc, "dim"), "field 'dim'")
+    _int_at_least(doc.get("seed", 0), "field 'seed'", 0)  # optional, so an absent one reads 0
     witness = Pair(*(_numbers(_field(doc, "witness", a), f"witness.{a}", dim) for a in "xy"))
     data = doc.get("constraint", {})
     values = {}

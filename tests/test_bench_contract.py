@@ -151,7 +151,7 @@ def _traced_run(method, kind, max_iter):
 
 def _count_classifications(monkeypatch) -> list:
     """Record each cross classification, through the solvers' binding of
-    ``_classified`` or projection's own (``project``, ``_cross_distance``)."""
+    ``_classified`` (the step's and DR's shadow's) or projection's own (``project``)."""
     calls = []
     classified = projection_mod._classified
 

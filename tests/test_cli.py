@@ -189,9 +189,10 @@ class TestProjectCommand:
         assert err.startswith("error: tolerance ")
 
     @pytest.mark.parametrize(
-        "text", ["1,a", ",", "1,,2", "1,2,", "1_0", "2,1_0.5"],
+        "text", ["1,a", ",", "1,,2", "1,2,", "1_0", "2,1_0.5", "\u0661,\u0662", " 1,2"],
         ids=["not_a_number", "empty", "empty_inner_item", "empty_last_item",
-             "digit_separator", "separator_in_fraction"],
+             "digit_separator", "separator_in_fraction", "other_script_digits",
+             "surrounding_blank"],
     )
     def test_bad_coordinates_is_parse_error(self, capsys, text):
         with pytest.raises(SystemExit) as exc:
@@ -208,12 +209,14 @@ class TestProjectCommand:
             ("family", "--x0", "1", "--y0", "1", "--tol-deg", "abc"),
             ("solve", "--generate", "orthant,3,0", "--tol", " 1_0"),
             ("solve", "--generate", "orthant,3,0", "--tol", ""),
+            ("project", "--x0", "1,2", "--y0", "3,1", "--tol-deg", "\u0661e-1"),
+            ("solve", "--generate", "orthant,3,0", "--tol", " 1e-8"),
         ],
         ids=["orth_separator", "orth_separator_int", "deg_two_items", "deg_text",
-             "tol_separator", "tol_empty"],
+             "tol_separator", "tol_empty", "deg_other_script_digit", "tol_blank"],
     )
     def test_bad_real_flag_is_parse_error(self, capsys, argv):
-        # every real flag reads its value by the coordinates' token rule
+        # every real flag reads its value by the one token rule of number flags
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
@@ -561,6 +564,14 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["solve", *argv])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("text", ["foo,3,0", " orthant,3,0"], ids=["unknown", "blank"])
+    def test_bad_generate_kind_exits_3(self, capsys, text):
+        # the kind is passed as typed, for the library's kind rule to refuse
+        code, out, err = run(capsys, "solve", "--generate", text)
+        assert (code, out) == (3, "")
+        kinds = "('orthant', 'affine', 'box')"
+        assert err == f"error: instance kind must be one of {kinds}, not {text.split(',')[0]!r}\n"
 
     @pytest.mark.parametrize("start", ["1,2;3,4", "1,2,3;4,5"], ids=["both_short", "parts_differ"])
     def test_start_of_wrong_dimension_exits_3(self, capsys, start):

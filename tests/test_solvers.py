@@ -312,6 +312,13 @@ class TestInstanceValidation:
         with pytest.raises(DomainError, match="seed must be an integer >= 0"):
             instance_to_dict(problem, witness, seed=seed)
 
+    @pytest.mark.parametrize("seed", [-1, "abc", 2.5, True], ids=repr)
+    def test_seed_read_only_if_valid(self, seed):
+        doc = instance_to_dict(*generate_instance("box", 2, seed=0), seed=0)
+        doc["seed"] = seed
+        with pytest.raises(DomainError, match="field 'seed' must be an integer >= 0"):
+            instance_from_dict(doc)
+
     def test_numpy_integer_seed_roundtrips_through_json(self):
         problem, witness = generate_instance("box", 2, seed=3)
         doc = instance_to_dict(problem, witness, seed=np.int64(3))
