@@ -282,9 +282,10 @@ def project(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> ProjectionResult:
     m = x0 - y0 to the mean of their norms A and B: x, y = (A + B)/4
     (p/A +- m/B), with m exact near the ray, where the quotient by 1 - lam^2
     is ill-conditioned.  A and B are the norms the classifying reductions
-    already give, so the point takes no reduction of its own.  Formed at
-    unit scale where the raw sums of squares leave (n 2^-396, 2^396), each
-    coordinate is finite even where the point's norm is not.
+    already give, so the point takes no reduction of its own.  It is formed
+    at unit scale where the raw sums of squares leave (n 2^-396, 2^396), and
+    scaled back by c: a point with a coordinate beyond the float64 range
+    raises :class:`DomainError`.
     """
     return _result(_classified(x0, y0, tols))
 
@@ -307,7 +308,10 @@ def _classified(x0, y0, tols: Tolerances) -> _Record:
             and (xx := float(_vdot(x0, x0))) < _SQ_HI
             and (yy := float(_vdot(y0, y0))) < _SQ_HI
             and (xx if xx > yy else yy) > n * _SQ_LO):
-        q = float(_vdot(x0, y0))
+        # |q| <= sqrt(xx yy) < 2^396, so ndarray.dot cannot overflow here; it gives
+        # np.vdot's bits at less cost, but for the -0.0 a one-coordinate product
+        # can give, which + 0.0 turns into vdot's 0.0
+        q = float(x0.dot(y0)) + 0.0
         return _make((x0, y0, 1.0, x0, y0, q, xx, yy, *_roots(q, xx, yy, tols, x0, y0)))
     return _unit(x0, y0, tols)
 
@@ -335,8 +339,9 @@ def _dist(core: _Record) -> float:
 def _result(core: _Record) -> ProjectionResult:
     """The result of project from its record on (xs, ys) = (x0, y0)/k:
     half the squared distance half k^2, the distance (finite where its square
-    overflows) and, from :func:`_point`, the generic point."""
-    x0, y0, k, _, _, _, _, _, tag, lam, _, half, _, _, _ = core
+    overflows) and, from :func:`_point`, the generic point, which raises
+    :class:`DomainError` where a coordinate lies beyond the float64 range."""
+    x0, y0, k, _, _, _, xx, yy, tag, lam, _, half, _, _, _ = core
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     dist = _dist(core)
@@ -345,7 +350,14 @@ def _result(core: _Record) -> ProjectionResult:
         canonical = Pair(zero, y0), Pair(x0, zero)
         return FamilyProjection(tag, x0, y0, canonical, half * k * k, dist, k)
     half_dist_sq = half * k * k if half >= 2.0**-1022 else 0.5 * dist * dist  # see _dist
-    return SingletonProjection(tag, _point(core), lam, half_dist_sq, dist)
+    if k * math.sqrt(xx + yy) < 2.0**1023:  # |point| <= |input|, with room for rounding
+        point = _point(core)
+    else:
+        with np.errstate(over="ignore"):
+            point = _point(core)
+        if not (np.isfinite(point.x).all() and np.isfinite(point.y).all()):
+            raise DomainError("the nearest point has a coordinate beyond the float64 range")
+    return SingletonProjection(tag, point, lam, half_dist_sq, dist)
 
 
 def _selected(core: _Record) -> Pair:

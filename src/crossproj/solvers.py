@@ -26,6 +26,11 @@ from .projection import project  # noqa: F401 -- stays bound for bench/tracing.p
 #: Largest |B B^T - I| entry accepted for an affine basis B.
 _ORTHONORMAL_TOL = 1e-9
 
+#: The orthant's bound: np.maximum and np.minimum take a 0-d array at less cost
+#: than the float 0.0, with the same bits for float64 input.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
 
 def _check_fields(constraint) -> None:
     """Store each field of a constraint as a float array, checked finite."""
@@ -45,10 +50,10 @@ class OrthantPairConstraint:
     _idempotent: ClassVar[bool] = True
 
     def project(self, p: Pair) -> Pair:
-        return Pair(np.maximum(p.x, 0.0), np.maximum(p.y, 0.0))
+        return Pair(np.maximum(p.x, _ZERO), np.maximum(p.y, _ZERO))
 
     def distance(self, p: Pair) -> float:
-        return _joint_norm(np.minimum(p.x, 0.0), np.minimum(p.y, 0.0))
+        return _joint_norm(np.minimum(p.x, _ZERO), np.minimum(p.y, _ZERO))
 
 
 def _distance_via_project(self, p: Pair) -> float:
@@ -86,9 +91,10 @@ class AffinePairConstraint:
                 )
 
     def project(self, p: Pair) -> Pair:
-        # a + B^T (B (v - a)) per component; a (0, n) basis gives the anchor
+        # a + B^T (B (v - a)) per component, by ndarray.dot: the bits of @ at
+        # less cost; a (0, n) basis gives the anchor
         ax, bx, ay, by = self.anchor_x, self.basis_x, self.anchor_y, self.basis_y
-        return Pair(ax + bx.T @ (bx @ (p.x - ax)), ay + by.T @ (by @ (p.y - ay)))
+        return Pair(ax + bx.T.dot(bx.dot(p.x - ax)), ay + by.T.dot(by.dot(p.y - ay)))
 
     distance = _distance_via_project
 
@@ -142,9 +148,11 @@ class FeasibilityProblem:
         if not all(hasattr(c, name) for name in ("kind", "project", "distance")):
             raise DomainError(f"constraint must be one of the kinds {tuple(_CONSTRAINTS)}, or"
                               f" have kind, project and distance, not {type(c).__name__}")
-        for name, arr in vars(c).items():
-            if np.shape(arr)[-1:] != (self.dim,):
-                raise DimensionMismatch(f"{name!r} has shape {np.shape(arr)}, dim is {self.dim}")
+        # array data, each with at least one axis: a scalar setting has no dimension,
+        # and a constraint without __dict__ (say, one with __slots__) is not walked
+        for name, arr in getattr(c, "__dict__", {}).items():
+            if (shape := np.shape(arr)) and shape[-1] != self.dim:
+                raise DimensionMismatch(f"{name!r} has shape {shape}, dim is {self.dim}")
 
     @property
     def kind(self) -> str:
@@ -202,20 +210,21 @@ def _diverged(method: str, trace: SolverTrace) -> DivergenceError:
     return DivergenceError(f"{method}: iterate became non-finite", trace=trace)
 
 
-def _run(name, method, problem, start, max_iter, tol, monitor, update,
-         update_in_b=False) -> SolverTrace:
-    """The loop both solvers share.  Each step classifies z once: from its
-    record ``rec``, s in P_C(z) is taken with no result built ((0, y0) where
-    P_C(z) is set valued), ``monitor(z, s, rec)`` gives the point to record
-    and its distance to the cross, and ``update(constraint, z, s)`` the next
-    z.  The next step's classification validates each update, so only the
-    last update is checked on its own.
+def _run(name, method, problem, start, max_iter, tol) -> SolverTrace:
+    """The loop both solvers share, AP (``method`` "ap") or DR ("dr").  Each
+    step classifies z once: from its record ``rec``, s in P_C(z) is taken with
+    no result built ((0, y0) where P_C(z) is set valued).  AP records z with
+    the distance of that record and updates z <- P_B(s); DR records its
+    shadow s with the distance of the classification of s and updates
+    z <- z + P_B(2 s - z) - s.  P_B is the constraint's ``project``, called
+    as it is.  The next step's classification validates each update, so only
+    the last update is checked on its own.
 
-    The distance to B is measured by ``constraint.distance``, except where
-    ``update_in_b`` says the recorded point is the update itself, P_B's own
-    output, and the constraint's kind states that P_B is idempotent in
-    floating point (``_idempotent``): there every step after the first
-    records the 0.0 that the measurement would return."""
+    The distance to B is measured by ``constraint.distance``, except in AP
+    where the constraint's kind states that P_B is idempotent in floating
+    point (``_idempotent``): the recorded point is then P_B's own output, and
+    every step after the first records the 0.0 that the measurement would
+    return."""
     max_iter = _int_at_least(max_iter, "max_iter")
     if not 0.0 < (tol := _real(tol, "tol")) < math.inf:
         raise DomainError("tol must be finite and > 0")
@@ -225,24 +234,32 @@ def _run(name, method, problem, start, max_iter, tol, monitor, update,
     config = {"max_iter": max_iter, "tol": tol, "kind": problem.kind, "dim": problem.dim}
     trace = SolverTrace(method=method, config=config)
     constraint = problem.constraint
-    exact_b = update_in_b and getattr(constraint, "_idempotent", False)
+    p_b, distance_b = constraint.project, constraint.distance
+    dr = method == "dr"
+    exact_b = not dr and getattr(constraint, "_idempotent", False)
+    add_point, add_c = trace.iterates.append, trace.residuals_c.append
+    add_b, add_tag = trace.residuals_b.append, trace.case_tags.append
     for k in range(max_iter):
         try:
             rec = _classified(z.x, z.y, DEFAULT_TOLS)
             s = _selected(rec)
-            point, d_c = monitor(z, s, rec)
+            point, d_c = (s, _dist(_classified(s.x, s.y, DEFAULT_TOLS))) if dr else (z, _dist(rec))
         except DomainError:
             raise _diverged(name, trace) from None
         trace.iterations = k + 1
-        d_b = 0.0 if k and exact_b else constraint.distance(point)
-        trace.iterates.append(point)
-        trace.residuals_c.append(d_c)
-        trace.residuals_b.append(d_b)
-        trace.case_tags.append(rec.tag.value)
+        d_b = 0.0 if k and exact_b else distance_b(point)
+        add_point(point)
+        add_c(d_c)
+        add_b(d_b)
+        add_tag(rec.tag._value_)  # the member's value, without the cost of its .value property
         if d_c + d_b <= tol:
             trace.converged = True
             break
-        z = update(constraint, z, s)
+        if dr:
+            pb = p_b(Pair(2.0 * s.x - z.x, 2.0 * s.y - z.y))
+            z = Pair(z.x + pb.x - s.x, z.y + pb.y - s.y)
+        else:
+            z = p_b(s)
     else:  # the inf-norm is finite exactly when every coordinate is
         if not (math.isfinite(_inf_norm(z.x)) and math.isfinite(_inf_norm(z.y))):
             raise _diverged(name, trace)
@@ -268,18 +285,7 @@ def alternating_projections(
     in an orthant or a box, so there it is 0.0 without a measurement, and
     an affine set (or any constraint that does not state it) measures it.
     """
-    return _run(
-        "alternating_projections", "ap", problem, start, max_iter, tol,
-        monitor=lambda z, s, rec: (z, _dist(rec)),
-        update=lambda constraint, z, s: constraint.project(s),
-        update_in_b=True,
-    )
-
-
-def _reflect_step(constraint, z: Pair, s: Pair) -> Pair:
-    """z + P_B(2*s - z) - s."""
-    pb = constraint.project(Pair(2.0 * s.x - z.x, 2.0 * s.y - z.y))
-    return Pair(z.x + pb.x - s.x, z.y + pb.y - s.y)
+    return _run("alternating_projections", "ap", problem, start, max_iter, tol)
 
 
 def douglas_rachford(
@@ -299,11 +305,7 @@ def douglas_rachford(
     shadow that overflows from a finite iterate also ends the run as
     divergent.
     """
-    return _run(
-        "douglas_rachford", "dr", problem, start, max_iter, tol,
-        monitor=lambda z, s, rec: (s, _dist(_classified(s.x, s.y, DEFAULT_TOLS))),
-        update=_reflect_step,
-    )
+    return _run("douglas_rachford", "dr", problem, start, max_iter, tol)
 
 
 def _complementary_witness(rng: np.random.Generator, dim: int, nonneg: bool) -> Pair:

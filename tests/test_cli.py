@@ -168,6 +168,14 @@ class TestProjectCommand:
         assert code == 3
         assert "non-finite" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_point_beyond_the_float64_range_is_domain_error(self, capsys):
+        # the exact x[0] is about 2.05e308: it was written as null, with exit 0
+        argv = ["--x0", "1.7e308,1.7e308,-1.7e308", "--y0", "1.7e308,-1.7e308,1.7e308"]
+        code, out, err = run(capsys, "project", *argv)
+        assert (code, out) == (3, "")
+        assert "beyond the float64 range" in err
+
     def test_inline_dim_mismatch_is_domain_error(self, capsys):
         code, _, err = run(capsys, "project", "--x0", "1,2", "--y0", "1")
         assert code == 3

@@ -22,6 +22,7 @@ from crossproj import (
     Tolerances,
     as_pair,
     block_solve,
+    check,
     classify,
     family_samples,
     inner,
@@ -874,6 +875,26 @@ class TestOverflowOrder:
         # n = 1: the nearest point is (x0, 0), at distance |y0|
         assert project(1e308, 5e307).dist == pytest.approx(5e307, rel=1e-15)
 
+    # the exact point has x[0] = (A + B)/4 (p/A + m/B)[0], about 2.05e308
+    BEYOND = ([1.7e308, 1.7e308, -1.7e308], [1.7e308, -1.7e308, 1.7e308])
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_beyond_the_float64_range_raises(self):
+        # an inf coordinate came back, with only numpy's overflow warning
+        for entry in (project, check):
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                entry(*self.BEYOND)
+
+    @pytest.mark.filterwarnings("error")
+    def test_point_near_the_float64_range_is_kept(self):
+        # |input| = k sqrt(xx + yy) lies above 2^1023, so the point is looked at,
+        # and each of its coordinates is finite
+        x0, y0 = np.array([1.7e308, 1.7e308]), np.array([1.7e308, -1.6e308])
+        res = project(x0, y0)
+        assert res.tag is CaseTag.GENERIC
+        assert np.isfinite(res.point.x).all() and np.isfinite(res.point.y).all()
+        assert reference.wrong_reason(x0, y0, res.half_dist_sq, res.selections()) is None
+
     def test_distance_is_root_of_twice_half(self):
         for x0, y0 in [([2.0], [1.0]), ([1.0, 1.0], [1.0, 1.0]), ([1.0, 0.0], [0.0, 2.0])]:
             res = project(x0, y0)
@@ -1117,6 +1138,43 @@ class TestOnePass:
         for j in (-206, -201, -200, -199, -198, -197, 196, 197, 198, 199, 200, 205):
             for x0, y0 in ((x, y), (x, x), (x, -x), (x, np.zeros(n))):
                 _assert_scales(x0, y0, DEFAULT_TOLS, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50, 10**4])
+    def test_raw_q_takes_the_bits_of_vdot(self, n):
+        # the raw route takes <x0, y0> by ndarray.dot, which must give np.vdot's
+        # bits and cannot overflow where both sums of squares lie in the window;
+        # the edge cases put the larger one just below 2^396 and just above n 2^-396
+        rng = np.random.default_rng([65, n])
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        on_x = np.arange(n) % 2 == 0
+        pairs = [(x, y), (x, x.copy()), (x, -x), (x, np.where(on_x, 0.0, y)),
+                 (x, np.where(on_x, -0.0, 1e-200 * y)), (np.abs(x), np.abs(y)),
+                 (1e150 * x, 1e-150 * y), (x, y - (x @ y) / (x @ x) * x)]
+
+        def at(x0, y0, t):
+            return t * x0, t * y0
+
+        def top(x0, y0):
+            return max(float(np.vdot(x0, x0)), float(np.vdot(y0, y0)))
+
+        cases = []
+        for x0, y0 in pairs:
+            t = 2.0**198 / math.sqrt(top(x0, y0))
+            while top(*at(x0, y0, t)) >= 2.0**396:
+                t *= 1.0 - 2.0**-40
+            cases.append(at(x0, y0, t))
+            t = math.sqrt(n) * 2.0**-198 / math.sqrt(top(x0, y0))
+            while top(*at(x0, y0, t)) <= n * 2.0**-396:
+                t *= 1.0 + 2.0**-40
+            cases.append(at(x0, y0, t))
+            for t in (1.0, 2.0**-150, 2.0**150):  # inside the window, for the pairs it holds
+                if n * 2.0**-396 < top(*at(x0, y0, t)) < 2.0**396:
+                    cases.append(at(x0, y0, t))
+        with np.errstate(over="raise", invalid="raise"):
+            for x0, y0 in cases:
+                rec = projection_mod._classified(x0, y0, DEFAULT_TOLS)
+                assert rec.xs is rec.x0  # the raw route
+                assert rec.q.hex() == float(np.vdot(x0, y0)).hex()
 
     @pytest.mark.parametrize("j", [-60, 0, 60])
     def test_narrow_bands(self, j):

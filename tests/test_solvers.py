@@ -29,6 +29,7 @@ from crossproj import (
     instance_to_dict,
     project,
 )
+from crossproj.linalg import _joint_norm
 
 
 def pair(x, y):
@@ -222,6 +223,60 @@ class TestBoxProjectionIsClip:
             out = box.project(q)
             assert out.x.dtype == out.y.dtype == np.float64
             assert (out.x.tobytes(), out.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+
+
+class TestProjectionBitsOfThePlainFormulas:
+    """P_B and the orthant's distance keep the bits of the plain formulas:
+    np.maximum(v, 0.0) and np.minimum(v, 0.0) for the orthant, signed zeros
+    included, and a + B^T (B (v - a)) for an affine set."""
+
+    @staticmethod
+    def _vector(rng, n):
+        v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        v[rng.random(n) < 0.3] = 0.0
+        v[rng.random(n) < 0.3] = -0.0
+        if n > 1:
+            v[:2] = 5e-324, -5e-324  # the smallest subnormals
+        if n > 2:
+            v[2] = rng.choice([np.inf, -np.inf, np.nan])
+        return v
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_orthant(self, n):
+        rng = np.random.default_rng([66, n])
+        orthant = OrthantPairConstraint()
+        for _ in range(20):
+            p = Pair(self._vector(rng, n), self._vector(rng, n))
+            out = orthant.project(p)
+            assert _bits([out]) == _bits([Pair(np.maximum(p.x, 0.0), np.maximum(p.y, 0.0))])
+            want = _joint_norm(np.minimum(p.x, 0.0), np.minimum(p.y, 0.0))
+            assert orthant.distance(p).hex() == want.hex()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", ["0", "1", "n"])
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_affine(self, n, k, order):
+        rng = np.random.default_rng([67, n, len(k), len(order)])
+        rows = {"0": 0, "1": 1, "n": n}[k]
+        bases = [np.array(np.linalg.qr(rng.standard_normal((n, n)))[0][:rows], order=order)
+                 for _ in range(2)]
+        anchors = rng.standard_normal((2, n))
+        c = AffinePairConstraint(anchors[0], bases[0], anchors[1], bases[1])
+        for _ in range(20):
+            p = Pair(rng.standard_normal(n), rng.uniform(-1e3, 1e3, n))
+            want = Pair(c.anchor_x + c.basis_x.T @ (c.basis_x @ (p.x - c.anchor_x)),
+                        c.anchor_y + c.basis_y.T @ (c.basis_y @ (p.y - c.anchor_y)))
+            assert _bits([c.project(p)]) == _bits([want])
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_generated_affine(self, n):
+        # generate_instance stores each basis as the transpose of a frame
+        for seed in range(10):
+            c = generate_instance("affine", n, seed)[0].constraint
+            p = default_start("affine", n, seed)
+            want = Pair(c.anchor_x + c.basis_x.T @ (c.basis_x @ (p.x - c.anchor_x)),
+                        c.anchor_y + c.basis_y.T @ (c.basis_y @ (p.y - c.anchor_y)))
+            assert _bits([c.project(p)]) == _bits([want])
 
 
 class TestGenerateInstance:
@@ -423,6 +478,66 @@ class TestConstraintsValidateThemselves:
             FeasibilityProblem(3, BoxPairConstraint([0.0], [1.0], [0.0], [1.0]))
         empty = AffinePairConstraint(np.zeros(3), np.zeros((0, 3)), np.zeros(3), np.eye(3))
         assert FeasibilityProblem(3, empty).dim == 3  # a (0, n) basis fits dim n
+
+
+class TestDuckTypedConstraintData:
+    """FeasibilityProblem checks the dimension of a constraint's array data
+    only: a scalar setting has no dimension, and a constraint without
+    ``__dict__`` has no data to walk."""
+
+    class Ball:
+        """A duck-typed ball |x - c|^2 + |y - c|^2 <= radius^2, with a scalar setting."""
+
+        kind = "ball"
+
+        def __init__(self, centre, radius):
+            self.centre, self.radius = np.asarray(centre, dtype=float), radius
+
+        def _gap(self, p):
+            dx, dy = p.x - self.centre, p.y - self.centre
+            return dx, dy, math.hypot(np.linalg.norm(dx), np.linalg.norm(dy))
+
+        def project(self, p):
+            dx, dy, d = self._gap(p)
+            t = self.radius / d if d > self.radius else 1.0
+            return Pair(self.centre + t * dx, self.centre + t * dy)
+
+        def distance(self, p):
+            return max(self._gap(p)[2] - self.radius, 0.0)
+
+    class SlottedOrthant:
+        """The orthant, duck-typed, in a class with __slots__ and no __dict__."""
+
+        __slots__ = ("inner",)
+        kind = "orthant"
+
+        def __init__(self):
+            self.inner = OrthantPairConstraint()
+
+        def project(self, p):
+            return self.inner.project(p)
+
+        def distance(self, p):
+            return self.inner.distance(p)
+
+    def test_scalar_setting_accepted(self):
+        problem = FeasibilityProblem(3, self.Ball(np.zeros(3), 2.0))
+        tr = alternating_projections(problem, pair([3.0, 0.0, 0.0], [0.0, 1.0, 0.0]), tol=1e-12)
+        assert tr.converged and tr.residuals_b[-1] == 0.0
+
+    def test_slotted_constraint_accepted(self):
+        constraint = self.SlottedOrthant()
+        assert not hasattr(constraint, "__dict__")
+        problem = FeasibilityProblem(3, constraint)
+        start = default_start("orthant", 3, 0)
+        want = alternating_projections(FeasibilityProblem(3, OrthantPairConstraint()), start)
+        got = alternating_projections(problem, start)
+        assert _bits(got.iterates) == _bits(want.iterates)
+        assert got.residuals_b[1:] == want.residuals_b[1:]
+
+    def test_mis_dimensioned_array_still_raises(self):
+        with pytest.raises(DimensionMismatch, match=r"'centre' has shape \(2,\), dim is 3"):
+            FeasibilityProblem(3, self.Ball(np.zeros(2), 2.0))
 
 
 class TestStartDimension:
