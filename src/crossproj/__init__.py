@@ -35,7 +35,6 @@ from .projection import (
     Tolerances,
     classify,
     family_samples,
-    membership_residual,
     objective,
     project,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "Tolerances",
     "classify",
     "family_samples",
-    "membership_residual",
     "objective",
     "project",
     # oracle

@@ -9,18 +9,17 @@ Exit codes are stable contracts:
 
 * 0 -- success (all checks passed / solver converged)
 * 1 -- an invariant failed in ``check``
-* 2 -- parse error: a bad flag or ``CROSSPROJ_SEED``.  Each number token
-  (a coordinate, a real or integer flag's value, a ``--dims`` item,
-  ``--generate``'s DIM and SEED, ``CROSSPROJ_SEED``) is ASCII with no blank
-  around it and no digit separator (``1_0``), read by ``float`` or ``int``:
-  an integer flag by the library's one integer rule as well ("expected an
-  integer >= k": ``--count``, ``--max-iter``, a ``--dims`` item or DIM
-  below 1, ``--trials``, ``--seed`` or SEED below 0), and a real flag
-  (``--tol``, ``--tol-orth``, ``--tol-deg``) as one number ("expected a
-  number").  Also an empty item in a comma-separated list (``1,,2``), a
-  file that is not UTF-8 JSON, a point file (``--input``) that breaks the
-  field rule, and an output file (``--output``, ``--trace``, ``--summary``)
-  that cannot be written
+* 2 -- parse error: a bad flag.  Each number token (a coordinate, a real
+  or integer flag's value, a ``--dims`` item, ``--generate``'s DIM and SEED)
+  is ASCII with no blank around it and no digit separator (``1_0``), read
+  by ``float`` or ``int``: an integer flag by the library's one integer
+  rule as well ("expected an integer >= k": ``--count``, ``--max-iter``, a
+  ``--dims`` item or DIM below 1, ``--trials``, ``--seed`` or SEED below 0),
+  and a real flag (``--tol``, ``--tol-orth``, ``--tol-deg``) as one number
+  ("expected a number").  Also an empty item in a comma-separated list
+  (``1,,2``), a file that is not UTF-8 JSON, a point file (``--input``) that
+  breaks the field rule, and an output file (``--output``, ``--trace``) that
+  cannot be written
 * 3 -- numeric-domain error raised while computing (non-finite inline
   coordinates, mismatched inline dimensions, a ``--start`` of the wrong
   dimension, a ``--tol`` that is not finite and > 0, an instance file
@@ -34,9 +33,8 @@ Exit codes are stable contracts:
 All numbers in JSON and CSV output render with 17 significant digits, so
 parsing them back reproduces the exact binary values; JSON writes a
 non-finite number (an overflowed squared distance, say) as ``null``.
-``CROSSPROJ_SEED`` provides the default seed wherever ``--seed`` is
-accepted.  The field rule of both file kinds: ``dim`` is an integer >= 1,
-an instance's ``seed`` an integer >= 0, both by the one integer rule, and
+The field rule of both file kinds: ``dim`` is an integer >= 1, an
+instance's ``seed`` an integer >= 0, both by the one integer rule, and
 each vector a list of ``dim`` finite JSON numbers (not strings or bools).
 """
 
@@ -396,10 +394,7 @@ def cmd_solve(args) -> int:
         "dim": problem.dim,
         "seed": seed,
     }
-    text = _json_dumps(summary)
-    if args.summary is not None:
-        _emit(text, args.summary)
-    _emit(text)
+    _emit(_json_dumps(summary))
     return 0 if trace.converged else 5
 
 
@@ -418,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact projection onto the cross {(x, y) : <x, y> = 0}.",
     )
     parser.add_argument("--version", action="version", version=f"crossproj {__version__}")
-    seed = os.environ.get("CROSSPROJ_SEED", "0")  # parsed like --seed when that is absent
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("project", help="project one point onto the cross")
@@ -434,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check", help="run the invariant battery on seeded inputs")
     p.add_argument("--dims", type=_parse_dims, default=[1, 2, 3, 4])
     p.add_argument("--trials", type=_at_least(0), default=100)
-    p.add_argument("--seed", type=_at_least(0), default=seed)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("solve", help="run a feasibility solver on an instance")
@@ -444,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=_at_least(1), default=5000, dest="max_iter")
     p.add_argument("--tol", type=_parse_real, default=1e-8)
     p.add_argument("--start", type=_parse_start, metavar="X;Y")
-    p.add_argument("--seed", type=_at_least(0), default=seed)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--trace", metavar="FILE", help="write the iterate trace CSV here")
-    p.add_argument("--summary", metavar="FILE", help="also write the JSON summary here")
     p.set_defaults(func=cmd_solve)
 
     return parser

@@ -67,18 +67,16 @@ class OracleReport:
     ``gap_vs_formula`` is the oracle's best objective minus the closed-form
     half squared distance; it is never materially negative (the formula is
     a lower envelope) and shrinks to zero as the oracle tightens.
-    ``tie_count`` counts candidates within ``TIE_TOL`` of the minimum
-    (1 means the minimizer was unique at that granularity), or, for the
-    subspace oracle, 2 on the degenerate rays; ``ties`` holds the
-    non-selected tied points, at most 3 of the Lagrangian sweep's 4 candidates.
+    ``ties`` holds the non-selected candidates within ``TIE_TOL`` of the
+    minimum (empty where the minimizer was unique at that granularity), at
+    most 3 of the Lagrangian sweep's 4 candidates; the subspace oracle's one
+    tie is the other candidate on the degenerate rays.
     """
 
-    mode: str
     best_point: Pair
     best_objective: float
     gap_vs_formula: float
     candidates_examined: int
-    tie_count: int = 1
     ties: list = field(default_factory=list)
 
 
@@ -119,12 +117,10 @@ def _lagrangian(core: _Record) -> tuple[OracleReport, list[float]]:
     best, best_obj = cands[i], float(objs[i])
     ties = [cands[j] for j in feasible if j != i and objs[j] <= best_obj + TIE_TOL]
     return OracleReport(
-        mode="lagrangian",
         best_point=best,
         best_objective=best_obj,
         gap_vs_formula=best_obj - core.half * core.k * core.k,
         candidates_examined=len(cands),
-        tie_count=1 + len(ties),
         ties=ties,
     ), objs
 
@@ -135,9 +131,9 @@ def subspace_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     The two candidates are the line along the top eigenvector u of M from
     :func:`_spectral`, the pair (<u,x0> u, y0 - <u,y0> u), and the trivial
     subspace, the pair (0, y0), which wins where lambda_max(M) <= 0.  On the
-    degenerate rays M = 0, so every U ties: there the report has
-    ``tie_count`` 2 and the other candidate in ``ties``, (x0, 0) on the exact
-    rays, as :func:`lagrangian_oracle` reports them.
+    degenerate rays M = 0, so every U ties: there the report has the other
+    candidate in ``ties``, (x0, 0) on the exact rays, as
+    :func:`lagrangian_oracle` reports them.
     """
     core = _unit(x0, y0, tols)
     x0, y0 = core.x0, core.y0
@@ -148,12 +144,10 @@ def subspace_oracle(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> OracleReport:
     ties = [other] if core.tag.is_degenerate else []
     best_obj = float(_objective(best, x0, y0))
     return OracleReport(
-        mode="subspace_spectral",
         best_point=best,
         best_objective=best_obj,
         gap_vs_formula=best_obj - core.half * core.k * core.k,
         candidates_examined=2,
-        tie_count=1 + len(ties),
         ties=ties,
     )
 
@@ -263,7 +257,7 @@ def check(x0, y0, seed: int = 0, tols: Tolerances = DEFAULT_TOLS) -> CheckReport
     near_ray = tag is CaseTag.GENERIC and abs(1.0 - res.lam * res.lam) < FALLBACK_BAND
     safe_generic = tag is CaseTag.GENERIC and not near_ray
 
-    # emitted points: the singleton, or the canonical pair + sampled members
+    # emitted points: the singleton, or the two selections + sampled members
     emitted = res.selections()
     if res.is_set_valued:
         emitted += [p for _, p in _line_members(core, rng.standard_normal((2, x0.size)))]
@@ -348,7 +342,7 @@ def _moved_residual(res, moved, move, compare_points: bool, t: float = 1.0) -> f
     the largest change of half the squared distance at scale t and of the
     multiplier, and, with ``compare_points``, the distance from each
     selection of ``moved`` to the nearest moved selection of ``res``, over t.
-    Nearest matching lets the swap reverse a family's canonical pair.
+    Nearest matching lets the swap reverse a family's two selections.
     """
     if moved.tag is not res.tag:
         return math.inf

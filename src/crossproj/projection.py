@@ -39,8 +39,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CaseError, DimensionMismatch, DomainError, NotUnitNorm
-from .linalg import Pair, as_pair, as_vector, inner
-from .linalg import block_solve, norm  # noqa: F401 -- stays bound for bench/tracing.py
+from .linalg import Pair, as_pair, as_vector
+from .linalg import block_solve, inner, norm  # noqa: F401 -- stays bound for bench/tracing.py
 from .linalg import UNIT_NORM_TOL, _F64, _int_at_least, _over_pow2, _pair, _pow2_scale, _real
 
 
@@ -114,14 +114,13 @@ class FamilyProjection:
 
     The full set is {(0, y0)} | {(<u,x0> u, y0 - <u,y0> u) : |u| = 1}; it is
     stored lazily (materialize members with :meth:`member` or
-    :func:`family_samples`).  ``canonical`` holds the two standard
+    :func:`family_samples`).  :meth:`selections` builds the two standard
     selections (0, y0) and (x0, 0), in that order.
     """
 
     tag: CaseTag
     x0: np.ndarray
     y0: np.ndarray
-    canonical: tuple[Pair, Pair]
     half_dist_sq: float
     dist: float
     _k: float = field(default=1.0, repr=False)  # the scale its reductions were taken at
@@ -131,16 +130,19 @@ class FamilyProjection:
         return True
 
     def member(self, u) -> Pair:
-        """The member for unit direction u; only u is checked (finite, dimension n, unit)."""
+        """The member for unit direction u; only u is checked (finite, dimension n,
+        unit).  A coordinate beyond the float64 range raises :class:`DomainError`."""
         u, n, k = as_vector(u, "u"), self.x0.size, self._k
         if u.size != n:
             raise DimensionMismatch(f"u has dimension {u.size}, expected {n}")
         if abs((nu := float(np.linalg.norm(u))) - 1.0) > UNIT_NORM_TOL:
             raise NotUnitNorm(f"u must have unit norm, got |u| = {nu!r}")
-        return _family_member(_over_pow2(self.x0, k), _over_pow2(self.y0, k), u, k)
+        xs, ys = _over_pow2(self.x0, k), _over_pow2(self.y0, k)
+        return _in_range(math.sqrt(2.0) * self.dist, _family_member, xs, ys, u, k)  # |input|
 
     def selections(self) -> list[Pair]:
-        return list(self.canonical)
+        zero = np.zeros_like(self.x0)
+        return [Pair(zero, self.y0), Pair(self.x0, zero)]
 
 
 ProjectionResult = SingletonProjection | FamilyProjection
@@ -224,12 +226,6 @@ def _roots(q: float, xx: float, yy: float, tols: Tolerances, xs: np.ndarray, ys:
     if v is not None:  # its part t v/d of the point, while the array is still fresh
         v *= 0.25 * (a + b) / d
     return _GENERIC, lam, lam_plus, 0.5 * lam * q, a, b, v
-
-
-def membership_residual(p: Pair) -> float:
-    """|<p.x, p.y>|, the amount by which a finite pair misses the cross, as
-    :func:`inner` takes it at every scale."""
-    return abs(inner(*p))
 
 
 def classify(x0, y0, tols: Tolerances = DEFAULT_TOLS) -> CaseTag:
@@ -345,25 +341,31 @@ def _result(core: _Record) -> ProjectionResult:
     if tag is _ORTHOGONAL:
         return SingletonProjection(tag, Pair(x0, y0), 0.0, 0.0, 0.0)
     dist = _dist(core)
-    if tag is not _GENERIC:  # the family's two standard selections, (0, y0) and (x0, 0)
-        zero = np.zeros_like(x0)
-        canonical = Pair(zero, y0), Pair(x0, zero)
-        return FamilyProjection(tag, x0, y0, canonical, half * k * k, dist, k)
+    if tag is not _GENERIC:
+        return FamilyProjection(tag, x0, y0, half * k * k, dist, k)
     half_dist_sq = half * k * k if half >= 2.0**-1022 else 0.5 * dist * dist  # see _dist
-    if k * math.sqrt(xx + yy) < 2.0**1023:  # |point| <= |input|, with room for rounding
-        point = _point(core)
-    else:
-        with np.errstate(over="ignore"):
-            point = _point(core)
-        if not (np.isfinite(point.x).all() and np.isfinite(point.y).all()):
-            raise DomainError("the nearest point has a coordinate beyond the float64 range")
+    point = _in_range(k * math.sqrt(xx + yy), _point, core)
     return SingletonProjection(tag, point, lam, half_dist_sq, dist)
+
+
+def _in_range(size: float, build, *args) -> Pair:
+    """build(*args), a nearest point of an input of norm ``size``, which raises
+    :class:`DomainError` where a coordinate lies beyond the float64 range.  No
+    nearest point is longer than its input, so below 2^1023 (with room for
+    rounding) no array is checked."""
+    if size < 2.0**1023:
+        return build(*args)
+    with np.errstate(over="ignore"):
+        p = build(*args)
+    if not (np.isfinite(p.x).all() and np.isfinite(p.y).all()):
+        raise DomainError("the nearest point has a coordinate beyond the float64 range")
+    return p
 
 
 def _selected(core: _Record) -> Pair:
     """The point a solver step takes from project's answer, with no result
     built: the generic point, the input itself where orthogonal, else the
-    family's first canonical member, (0, y0)."""
+    family's first selection, (0, y0)."""
     tag = core.tag
     if tag is _GENERIC:
         return _point(core)
@@ -435,9 +437,11 @@ def family_samples(
 
 def _line_members(rec: _Record, draws: np.ndarray):
     """(u, member) of a degenerate record's family per row of ``draws``: u is the
-    row over its norm, flipped to <u, x0> >= 0, the one direction of its line."""
+    row over its norm, flipped to <u, x0> >= 0, the one direction of its line.
+    A member beyond the float64 range raises :class:`DomainError`."""
+    size = rec.k * math.sqrt(rec.xx + rec.yy)
     for g in draws:
         u = g / np.linalg.norm(g)
         if u.dot(rec.xs) < 0.0:
             u = -u
-        yield u, _family_member(rec.xs, rec.ys, u, rec.k)
+        yield u, _in_range(size, _family_member, rec.xs, rec.ys, u, rec.k)

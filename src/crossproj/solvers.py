@@ -6,7 +6,7 @@ orthant, a pair of affine targets, or coordinate boxes -- by alternating
 projections or Douglas-Rachford splitting.  C is nonconvex, so neither
 method carries a convergence guarantee; runs are capped, fully traced, and
 deterministic.  Where an iterate's cross projection is set valued the
-solver takes its first canonical member, (0, y0), and records the case.
+solver takes its first selection, (0, y0), and records the case.
 """
 
 from __future__ import annotations
@@ -148,10 +148,14 @@ class FeasibilityProblem:
         if not all(hasattr(c, name) for name in ("kind", "project", "distance")):
             raise DomainError(f"constraint must be one of the kinds {tuple(_CONSTRAINTS)}, or"
                               f" have kind, project and distance, not {type(c).__name__}")
-        # array data, each with at least one axis: a scalar setting has no dimension,
-        # and a constraint without __dict__ (say, one with __slots__) is not walked
+        # array data with at least one axis: a scalar setting or a ragged nesting has no
+        # dimension, and a constraint without __dict__ (one with __slots__) is not walked
         for name, arr in getattr(c, "__dict__", {}).items():
-            if (shape := np.shape(arr)) and shape[-1] != self.dim:
+            try:
+                shape = np.shape(arr)
+            except ValueError:
+                continue
+            if shape and shape[-1] != self.dim:
                 raise DimensionMismatch(f"{name!r} has shape {shape}, dim is {self.dim}")
 
     @property
@@ -166,8 +170,8 @@ class SolverTrace:
     ``residuals_c`` and ``residuals_b`` hold the distance to the cross and
     to the constraint set for each recorded iterate of the monitored
     sequence; ``residuals`` is their sum, the merit the stopping rule uses.
-    ``case_tags`` records the projection case seen at each iterate, which
-    makes any set-valued step, which takes (0, y0), auditable.
+    ``case_tags`` records the projection case seen at each iterate, so any
+    set-valued step, which takes (0, y0), is auditable; ``iterations`` counts the iterates.
     """
 
     method: str
@@ -176,8 +180,11 @@ class SolverTrace:
     residuals_b: list[float] = field(default_factory=list)
     case_tags: list[str] = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
     config: dict = field(default_factory=dict)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals_c)
 
     @property
     def residuals(self) -> list[float]:
@@ -246,7 +253,6 @@ def _run(name, method, problem, start, max_iter, tol) -> SolverTrace:
             point, d_c = (s, _dist(_classified(s.x, s.y, DEFAULT_TOLS))) if dr else (z, _dist(rec))
         except DomainError:
             raise _diverged(name, trace) from None
-        trace.iterations = k + 1
         d_b = 0.0 if k and exact_b else distance_b(point)
         add_point(point)
         add_c(d_c)

@@ -104,9 +104,8 @@ class TestProjectCommand:
             ("project", "--x0", "1", "--y0", "1", "--output"),
             ("family", "--x0", "1,1", "--y0", "1,1", "--output"),
             ("solve", "--generate", "orthant,3,0", "--trace"),
-            ("solve", "--generate", "orthant,3,0", "--summary"),
         ],
-        ids=["project_output", "family_output", "solve_trace", "solve_summary"],
+        ids=["project_output", "family_output", "solve_trace"],
     )
     def test_unwritable_output_is_parse_error(self, capsys, tmp_path, argv):
         path = tmp_path / "missing" / "out"
@@ -323,6 +322,15 @@ class TestFamilyCommand:
         assert exc.value.code == 2
         assert "--mode" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_member_beyond_float_range_exits_3(self, capsys):
+        # a member coordinate is about 2.05e308 at u = (cos pi/8, sin pi/8)
+        code, out, err = run(
+            capsys, "family", "--x0=1.7e308,1.7e308", "--y0=1.7e308,1.7e308", "--count", "8"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: the nearest point has a coordinate beyond the float64 range\n"
+
     def test_non_degenerate_exits_4(self, capsys):
         code, _, err = run(capsys, "family", "--x0", "1,2", "--y0", "3,1")
         assert code == 4
@@ -353,22 +361,18 @@ class TestCheckCommand:
         assert "pass" in out
         assert "FAIL" not in out
 
-    def test_env_seed_used_as_default(self, capsys, monkeypatch):
+    def test_seed_defaults_to_zero_whatever_the_environment(self, capsys, monkeypatch):
         monkeypatch.setenv("CROSSPROJ_SEED", "7")
         code, out, _ = run(capsys, "check", "--dims", "1", "--trials", "1")
         assert code == 0
-        assert "(seed 7)" in out
+        assert "(seed 0)" in out
 
     @pytest.mark.parametrize(
-        "argv, env",
-        [(("--seed", "-1"), None), (("--trials", "-3"), None), ((), "abc"), ((), "-1"),
-         (("--seed", " 1"), None), (("--trials", "1_0"), None), ((), "1 ")],
-        ids=["seed_negative", "trials_negative", "env_seed_string", "env_seed_negative",
-             "seed_blank", "trials_digit_separator", "env_seed_blank"],
+        "argv",
+        [("--seed", "-1"), ("--trials", "-3"), ("--seed", " 1"), ("--trials", "1_0")],
+        ids=["seed_negative", "trials_negative", "seed_blank", "trials_digit_separator"],
     )
-    def test_bad_seed_or_trials_is_parse_error(self, capsys, monkeypatch, argv, env):
-        if env is not None:
-            monkeypatch.setenv("CROSSPROJ_SEED", env)
+    def test_bad_seed_or_trials_is_parse_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--dims", "1", "--trials", "1", *argv])
         assert exc.value.code == 2
@@ -458,6 +462,14 @@ class TestSolveCommand:
             main(["solve", "--generate", "orthant,3,0", "--selection", "first"])
         assert exc.value.code == 2
         assert "--selection" in capsys.readouterr().err
+
+    def test_summary_flag_is_gone(self, capsys, tmp_path):
+        # the JSON summary is on stdout; no flag writes a second copy
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--generate", "orthant,3,0", "--summary", str(tmp_path / "s.json")])
+        assert exc.value.code == 2
+        assert "--summary" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_reruns_byte_identical(self, capsys, tmp_path):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -26,7 +26,6 @@ from crossproj import (
     classify,
     family_samples,
     inner,
-    membership_residual,
     norm,
     objective,
     project,
@@ -118,19 +117,19 @@ class _AtEveryScale:
 class TestMembership(_AtEveryScale):
     @staticmethod
     def measure(x, y):
-        return membership_residual(pair(x, y))
+        return abs(inner(x, y))
 
     def test_orthogonal_pair_tol_zero(self):
-        assert membership_residual(pair([1.0, 0.0], [0.0, 1.0])) == 0.0
+        assert abs(inner([1.0, 0.0], [0.0, 1.0])) == 0.0
 
     def test_inner_product_one(self):
-        assert membership_residual(pair([1.0, 1.0], [1.0, 0.0])) == 1.0
+        assert abs(inner([1.0, 1.0], [1.0, 0.0])) == 1.0
 
     def test_axis_points_always_members(self):
         # in R^1 the cross is the union of the two axes
         for x in (-3.0, 0.0, 0.25, 7.0):
-            assert membership_residual(pair([x], [0.0])) == 0.0
-            assert membership_residual(pair([0.0], [x])) == 0.0
+            assert abs(inner([x], [0.0])) == 0.0
+            assert abs(inner([0.0], [x])) == 0.0
 
     def test_closed_under_limits(self):
         # a convergent sequence of members has a member as its limit
@@ -139,26 +138,26 @@ class TestMembership(_AtEveryScale):
         limit = pair(np.zeros(3), b)
         for k in (1, 10, 1000, 10**9):
             p = pair(a / k, b)
-            assert membership_residual(p) == 0.0
-        assert membership_residual(limit) == 0.0
+            assert abs(inner(*p)) == 0.0
+        assert abs(inner(*limit)) == 0.0
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_pair_rejected(self, bad):
         # a silent inf or nan residual would read as a miss, or as no verdict
         for p in (pair([bad], [1.0]), pair([1.0, 2.0], [0.5, bad])):
             with pytest.raises(DomainError, match="non-finite"):
-                membership_residual(p)
+                abs(inner(*p))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
-            membership_residual(pair([1.0, 2.0], [1.0]))
+            abs(inner([1.0, 2.0], [1.0]))
 
     def test_raw_product_at_unit_scale(self):
         rng = np.random.default_rng(11)
         for n in range(1, 9):
             for _ in range(20):
                 x, y = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-                assert membership_residual(pair(x, y)) == abs(float(np.dot(x, y)))
+                assert abs(inner(x, y)) == abs(float(np.dot(x, y)))
 
 
 class TestInnerAtScale(_AtEveryScale):
@@ -273,7 +272,7 @@ class TestCandidate:
         out = block_solve(0.5, as_pair([2.0], [1.0]))
         np.testing.assert_allclose(out.x, [2.0])
         np.testing.assert_allclose(out.y, [0.0], atol=1e-15)
-        assert membership_residual(out) == 0.0
+        assert abs(inner(*out)) == 0.0
 
     def test_large_root_scalar(self):
         out = block_solve(2.0, as_pair([2.0], [1.0]))
@@ -402,7 +401,7 @@ class TestDegenerateFamily:
             u = rng.standard_normal(4)
             u /= np.linalg.norm(u)
             member = res.member(u)
-            assert membership_residual(member) <= feas_tol(x0, y0)
+            assert abs(inner(*member)) <= feas_tol(x0, y0)
             assert objective(member, x0, y0) == pytest.approx(half, rel=1e-10)
 
     def test_non_unit_direction_rejected(self):
@@ -420,7 +419,7 @@ class TestDegenerateFamily:
         out = res.member(e1)
         np.testing.assert_array_equal(out.x, x0[0] * e1)
         np.testing.assert_array_equal(out.y, y0 - y0[0] * e1)
-        assert membership_residual(out) == 0.0
+        assert abs(inner(*out)) == 0.0
 
     def test_member_checks_direction(self):
         res = project([1.0, 1.0], [1.0, 1.0])
@@ -452,7 +451,7 @@ class TestFamilyEnumerate:
         out = [p for _, p in family_samples(x0, x0, 5)]
         assert len(out) == 5
         for p in out:
-            assert membership_residual(p) <= feas_tol(x0, x0)
+            assert abs(inner(*p)) <= feas_tol(x0, x0)
             assert objective(p, x0, x0) == pytest.approx(1.0, rel=1e-12)
 
     def test_injective_mode_distinct_positive_side(self):
@@ -652,7 +651,7 @@ class TestInvariants:
             res = project(x0, y0)
             tol = feas_tol(x0, y0)
             for p in res.selections():
-                assert membership_residual(p) <= tol
+                assert abs(inner(*p)) <= tol
 
     def test_stationarity_and_objective_identity(self):
         rng = np.random.default_rng(21)
@@ -704,7 +703,7 @@ class TestInvariants:
             # candidates at the roots are orthogonal pairs
             for lam in roots(x0, y0):
                 cand = block_solve(lam, as_pair(x0, y0))
-                assert membership_residual(cand) <= feas_tol(x0, y0)
+                assert abs(inner(*cand)) <= feas_tol(x0, y0)
             # at any multiplier the constraint value matches the quadratic residual
             for _ in range(20):
                 lam = float(rng.uniform(-3.0, 3.0))
@@ -793,8 +792,8 @@ class TestInvariants:
     @settings(max_examples=100)
     def test_convex_hull_decomposition(self, x, y):
         # (2x, 0) and (0, 2y) lie in the cross exactly and average to (x, y)
-        assert membership_residual(pair(2.0 * x, np.zeros(3))) == 0.0
-        assert membership_residual(pair(np.zeros(3), 2.0 * y)) == 0.0
+        assert abs(inner(2.0 * x, np.zeros(3))) == 0.0
+        assert abs(inner(np.zeros(3), 2.0 * y)) == 0.0
         np.testing.assert_array_equal(0.5 * (2.0 * x) + 0.0, x)
         np.testing.assert_array_equal(0.0 + 0.5 * (2.0 * y), y)
 
@@ -836,7 +835,7 @@ class TestNearDegenerateStability:
             assert res.tag is CaseTag.GENERIC
             pt = res.point
             assert np.all(np.isfinite(pt.x)) and np.all(np.isfinite(pt.y))
-            assert membership_residual(pt) <= feas_tol(x0, y0, scale=1e-8)
+            assert abs(inner(*pt)) <= feas_tol(x0, y0, scale=1e-8)
             canon = min(
                 objective(pair(np.zeros(n), y0), x0, y0),
                 objective(pair(x0, np.zeros(n)), x0, y0),
@@ -894,6 +893,36 @@ class TestOverflowOrder:
         assert res.tag is CaseTag.GENERIC
         assert np.isfinite(res.point.x).all() and np.isfinite(res.point.y).all()
         assert reference.wrong_reason(x0, y0, res.half_dist_sq, res.selections()) is None
+
+    # x0 = y0 = 1.7e308 (1, 1): at u = (cos pi/8, sin pi/8) the exact member
+    # has x[0] = 1.7e308 (cos + sin) cos, about 2.05e308
+    FAMILY_BEYOND = np.array([1.7e308, 1.7e308])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_member_beyond_the_float64_range_raises(self, sign):
+        # an inf coordinate came back, with only numpy's overflow warning
+        x0, y0 = self.FAMILY_BEYOND, sign * self.FAMILY_BEYOND
+        res = project(x0, y0)
+        assert res.tag.is_degenerate
+        u = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+        for build in (lambda: res.member(u), lambda: family_samples(x0, y0, 8)):
+            with pytest.raises(DomainError, match="beyond the float64 range"):
+                build()
+        # the two selections stay within the range
+        assert all(np.isfinite(p.x).all() and np.isfinite(p.y).all() for p in res.selections())
+
+    @pytest.mark.filterwarnings("error")
+    def test_family_near_the_float64_range_is_kept(self):
+        # |input| = 2e308 lies above 2^1023, so each member is looked at; at
+        # 1e308 (1, 1) no coordinate of a member exceeds about 1.21e308
+        x0 = np.array([1e308, 1e308])
+        res = project(x0, x0)
+        members = [res.member(np.array([0.6, 0.8]))]
+        members += [p for _, p in family_samples(x0, x0, 8)]
+        for p in members:
+            assert np.isfinite(p.x).all() and np.isfinite(p.y).all()
+        np.testing.assert_allclose(members[0].x, [8.4e307, 1.12e308], rtol=1e-15)
 
     def test_distance_is_root_of_twice_half(self):
         for x0, y0 in [([2.0], [1.0]), ([1.0, 1.0], [1.0, 1.0]), ([1.0, 0.0], [0.0, 2.0])]:

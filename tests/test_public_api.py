@@ -30,7 +30,6 @@ PUBLIC = [
     "Tolerances",
     "classify",
     "family_samples",
-    "membership_residual",
     "objective",
     "project",
     # oracle
@@ -65,7 +64,6 @@ SIGNATURES = {
     # projection
     "classify": ["x0", "y0", "tols"],
     "family_samples": ["x0", "y0", "count", "tols"],
-    "membership_residual": ["p"],
     "objective": ["p", "x0", "y0"],
     "project": ["x0", "y0", "tols"],
     # oracle
@@ -87,17 +85,16 @@ FIELDS = {
     # projection
     "Tolerances": ["orth", "deg"],
     "SingletonProjection": ["tag", "point", "lam", "half_dist_sq", "dist"],
-    "FamilyProjection": ["tag", "x0", "y0", "canonical", "half_dist_sq", "dist", "_k"],
+    "FamilyProjection": ["tag", "x0", "y0", "half_dist_sq", "dist", "_k"],
     # oracle
     "OracleReport": [
-        "mode", "best_point", "best_objective", "gap_vs_formula",
-        "candidates_examined", "tie_count", "ties",
+        "best_point", "best_objective", "gap_vs_formula", "candidates_examined", "ties",
     ],
     "CheckReport": ["case", "items"],
     # solvers
     "SolverTrace": [
         "method", "iterates", "residuals_c", "residuals_b", "case_tags",
-        "converged", "iterations", "config",
+        "converged", "config",
     ],
     "FeasibilityProblem": ["dim", "constraint"],
     "OrthantPairConstraint": [],

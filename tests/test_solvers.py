@@ -24,7 +24,6 @@ from crossproj import (
     douglas_rachford,
     generate_instance,
     inner,
-    membership_residual,
     instance_from_dict,
     instance_to_dict,
     project,
@@ -284,7 +283,7 @@ class TestGenerateInstance:
     @pytest.mark.parametrize("dim", [1, 2, 5])
     def test_witness_is_exactly_feasible(self, kind, dim):
         problem, witness = generate_instance(kind, dim, seed=3)
-        assert membership_residual(witness) == 0.0  # disjoint supports: exact zero
+        assert abs(inner(*witness)) == 0.0  # disjoint supports: exact zero
         assert problem.constraint.distance(witness) == 0.0
 
     def test_orthant_witness_nonnegative(self):
@@ -482,8 +481,8 @@ class TestConstraintsValidateThemselves:
 
 class TestDuckTypedConstraintData:
     """FeasibilityProblem checks the dimension of a constraint's array data
-    only: a scalar setting has no dimension, and a constraint without
-    ``__dict__`` has no data to walk."""
+    only: a scalar setting and a ragged nesting have no dimension, and a
+    constraint without ``__dict__`` has no data to walk."""
 
     class Ball:
         """A duck-typed ball |x - c|^2 + |y - c|^2 <= radius^2, with a scalar setting."""
@@ -534,6 +533,17 @@ class TestDuckTypedConstraintData:
         got = alternating_projections(problem, start)
         assert _bits(got.iterates) == _bits(want.iterates)
         assert got.residuals_b[1:] == want.residuals_b[1:]
+
+    def test_ragged_list_setting_accepted(self):
+        # a ragged list is not an array, so it is skipped as a scalar setting is
+        ball = self.Ball(np.zeros(3), 2.0)
+        ball.parts = [[1.0, 2.0], [3.0]]
+        problem = FeasibilityProblem(3, ball)
+        tr = alternating_projections(problem, pair([3.0, 0.0, 0.0], [0.0, 1.0, 0.0]), tol=1e-12)
+        assert tr.converged and tr.residuals_b[-1] == 0.0
+        ball.centre = np.zeros(2)
+        with pytest.raises(DimensionMismatch, match=r"'centre' has shape \(2,\), dim is 3"):
+            FeasibilityProblem(3, ball)
 
     def test_mis_dimensioned_array_still_raises(self):
         with pytest.raises(DimensionMismatch, match=r"'centre' has shape \(2,\), dim is 3"):
@@ -719,13 +729,13 @@ def _reference_run(method, problem, start, max_iter, tol, member=lambda k: 0):
     """AP or DR written over the public API, checking each update for finiteness.
 
     Returns (iterates, residuals_c, residuals_b, case_tags, converged); a
-    set-valued step k takes canonical[member(k)], by default canonical[0],
+    set-valued step k takes selections()[member(k)], by default selections()[0],
     (0, y0), as the library does."""
     iterates, res_c, res_b, tags = [], [], [], []
     z = start
     for k in range(max_iter):
         pc = project(z.x, z.y)
-        sel = pc.point if isinstance(pc, SingletonProjection) else pc.canonical[member(k)]
+        sel = pc.point if isinstance(pc, SingletonProjection) else pc.selections()[member(k)]
         if method == "ap":
             monitored, d_c = z, math.sqrt(max(2.0 * pc.half_dist_sq, 0.0))
         else:
@@ -773,8 +783,8 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("kind", ["orthant", "affine", "box"])
     @pytest.mark.parametrize("method", ["ap", "dr"])
     def test_every_tag_and_selection(self, method, kind, dim, selection, start_tag):
-        """A set-valued step takes (0, y0), canonical[0] ("first").  The other
-        member, (x0, 0), is canonical[0] of the swapped input (y0, x0), so the
+        """A set-valued step takes (0, y0), selections()[0] ("first").  The other
+        member, (x0, 0), is selections()[0] of the swapped input (y0, x0), so the
         run on the swapped problem and start, swapped back, is the one that
         takes (x0, 0) ("second").  A loop that alternates the two members agrees
         with the library before its first set-valued step at an odd k and parts

@@ -37,7 +37,6 @@ from crossproj import (
     generate_instance,
     inner,
     lagrangian_oracle,
-    membership_residual,
     norm,
     objective,
     project,
@@ -87,7 +86,8 @@ PAIR_ENTRIES = {
     "alternating_projections": (_ap, ("x", "y")),
     "douglas_rachford": (_dr, ("x", "y")),
     "inner": (inner, ("x", "y")),
-    "membership_residual": (lambda x, y: membership_residual(Pair(x, y)), ("x", "y")),
+    # |<x, y>|, the amount by which a pair misses the cross
+    "membership_residual": (lambda x, y: abs(inner(x, y)), ("x", "y")),
     "objective": (_objective, ("x0", "y0")),
     "solve_lambda": (_solve_lambda, ("x0", "y0")),
     "lagrangian_oracle": (lagrangian_oracle, ("x0", "y0")),
